@@ -126,9 +126,6 @@ def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--seed", type=int, default=harness.DEFAULT_SEED)
     common.add_argument("--output", help="also write the JSON report to this path")
-    common.add_argument("--jobs", type=int, default=1,
-                        help="parallelism degree recorded in the report; word "
-                             "evaluation is deterministic and independent of it")
     ap = argparse.ArgumentParser(
         prog="skewcert",
         description="exact certifications for free symmetric subalgebras of "
@@ -138,12 +135,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     cert = sub.add_parser("certify", help="run a certification").add_subparsers(
         dest="target", required=True)
-    h = cert.add_parser("heisenberg", parents=[common])
-    h.add_argument("--max-word-len", type=int, default=3)
-    h.add_argument("--order", type=int, default=32)
-    d = cert.add_parser("twodim", parents=[common])
-    d.add_argument("--max-word-len", type=int, default=3)
-    d.add_argument("--order", type=int, default=16)
+    for name, order in (("heisenberg", 32), ("twodim", 16)):
+        sp = cert.add_parser(name, parents=[common])
+        sp.add_argument("--max-word-len", type=int, default=3)
+        sp.add_argument("--order", type=int, default=order)
     g = cert.add_parser("groupring", parents=[common])
     g.add_argument("--max-word-len", type=int, default=6)
     c = cert.add_parser("cauchon", parents=[common])
@@ -178,16 +173,13 @@ def run(argv=None) -> int:
     args = ap.parse_args(argv)
     seed = args.seed
     t0 = time.monotonic()
-    params: dict = {"jobs": args.jobs}
+    params: dict = {}
     try:
-        if args.command == "certify" and args.target == "heisenberg":
+        if args.command == "certify" and f"certify {args.target}" in harness.SKEW_PRESETS:
+            command = f"certify {args.target}"
             params.update(max_word_len=args.max_word_len, order=args.order)
-            verdicts = harness.run_certify_heisenberg(args.max_word_len, args.order, seed)
-            command = "certify heisenberg"
-        elif args.command == "certify" and args.target == "twodim":
-            params.update(max_word_len=args.max_word_len, order=args.order)
-            verdicts = harness.run_certify_twodim(args.max_word_len, args.order, seed)
-            command = "certify twodim"
+            verdicts = harness.run_certify_skew(harness.SKEW_PRESETS[command],
+                                                args.max_word_len, args.order, seed)
         elif args.command == "certify" and args.target == "groupring":
             params.update(max_word_len=args.max_word_len)
             verdicts = harness.run_certify_groupring(args.max_word_len, seed)

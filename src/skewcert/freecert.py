@@ -19,7 +19,7 @@ from fractions import Fraction
 from math import gcd
 from typing import Callable, Optional, Sequence
 
-from .errors import AdapterFailure
+from .errors import AdapterFailure, KernelError
 from .rings import RingOps
 
 Word = tuple[int, ...]  # letters: 1-based generator indices, negative = inverse
@@ -95,7 +95,8 @@ def rank_over_Q(vectors: Sequence[dict]) -> tuple[int, Optional[list[Fraction]]]
             for j in range(width + n):
                 num = row_r[j] * piv - rc * row_p[j]
                 q, rem = divmod(num, prev)
-                assert rem == 0, "Bareiss division must be exact"
+                if rem:
+                    raise KernelError("Bareiss division must be exact")
                 row_r[j] = q
         prev = piv
         rank += 1

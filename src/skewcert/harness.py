@@ -8,11 +8,11 @@ The heavy objects (towers, atom inverses) are built once per pipeline run.
 from __future__ import annotations
 
 import random
-import time
+from dataclasses import dataclass, replace
 from fractions import Fraction
+from typing import Callable
 
-from . import freecert, groupring, pbw, series, skewfrac, symcert
-from .errors import KernelError
+from . import groupring, pbw, series, skewfrac
 from .freecert import Coordinatizer, certify_freeness
 from .pbw import (
     LieHom,
@@ -28,20 +28,17 @@ from .pbw import (
     twodim_to_skewfield,
     u_involution,
     u_mul,
-    uelem_ring_ops,
 )
-from .scalar import Poly, RatFun, rat
+from .scalar import Poly, RatFun, poly_lcm, rat
 from .series import (
     class3_tower,
     heisenberg_tower,
     hom_phi_u,
     hom_phi_v,
     hom_phi_w,
-    jet_add,
     jet_inv,
     jet_mul,
     jet_neg,
-    jet_smul,
     jets_agree,
     unit_criterion_audit,
 )
@@ -51,6 +48,7 @@ from .skewfrac import (
     SkewFrac,
     build_heisenberg_images,
     cauchon_generators,
+    cauchon_pair,
     orbit_distinct,
     pjet_ring_ops,
     sf_to_pjet,
@@ -60,7 +58,6 @@ from .symcert import (
     Add,
     Atom,
     AtomFacts,
-    ConstQ,
     FactTable,
     Inv,
     Mul,
@@ -78,8 +75,6 @@ DEFAULT_SEED = 1729
 def cached_inv_ops(ops):
     """Memoize inversion per value identity, so rescaled expressions reuse
     the inverses of their unscaled atoms."""
-    from dataclasses import replace
-
     if ops.inv is None:
         return ops
     cache: dict = {}
@@ -240,6 +235,26 @@ def heisenberg_atom_jets(order: int):
 # -- coordinatizers ------------------------------------------------------------
 
 
+def _clear_denominators(rows) -> list[dict]:
+    """Rows of (p degree, Q(t) coefficient) pairs to Q-vectors keyed by
+    (p degree, t degree), scaling each p degree by the lcm of its
+    Q[t]-denominators across the family."""
+    dens = {}
+    for row in rows:
+        for i, c in row:
+            dens[i] = poly_lcm(dens.get(i, Poly.const(Fraction(1))), c.den)
+    vectors = []
+    for row in rows:
+        vec = {}
+        for i, c in row:
+            cleared = c.num * dens[i].divmod(c.den)[0]
+            for k, q in enumerate(cleared.coeffs):
+                if q:
+                    vec[(i, k)] = q
+        vectors.append(vec)
+    return vectors
+
+
 def skew_exact_coordinatizer(aut: ShiftAut) -> Coordinatizer:
     """Common left denominator across the family, Q(t)-coefficient
     extraction per p-degree, then denominator clearing to Q-vectors keyed by
@@ -266,26 +281,8 @@ def skew_exact_coordinatizer(aut: ShiftAut) -> Coordinatizer:
             if r:
                 raise AssertionError("common denominator is not a left multiple")
             numerators.append(sp_mul(q, v.num))
-        # clear Q[t]-denominators per p-degree
-        dens = {}
-        for num in numerators:
-            for i, c in enumerate(num.coeffs):
-                if c:
-                    from .scalar import poly_lcm
-
-                    dens[i] = poly_lcm(dens.get(i, Poly.const(Fraction(1))), c.den)
-        vectors = []
-        for num in numerators:
-            vec = {}
-            for i, c in enumerate(num.coeffs):
-                if not c:
-                    continue
-                cleared = c.num * dens[i].divmod(c.den)[0]
-                for k, q in enumerate(cleared.coeffs):
-                    if q:
-                        vec[(i, k)] = q
-            vectors.append(vec)
-        return vectors
+        return _clear_denominators([[(i, c) for i, c in enumerate(num.coeffs) if c]
+                                    for num in numerators])
 
     return Coordinatizer(name="exact-left-fraction", build=build)
 
@@ -297,25 +294,8 @@ def skew_pjet_coordinatizer(aut: ShiftAut, order: int) -> Coordinatizer:
     def build(values):
         jets = [v if isinstance(v, PJet) else sf_to_pjet(v, order) for v in values]
         window = min(j.trunc for j in jets)
-        dens = {}
-        for j in jets:
-            for i, c in j.coeffs.items():
-                if i < window and c:
-                    from .scalar import poly_lcm
-
-                    dens[i] = poly_lcm(dens.get(i, Poly.const(Fraction(1))), c.den)
-        vectors = []
-        for j in jets:
-            vec = {}
-            for i, c in j.coeffs.items():
-                if i >= window or not c:
-                    continue
-                cleared = c.num * dens[i].divmod(c.den)[0]
-                for k, q in enumerate(cleared.coeffs):
-                    if q:
-                        vec[(i, k)] = q
-            vectors.append(vec)
-        return vectors
+        return _clear_denominators([[(i, c) for i, c in j.coeffs.items() if i < window and c]
+                                    for j in jets])
 
     return Coordinatizer(
         name=f"pjet-order-{order}",
@@ -336,125 +316,134 @@ def groupring_coordinatizer() -> Coordinatizer:
 # -- pipelines -----------------------------------------------------------------
 
 
-def run_certify_heisenberg(max_word_len: int = 3, order: int = 32, seed: int = DEFAULT_SEED,
-                           cross_order: int = 16, jobs: int = 1) -> list[dict]:
-    verdicts = []
-    table, phi, atoms = heisenberg_fact_table()
+def heisenberg_image_table(facts) -> bool:
+    """x -> p^-1 t, y -> p, z -> 1, V -> t - 1/2, V -+ z^3/3 -> t - 5/6, t - 1/6
+    and z +- y^2 -> 1 +- p^2, exactly in K(p;sigma) with sigma(t) = t - 1."""
+    table, phi, atoms = facts
     H = table.algebra
-
-    # the image table of the construction, exact in K(p;sigma)
     aut = ShiftAut(Fraction(1))
-    t = RatFun.t()
-    expect = {
-        "y": SkewFrac.p(aut),
-        "x": SkewFrac.p(aut).inv() * SkewFrac.from_ratfun(aut, t),
-        "z": SkewFrac.one(aut),
-    }
-    img_ok = all(phi(H.gen(k)) == v for k, v in expect.items())
-    V = heisenberg_V(H)
-    targets = {
-        "V": t - RatFun.const(Fraction(1, 2)),
-        "A": t - RatFun.const(Fraction(5, 6)),
-        "B": t - RatFun.const(Fraction(1, 6)),
-    }
-    img_ok &= phi(V) == SkewFrac.from_ratfun(aut, targets["V"])
-    img_ok &= phi(atoms["A"]) == SkewFrac.from_ratfun(aut, targets["A"])
-    img_ok &= phi(atoms["B"]) == SkewFrac.from_ratfun(aut, targets["B"])
-    one = SkewPoly.one(aut)
-    p2 = SkewPoly.p(aut, 2)
-    img_ok &= phi(atoms["C"]) == SkewFrac.from_poly(one + p2)
-    img_ok &= phi(atoms["E"]) == SkewFrac.from_poly(one - p2)
-    verdicts.append(verdict("image table of x, y, z, V, V-+z^3/3, z+-y^2",
-                            "freesymmetricHeisenberg", img_ok))
+    p, t, one = SkewFrac.p(aut), SkewFrac.from_ratfun(aut, RatFun.t()), SkewFrac.one(aut)
+    expect = [
+        (H.gen("y"), p), (H.gen("x"), p.inv() * t), (H.gen("z"), one),
+        (heisenberg_V(H), t - SkewFrac.scalar(aut, Fraction(1, 2))),
+        (atoms["A"], t - SkewFrac.scalar(aut, Fraction(5, 6))),
+        (atoms["B"], t - SkewFrac.scalar(aut, Fraction(1, 6))),
+        (atoms["C"], one + p * p), (atoms["E"], one - p * p),
+    ]
+    return all(phi(el) == img for el, img in expect)
 
-    witnesses = verify_facts(table)
-    verdicts.append(verdict("fact table (stars, commutation, invertibility)",
-                            "freesymmetricHeisenberg", True, {"witnesses": witnesses}))
 
-    S, T = st_expressions()
+def heisenberg_cross_check(values, cross_order: int):
+    """Substitute the atoms' jets in the Heisenberg tower, compared up to
+    `cross_order`."""
     tower, jet_atoms = heisenberg_atom_jets(cross_order + 4)
     ops = tower.ops()
     memo: dict = {}
-    for name, expr in (("S", S), ("T", T)):
-        starred = star(expr, table)
-        res = prove_equal(starred, expr, table)
-        cross = None
-        if res == "equal":
-            lhs = substitute(starred, jet_atoms, ops, memo)
-            rhs = substitute(expr, jet_atoms, ops, memo)
-            cross = jets_agree(lhs, rhs, upto=cross_order)
-        verdicts.append(verdict(f"{name}* = {name}", "freesymmetricHeisenberg",
-                                res if res != "equal" or cross else "equal",
-                                {"jet_cross_check_order": cross_order,
-                                 "jet_cross_check": cross}))
-        if res == "equal" and not cross:
-            verdicts[-1]["verdict"] = "failed"
 
-    # freeness of the images (Sbar, Tbar): jets pre-filter (words evaluated
-    # in the p-jet ring), then the authoritative exact fraction path
-    sbar, tbar = build_heisenberg_images()
-    sf_ops = skewfrac.ring_ops(aut)
-    s_jet, t_jet = skewfrac.heisenberg_image_jets(order)
-    rep_jets = certify_freeness([s_jet, t_jet], pjet_ring_ops(aut, order),
-                                skew_pjet_coordinatizer(aut, order),
-                                max_word_len, "monoid", command="certify heisenberg", seed=seed)
-    rep_exact = certify_freeness([sbar, tbar], sf_ops, skew_exact_coordinatizer(aut),
-                                 max_word_len, "monoid", command="certify heisenberg", seed=seed)
-    agree = rep_jets.rank == rep_exact.rank
-    verdicts.append(verdict(
-        f"freeness of (Sbar, Tbar) to word length {max_word_len}",
-        "freealgebrainWeyl",
-        rep_exact.verdict if (rep_exact.verdict != "certified" or agree) else "failed",
-        {"jets": rep_jets.to_dict(), "exact": rep_exact.to_dict(),
-         "paths_agree": agree}))
-    return verdicts
+    def check(starred, expr) -> dict:
+        lhs = substitute(starred, jet_atoms, ops, memo)
+        rhs = substitute(expr, jet_atoms, ops, memo)
+        return {"jet_cross_check_order": cross_order,
+                "jet_cross_check": jets_agree(lhs, rhs, upto=cross_order)}
+
+    return check
 
 
-def run_certify_twodim(max_word_len: int = 3, order: int = 32, seed: int = DEFAULT_SEED,
-                       cross_order: int = 16, jobs: int = 1) -> list[dict]:
-    verdicts = []
-    verdicts.append(verdict("orbits of 1/3 and -1/3 under z -> z + 1 are infinite and distinct",
-                            "twodimensionalcase",
-                            orbit_distinct(Fraction(1, 3), Fraction(-1, 3), -1)))
-    table, model, values = twodim_fact_table()
-    witnesses = verify_facts(table)
-    verdicts.append(verdict("fact table (s* = s^-1, u* = u^-1, invertibility)",
-                            "twodimensionalcase", True, {"witnesses": witnesses}))
-    S2, T2 = twodim_expressions()
+def twodim_cross_check(values, cross_order: int):
+    """Substitute the atoms' skew-field values, once as p-jets compared up to
+    `cross_order` and once exactly."""
     aut = skewfrac.TWODIM_AUT
     pj_ops = pjet_ring_ops(aut, cross_order + 4)
     jet_values = {k: sf_to_pjet(v, cross_order + 4) for k, v in values.items()}
     sf_ops = skewfrac.ring_ops(aut)
     memo_j: dict = {}
     memo_x: dict = {}
-    for name, expr in (("s+s^-1", S2), ("u(s+s^-1)u^-1", T2)):
-        starred = star(expr, table)
-        res = prove_equal(starred, expr, table)
-        ok = res
-        data = {}
-        if res == "equal":
-            lhs = substitute(starred, jet_values, pj_ops, memo_j)
-            rhs = substitute(expr, jet_values, pj_ops, memo_j)
-            cross = pjets_agree(lhs, rhs, cross_order)
-            exact = substitute(starred, values, sf_ops, memo_x) == substitute(expr, values, sf_ops, memo_x)
-            data = {"jet_cross_check_order": cross_order, "jet_cross_check": cross,
-                    "exact_cross_check": exact}
-            if not (cross and exact):
-                ok = "failed"
-        verdicts.append(verdict(f"({name})* = {name}", "twodimensionalcase", ok, data))
 
-    sbar = values["s"] + values["s"].inv()
-    tbar = values["u"] * sbar * values["u"].inv()
-    s_jet, t_jet = skewfrac.twodim_image_jets(order)
-    rep_jets = certify_freeness([s_jet, t_jet], pjet_ring_ops(aut, order),
-                                skew_pjet_coordinatizer(aut, order),
-                                max_word_len, "monoid", command="certify twodim", seed=seed)
-    rep_exact = certify_freeness([sbar, tbar], sf_ops, skew_exact_coordinatizer(aut),
-                                 max_word_len, "monoid", command="certify twodim", seed=seed)
+    def check(starred, expr) -> dict:
+        lhs = substitute(starred, jet_values, pj_ops, memo_j)
+        rhs = substitute(expr, jet_values, pj_ops, memo_j)
+        exact = substitute(starred, values, sf_ops, memo_x) == substitute(expr, values, sf_ops, memo_x)
+        return {"jet_cross_check_order": cross_order,
+                "jet_cross_check": pjets_agree(lhs, rhs, cross_order),
+                "exact_cross_check": exact}
+
+    return check
+
+
+@dataclass(frozen=True)
+class SkewPreset:
+    """A paper preset of the construction in K(p;sigma): `construction` is the
+    (c, alpha, beta, k) of `skewfrac.cauchon_pair`, the rest wires the run."""
+
+    command: str
+    construction: tuple
+    label: str  # paper label of every verdict but the freeness one
+    freeness_label: str
+    opening_claim: str
+    opening: Callable[[tuple], bool]  # given the fact-table triple
+    facts_claim: str
+    fact_table: Callable[[], tuple]  # () -> (table, model, values)
+    expressions: Callable[[], tuple]  # () -> (S, T)
+    symmetry_claims: tuple[str, str]
+    cross_check: Callable  # (values, cross_order) -> (starred, expr) -> data
+    pair_name: str
+
+
+HEISENBERG = SkewPreset(
+    command="certify heisenberg", construction=skewfrac.HEISENBERG_CONSTRUCTION,
+    label="freesymmetricHeisenberg", freeness_label="freealgebrainWeyl",
+    opening_claim="image table of x, y, z, V, V-+z^3/3, z+-y^2", opening=heisenberg_image_table,
+    facts_claim="fact table (stars, commutation, invertibility)", fact_table=heisenberg_fact_table,
+    expressions=st_expressions, symmetry_claims=("S* = S", "T* = T"),
+    cross_check=heisenberg_cross_check, pair_name="(Sbar, Tbar)",
+)
+TWODIM = SkewPreset(
+    command="certify twodim", construction=skewfrac.TWODIM_CONSTRUCTION,
+    label="twodimensionalcase", freeness_label="twodimensionalcase",
+    opening_claim="orbits of 1/3 and -1/3 under z -> z + 1 are infinite and distinct",
+    opening=lambda facts: orbit_distinct(Fraction(1, 3), Fraction(-1, 3), -1),
+    facts_claim="fact table (s* = s^-1, u* = u^-1, invertibility)", fact_table=twodim_fact_table,
+    expressions=twodim_expressions,
+    symmetry_claims=("(s+s^-1)* = s+s^-1", "(u(s+s^-1)u^-1)* = u(s+s^-1)u^-1"),
+    cross_check=twodim_cross_check, pair_name="(s+s^-1, u(s+s^-1)u^-1)",
+)
+SKEW_PRESETS = {p.command: p for p in (HEISENBERG, TWODIM)}
+
+
+def symmetry_verdict(claim: str, label: str, expr, table: FactTable, cross_check) -> dict:
+    """Prove expr* = expr from the verified fact table; an `equal` stands only
+    if every boolean in the cross-check's data is true."""
+    starred = star(expr, table)
+    res = prove_equal(starred, expr, table)
+    data = cross_check(starred, expr) if res == "equal" else {}
+    if not all(v for v in data.values() if isinstance(v, bool)):
+        res = "failed"
+    return verdict(claim, label, res, data)
+
+
+def run_certify_skew(preset: SkewPreset, max_word_len: int = 3, order: int = 32,
+                     seed: int = DEFAULT_SEED, cross_order: int = 16) -> list[dict]:
+    facts = preset.fact_table()
+    table, _, values = facts
+    verdicts = [verdict(preset.opening_claim, preset.label, preset.opening(facts))]
+    witnesses = verify_facts(table)
+    verdicts.append(verdict(preset.facts_claim, preset.label, True, {"witnesses": witnesses}))
+    check = preset.cross_check(values, cross_order)
+    for claim, expr in zip(preset.symmetry_claims, preset.expressions()):
+        verdicts.append(symmetry_verdict(claim, preset.label, expr, table, check))
+
+    # freeness of the images: jets pre-filter (words evaluated in the p-jet
+    # ring), then the authoritative exact fraction path
+    images = skewfrac.symmetric_images(*preset.construction)
+    jets = skewfrac.symmetric_image_jets(order, *preset.construction)
+    aut = images[0].aut
+    rep_jets = certify_freeness(list(jets), pjet_ring_ops(aut, order), skew_pjet_coordinatizer(aut, order),
+                                max_word_len, "monoid", command=preset.command, seed=seed)
+    rep_exact = certify_freeness(list(images), skewfrac.ring_ops(aut), skew_exact_coordinatizer(aut),
+                                 max_word_len, "monoid", command=preset.command, seed=seed)
     agree = rep_jets.rank == rep_exact.rank
     verdicts.append(verdict(
-        f"freeness of (s+s^-1, u(s+s^-1)u^-1) to word length {max_word_len}",
-        "twodimensionalcase",
+        f"freeness of {preset.pair_name} to word length {max_word_len}", preset.freeness_label,
         rep_exact.verdict if (rep_exact.verdict != "certified" or agree) else "failed",
         {"jets": rep_jets.to_dict(), "exact": rep_exact.to_dict(), "paths_agree": agree}))
     return verdicts
@@ -472,7 +461,7 @@ def pjets_agree(a: PJet, b: PJet, upto: int | None = None) -> bool:
     return True
 
 
-def run_certify_groupring(max_word_len: int = 6, seed: int = DEFAULT_SEED, jobs: int = 1) -> list[dict]:
+def run_certify_groupring(max_word_len: int = 6, seed: int = DEFAULT_SEED) -> list[dict]:
     X, Y = groupring.symmetric_generators()
     verdicts = [
         verdict("X and Y are fixed by the canonical involution", "freeinsidegroupring",
@@ -487,7 +476,7 @@ def run_certify_groupring(max_word_len: int = 6, seed: int = DEFAULT_SEED, jobs:
 
 
 def run_certify_cauchon(alpha, beta, shift=2, max_word_len: int = 2,
-                        seed: int = DEFAULT_SEED, jobs: int = 1) -> list[dict]:
+                        seed: int = DEFAULT_SEED) -> list[dict]:
     alpha, beta, shift = rat(alpha), rat(beta), rat(shift)
     ok = orbit_distinct(alpha, beta, shift)
     verdicts = [verdict(
@@ -508,7 +497,7 @@ def run_certify_cauchon(alpha, beta, shift=2, max_word_len: int = 2,
     return verdicts
 
 
-def run_certify_nilpotent(order: int = 12, seed: int = DEFAULT_SEED, jobs: int = 1) -> list[dict]:
+def run_certify_nilpotent(order: int = 12, seed: int = DEFAULT_SEED) -> list[dict]:
     rnd = random.Random(seed)
     verdicts = []
     src = class3_tower(order)
@@ -706,13 +695,6 @@ def _rand_skewpoly(rnd, aut, deg=2) -> SkewPoly:
     return SkewPoly(aut, [_rand_ratfun(rnd, 1) for _ in range(rnd.randint(1, deg + 1))])
 
 
-def _rand_skewfrac(rnd, aut, deg=2) -> SkewFrac:
-    while True:
-        den = _rand_skewpoly(rnd, aut, deg)
-        if den:
-            return SkewFrac(den, _rand_skewpoly(rnd, aut, deg))
-
-
 def prop_pbw_associativity(seed: int, n: int = 200) -> tuple[bool, str]:
     rnd = random.Random(seed)
     for L in (heisenberg(), two_dimensional(), free_nilpotent_class3()):
@@ -809,7 +791,7 @@ def prop_fraction_jet_cross(seed: int, n: int = 8, order: int = 32,
     rnd = random.Random(seed + 4)
     sbar, tbar = build_heisenberg_images()
     aut = sbar.aut
-    u = skewfrac.build_heisenberg_conjugator()
+    _, u = cauchon_pair(*skewfrac.HEISENBERG_CONSTRUCTION)
     for a, b in ((sbar, u), (u, tbar), (tbar, u.inv())):
         ja, jb = sf_to_pjet(a, order), sf_to_pjet(b, order)
         if not pjets_agree(sf_to_pjet(a * b, order), ja * jb):
@@ -857,8 +839,8 @@ def run_selftest(seed: int = DEFAULT_SEED, quick: bool = False) -> list[dict]:
         verdicts.append(verdict(name, label, ok, {"detail": detail}))
     verdicts.extend(run_verify_valuation(seed))
     verdicts.extend(run_certify_groupring(3 if quick else 4, seed))
-    verdicts.extend(run_certify_twodim(2, 16, seed))
-    verdicts.extend(run_certify_heisenberg(2, 32, seed))
+    verdicts.extend(run_certify_skew(TWODIM, 2, 16, seed))
+    verdicts.extend(run_certify_skew(HEISENBERG, 2, 32, seed))
     verdicts.extend(run_verify_scaling((2, 3), seed, class3_order=10 if quick else 12))
     if not quick:
         verdicts.extend(run_certify_nilpotent(12, seed))

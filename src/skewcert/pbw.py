@@ -154,9 +154,6 @@ class UElem:
         q = rat(q)
         return UElem(self.alg, {m: q * c for m, c in self.terms.items()})
 
-    def degree_of(self, mono: tuple) -> int:
-        return sum(mono)
-
     def __repr__(self):
         if not self.terms:
             return "0"

@@ -39,13 +39,3 @@ class RingOps:
         for x in items:
             acc = self.add(acc, x)
         return acc
-
-    def power(self, a, n: int):
-        if n < 0:
-            if self.inv is None:
-                raise ValueError(f"{self.name} has no inverse operation")
-            return self.power(self.inv(a), -n)
-        acc = self.one
-        for _ in range(n):
-            acc = self.mul(acc, a)
-        return acc

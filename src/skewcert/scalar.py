@@ -12,6 +12,7 @@ Fraction coefficients.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd
 
 from .errors import DivisionByZero, PoleAtPoint, ZeroDenominator
 
@@ -112,13 +113,6 @@ class Poly:
             return Poly()
         return Poly([c * a for a in self.coeffs])
 
-    def shift_up(self, k: int) -> "Poly":
-        """Multiply by t^k (k >= 0)."""
-        if not self:
-            return self
-        zero = self.coeffs[0] * 0
-        return Poly((zero,) * k + self.coeffs)
-
     # -- field-coefficient helpers (Fraction level) --
 
     def divmod(self, other: "Poly") -> tuple["Poly", "Poly"]:
@@ -200,22 +194,16 @@ def _int_primitive(coeffs: list) -> list:
     """Integer coefficient list divided by its content."""
     g = 0
     for c in coeffs:
-        g = gcd_int(g, c)
+        g = gcd(g, c)
         if g == 1:
             return coeffs
     return [c // g for c in coeffs] if g else coeffs
 
 
-def gcd_int(a: int, b: int) -> int:
-    from math import gcd as _g
-
-    return _g(a, b)
-
-
 def _to_primitive_int(p: Poly) -> list:
     den = 1
     for c in p.coeffs:
-        den = den * c.denominator // gcd_int(den, c.denominator)
+        den = den * c.denominator // gcd(den, c.denominator)
     ints = [int(c * den) for c in p.coeffs]
     return _int_primitive(ints)
 
@@ -416,29 +404,3 @@ class RatFun:
 
 RF_ZERO = RatFun.const(0)
 RF_ONE = RatFun.const(1)
-
-
-def ratfun_reduce(num: Poly, den: Poly) -> RatFun:
-    """Unique reduced, monic-denominator representative of num/den."""
-    return RatFun(num, den)
-
-
-def ratfun_arith(a: RatFun, b: RatFun, op: str):
-    """Field arithmetic dispatcher: op in {add, sub, mul, div}."""
-    if op == "add":
-        return a + b
-    if op == "sub":
-        return a - b
-    if op == "mul":
-        return a * b
-    if op == "div":
-        return a / b
-    raise ValueError(f"unknown op {op!r}")
-
-
-def ratfun_eval(f: RatFun, point: Fraction) -> Fraction:
-    return f.eval(rat(point))
-
-
-def shift_apply(f: RatFun, c: Fraction) -> RatFun:
-    return f.shift(rat(c))

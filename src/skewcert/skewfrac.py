@@ -21,7 +21,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from . import series
-from .errors import AutMismatch, InvertZero, PrecisionExhausted
+from .errors import AutMismatch, HypothesisViolation, InvertZero
 from .rings import RingOps
 from .scalar import RF_ONE, RF_ZERO, Poly, RatFun, rat
 from .skewpoly import ShiftAut, SkewPoly, sp_divmod, sp_gcld, sp_gcrd_llcm, sp_mul
@@ -157,20 +157,6 @@ def _canonicalize(den: SkewPoly, num: SkewPoly) -> tuple[SkewPoly, SkewPoly]:
     return den, num
 
 
-def sf_arith(a: SkewFrac, b: SkewFrac, op: str):
-    """Fraction field dispatcher: op in {add, mul, inv_of_a, eq}."""
-    if op == "add":
-        return a + b
-    if op == "mul":
-        return a * b
-    if op == "inv_of_a":
-        return a.inv()
-    if op == "eq":
-        a._check(b)
-        return a == b
-    raise ValueError(f"unknown op {op!r}")
-
-
 def sf_eq_cross(a: SkewFrac, b: SkewFrac) -> bool:
     """Cross-llcm equality test, independent of canonical forms (oracle)."""
     a._check(b)
@@ -209,57 +195,53 @@ def orbit_distinct(alpha, beta, c) -> bool:
     return ((alpha - beta) / c).denominator != 1
 
 
-def cauchon_generators(alpha, beta, c) -> tuple[SkewFrac, SkewFrac, SkewFrac, SkewFrac]:
-    """s = (t-alpha)(t-beta)^{-1}, u = (1-p)(1+p)^{-1} in K[p;sigma] with
-    sigma(t) = t - c; returns (s, u, xi, eta) with xi = s, eta = u s u^{-1}."""
+def cauchon_pair(c, alpha, beta, k: int = 1) -> tuple[SkewFrac, SkewFrac]:
+    """s = (t-alpha)(t-beta)^{-1} and u = (1-p^k)(1+p^k)^{-1} in K(p;sigma)
+    with sigma(t) = t - c.
+
+    Running the orbit argument in K[p^k;sigma^k] needs distinct infinite
+    orbits of alpha and beta under z -> z - k*c; HypothesisViolation otherwise.
+    """
     alpha, beta, c = rat(alpha), rat(beta), rat(c)
+    if not orbit_distinct(alpha, beta, k * c):
+        raise HypothesisViolation(
+            f"orbits of {alpha} and {beta} under z -> z - {k * c} are not infinite and distinct")
     aut = ShiftAut(c)
     t = RatFun.t()
     s = SkewFrac.from_ratfun(aut, (t - RatFun.const(alpha)) / (t - RatFun.const(beta)))
     one = SkewPoly.one(aut)
-    p = SkewPoly.p(aut)
-    u = SkewFrac.from_poly(one - p) * SkewFrac.from_poly(one + p).inv()
+    pk = SkewPoly.p(aut, k)
+    u = SkewFrac.from_poly(one - pk) * SkewFrac.from_poly(one + pk).inv()
+    return s, u
+
+
+def cauchon_generators(alpha, beta, c) -> tuple[SkewFrac, SkewFrac, SkewFrac, SkewFrac]:
+    """(s, u, xi, eta) with xi = s, eta = u s u^{-1} for k = 1."""
+    s, u = cauchon_pair(c, alpha, beta)
     return s, u, s, u * s * u.inv()
 
 
-def build_heisenberg_images() -> tuple[SkewFrac, SkewFrac]:
-    """Sbar = s + s^{-1} and Tbar = u * Sbar * u^{-1} with sigma(t) = t - 1,
-    s = (t - 5/6)(t - 1/6)^{-1} and u = (1 - p^2)(1 + p^2)^{-1}.
-
-    The square on p reflects running the orbit argument in K[p^2;sigma^2];
-    the hypothesis (distinct infinite orbits under z -> z - 2) is asserted.
-    """
-    assert orbit_distinct(Fraction(5, 6), Fraction(1, 6), 2)
-    aut = ShiftAut(Fraction(1))
-    t = RatFun.t()
-    s = SkewFrac.from_ratfun(aut, (t - RatFun.const(Fraction(5, 6))) / (t - RatFun.const(Fraction(1, 6))))
-    one = SkewPoly.one(aut)
-    p2 = SkewPoly.p(aut, 2)
-    u = SkewFrac.from_poly(one - p2) * SkewFrac.from_poly(one + p2).inv()
+def symmetric_images(c, alpha, beta, k: int = 1) -> tuple[SkewFrac, SkewFrac]:
+    """Sbar = s + s^{-1} and Tbar = u * Sbar * u^{-1} for `cauchon_pair`."""
+    s, u = cauchon_pair(c, alpha, beta, k)
     sbar = s + s.inv()
     return sbar, u * sbar * u.inv()
 
 
-def build_heisenberg_conjugator() -> SkewFrac:
-    aut = ShiftAut(Fraction(1))
-    one = SkewPoly.one(aut)
-    p2 = SkewPoly.p(aut, 2)
-    return SkewFrac.from_poly(one - p2) * SkewFrac.from_poly(one + p2).inv()
+# (c, alpha, beta, k) of the two paper presets.  The two-dimensional case is
+# the same constructor with roles renamed: base field Q(e), skew variable f,
+# sigma(e) = e + 1, s = (e - 1/3)(e + 1/3)^{-1} and u = (1 - f)(1 + f)^{-1}.
+HEISENBERG_CONSTRUCTION = (Fraction(1), Fraction(5, 6), Fraction(1, 6), 2)
+TWODIM_CONSTRUCTION = (Fraction(-1), Fraction(1, 3), Fraction(-1, 3), 1)
+TWODIM_AUT = ShiftAut(TWODIM_CONSTRUCTION[0])
+
+
+def build_heisenberg_images() -> tuple[SkewFrac, SkewFrac]:
+    return symmetric_images(*HEISENBERG_CONSTRUCTION)
 
 
 def build_twodim_images() -> tuple[SkewFrac, SkewFrac]:
-    """Same constructor with roles renamed: base field Q(e), skew variable f,
-    sigma(e) = e + 1, s = (e - 1/3)(e + 1/3)^{-1}, u = (1 - f)(1 + f)^{-1}.
-
-    Internally e is the base variable and f the skew variable of this ring.
-    """
-    assert orbit_distinct(Fraction(1, 3), Fraction(-1, 3), -1)
-    s, u, xi, eta = cauchon_generators(Fraction(1, 3), Fraction(-1, 3), -1)
-    sbar = s + s.inv()
-    return sbar, u * sbar * u.inv()
-
-
-TWODIM_AUT = ShiftAut(Fraction(-1))
+    return symmetric_images(*TWODIM_CONSTRUCTION)
 
 
 # -- sigma-twisted jets (fast expansion of K(p;sigma)) ------------------------
@@ -340,9 +322,6 @@ class PJet:
         out = {j - m: aut.apply(a, -m) for j, a in d.items()}
         return PJet(aut, out, n_ord - m)
 
-    def known_window(self) -> tuple[int, int]:
-        return self.min_ord, self.trunc
-
     def __repr__(self):
         items = ", ".join(f"p^{i}: {a.to_str()}" for i, a in sorted(self.coeffs.items()))
         return f"PJet({{{items}}}, O(p^{self.trunc}))"
@@ -366,32 +345,26 @@ def sf_to_pjet(x: SkewFrac, order: int) -> PJet:
     return dj.inv() * nj
 
 
-def heisenberg_image_jets(order: int) -> tuple[PJet, PJet]:
+def symmetric_image_jets(order: int, c, alpha, beta, k: int = 1) -> tuple[PJet, PJet]:
     """Sbar and Tbar expanded as p-jets, built structurally: the conjugator
     and its inverse have sigma-fixed rational coefficients, so only the final
     sandwich multiplications touch shifted copies of the base-field element.
-    (Expanding the canonical fractions through their degree-4 denominators is
-    vastly more expensive.)"""
-    sbar, _ = build_heisenberg_images()
-    aut = sbar.aut
-    one = SkewPoly.one(aut)
-    p2 = SkewPoly.p(aut, 2)
-    u_jet = pjet_from_poly(one - p2, order) * pjet_from_poly(one + p2, order).inv()
-    s_jet = PJet(aut, {0: sbar.as_ratfun()}, order)
+    (Expanding the canonical fractions through their degree-2k denominators
+    is vastly more expensive.)"""
+    s, u = cauchon_pair(c, alpha, beta, k)
+    sbar = s + s.inv()
+    # u = (1+p^k)^{-1}(1-p^k) = (1-p^k)(1+p^k)^{-1}: the coefficients are sigma-fixed
+    u_jet = pjet_from_poly(u.num, order) * pjet_from_poly(u.den, order).inv()
+    s_jet = PJet(s.aut, {0: sbar.as_ratfun()}, order)
     return s_jet, u_jet * s_jet * u_jet.inv()
+
+
+def heisenberg_image_jets(order: int) -> tuple[PJet, PJet]:
+    return symmetric_image_jets(order, *HEISENBERG_CONSTRUCTION)
 
 
 def twodim_image_jets(order: int) -> tuple[PJet, PJet]:
-    aut = TWODIM_AUT
-    t = RatFun.t()
-    third = RatFun.const(Fraction(1, 3))
-    s_val = (t - third) / (t + third)
-    sbar = s_val + s_val.inv()
-    one = SkewPoly.one(aut)
-    p = SkewPoly.p(aut)
-    u_jet = pjet_from_poly(one - p, order) * pjet_from_poly(one + p, order).inv()
-    s_jet = PJet(aut, {0: sbar}, order)
-    return s_jet, u_jet * s_jet * u_jet.inv()
+    return symmetric_image_jets(order, *TWODIM_CONSTRUCTION)
 
 
 def pjet_ring_ops(aut: ShiftAut, order: int) -> RingOps:

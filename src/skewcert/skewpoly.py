@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import AutMismatch, DivisorZero, ZeroArgument
-from .scalar import RF_ONE, RF_ZERO, RatFun, rat
+from .scalar import RF_ONE, RF_ZERO, RatFun
 
 
 @dataclass(frozen=True)

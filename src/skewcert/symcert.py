@@ -168,7 +168,7 @@ def verify_facts(table: FactTable) -> list:
             if lhs != rhs:
                 raise FactFailure(f"star fact fails: {name}* != {'-' if sf.sign < 0 else ''}{name}^-1")
             witnesses.append(f"star: {name}* = {'-' if sf.sign < 0 else ''}{name}^-1 (cross-multiplied in U({table.algebra.name}))")
-    for pair in table.commuting:
+    for pair in sorted(table.commuting, key=sorted):
         a, b = sorted(pair)
         da, db = atoms[a].definition, atoms[b].definition
         if not isinstance(da, UElem) or not isinstance(db, UElem):

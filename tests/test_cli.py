@@ -1,7 +1,10 @@
 """CLI contract: report schema, exit codes, determinism, golden diffs."""
 
 import json
+import os
 import pathlib
+import subprocess
+import sys
 from fractions import Fraction as F
 
 import pytest
@@ -58,16 +61,19 @@ def test_determinism_byte_identical(capsys):
     assert runs[0] == runs[1]
 
 
-def test_jobs_flag_recorded_and_irrelevant(capsys):
+def test_report_independent_of_hash_seed():
+    # witnesses come from sets of atom names; their order must not follow
+    # the string hash seed of the interpreter
+    src = str(pathlib.Path(__file__).resolve().parents[1] / "src")
     reports = []
-    for jobs in ("1", "4"):
-        code, report = run_cli(
-            ["certify", "groupring", "--max-word-len", "2", "--jobs", jobs], capsys
+    for hash_seed in ("0", "3"):
+        env = dict(os.environ, PYTHONHASHSEED=hash_seed,
+                   PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+        proc = subprocess.run(
+            [sys.executable, "-m", "skewcert.cli", "certify", "heisenberg", "--max-word-len", "1"],
+            capture_output=True, text=True, env=env, check=True,
         )
-        assert code == 0
-        assert report["params"]["jobs"] == int(jobs)
-        report["params"]["jobs"] = 0
-        reports.append(json.dumps(scrub(report), sort_keys=True))
+        reports.append(scrub(json.loads(proc.stdout)))
     assert reports[0] == reports[1]
 
 
@@ -79,6 +85,7 @@ def test_jobs_flag_recorded_and_irrelevant(capsys):
         ("cauchon_refused.json",
          ["certify", "cauchon", "--alpha", "5/6", "--beta", "5/6", "--shift", "2"], 2),
         ("scaling.json", ["verify", "scaling", "--lambda", "2", "--order", "10"], 0),
+        ("heisenberg.json", ["certify", "heisenberg", "--max-word-len", "2", "--order", "32"], 0),
     ],
 )
 def test_golden_reports(name, argv, want_code, capsys):

@@ -6,16 +6,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from skewcert.errors import PoleAtPoint, ZeroDenominator
-from skewcert.scalar import (
-    Poly,
-    RatFun,
-    poly_gcd,
-    rat,
-    ratfun_arith,
-    ratfun_eval,
-    ratfun_reduce,
-    shift_apply,
-)
+from skewcert.scalar import Poly, RatFun, poly_gcd, rat
 
 T = RatFun.t()
 
@@ -35,28 +26,28 @@ def ratfuns(draw):
 
 
 def test_reduce_cancels_common_factor():
-    assert ratfun_reduce(P(-1, 0, 1), P(-1, 1)) == RatFun(P(1, 1), P(1))
+    assert RatFun(P(-1, 0, 1), P(-1, 1)) == RatFun(P(1, 1), P(1))
 
 
 def test_reduce_scalar_normalization():
-    assert ratfun_reduce(P(0, 2), P(4)) == RatFun(P(0, F(1, 2)), P(1))
+    assert RatFun(P(0, 2), P(4)) == RatFun(P(0, F(1, 2)), P(1))
 
 
 def test_reduce_zero_case():
-    assert ratfun_reduce(P(0), P(5, 0, 0, 1)) == RatFun(P(0), P(1))
-    assert not ratfun_reduce(P(0), P(5, 0, 0, 1))
+    assert RatFun(P(0), P(5, 0, 0, 1)) == RatFun(P(0), P(1))
+    assert not RatFun(P(0), P(5, 0, 0, 1))
 
 
 def test_reduce_zero_denominator():
     with pytest.raises(ZeroDenominator):
-        ratfun_reduce(P(1), P(0))
+        RatFun(P(1), P(0))
 
 
 def test_arith_s_plus_s_inverse():
     # oracle first: five seeded evaluation points pin the expected value,
     # which matches the closed form (2t^2 - 2t + 13/18)/(t^2 - t + 5/36)
     s = (T - RatFun.const(F(5, 6))) / (T - RatFun.const(F(1, 6)))
-    got = ratfun_arith(s, s.inv(), "add")
+    got = s + s.inv()
     expected = RatFun(P(F(13, 18), -2, 2), P(F(5, 36), -1, 1))
     assert got == expected
     for pt in (F(2), F(7, 3), F(-1), F(9, 2), F(22, 7)):
@@ -66,22 +57,22 @@ def test_arith_s_plus_s_inverse():
 
 def test_arith_inverse_and_identity():
     a = RatFun(P(1, 2, 1), P(0, 3))
-    assert ratfun_arith(a, a.inv(), "mul") == RatFun.const(1)
-    assert ratfun_arith(RatFun.const(0), a, "add") == a
+    assert a * a.inv() == RatFun.const(1)
+    assert RatFun.const(0) + a == a
 
 
 def test_eval_examples():
-    assert ratfun_eval(RatFun(P(1, 1), P(1)), F(2)) == 3
+    assert RatFun(P(1, 1), P(1)).eval(F(2)) == 3
     with pytest.raises(PoleAtPoint):
-        ratfun_eval(RatFun(P(1), P(-1, 1)), F(1))
-    assert ratfun_eval(RatFun(P(-1, 0, 1), P(-1, 1)), F(7)) == 8
+        RatFun(P(1), P(-1, 1)).eval(F(1))
+    assert RatFun(P(-1, 0, 1), P(-1, 1)).eval(F(7)) == 8
 
 
 def test_shift_examples():
-    assert shift_apply(T, F(1)) == T - RatFun.const(1)
-    assert shift_apply(T, F(2)) == T - RatFun.const(2)
+    assert T.shift(F(1)) == T - RatFun.const(1)
+    assert T.shift(F(2)) == T - RatFun.const(2)
     one_over_t = RatFun(P(1), P(0, 1))
-    assert shift_apply(one_over_t, F(1)) == RatFun(P(1), P(-1, 1))
+    assert one_over_t.shift(F(1)) == RatFun(P(1), P(-1, 1))
 
 
 @given(ratfuns(), ratfuns(), ratfuns())
@@ -96,7 +87,7 @@ def test_field_axioms_structurally(a, b, c):
 
 @given(ratfuns(), fracs)
 def test_shift_roundtrip(f, c):
-    assert shift_apply(shift_apply(f, c), -c) == f
+    assert f.shift(c).shift(-c) == f
 
 
 @given(ratfuns(), ratfuns(), st.sampled_from([F(3), F(10, 3), F(-5), F(17, 2)]))

@@ -6,7 +6,7 @@ from fractions import Fraction as F
 import pytest
 
 from skewcert import series
-from skewcert.errors import InvertZero
+from skewcert.errors import HypothesisViolation, InvertZero
 from skewcert.scalar import Poly, RatFun
 from skewcert.skewfrac import (
     PJet,
@@ -15,10 +15,10 @@ from skewcert.skewfrac import (
     build_heisenberg_images,
     build_twodim_images,
     cauchon_generators,
+    cauchon_pair,
     heisenberg_image_jets,
     orbit_distinct,
     pjet_from_poly,
-    sf_arith,
     sf_eq_cross,
     sf_to_pjet,
     sf_to_weyl_jet,
@@ -57,15 +57,15 @@ def test_u_inverse_and_right_form():
     right_form = SkewFrac.from_poly(ONE - P2) * SkewFrac.from_poly(ONE + P2).inv()
     left_form = SkewFrac.from_poly(ONE + P2).inv() * SkewFrac.from_poly(ONE - P2)
     assert right_form == left_form == u
-    vu = sf_arith(u, u, "mul")
-    assert sf_arith(u, u.inv(), "mul") == SkewFrac.one(AUT)
+    vu = u * u
+    assert u * u.inv() == SkewFrac.one(AUT)
     assert vu == u * u
 
 
 def test_s_inverse_identities():
     s = s_element()
     assert s * s.inv() == SkewFrac.one(AUT)
-    got = sf_arith(s, s.inv(), "add")
+    got = s + s.inv()
     expected = SkewFrac.from_ratfun(
         AUT, RatFun(Poly((F(13, 18), F(-2), F(2))), Poly((F(5, 36), F(-1), F(1))))
     )
@@ -81,6 +81,16 @@ def test_orbit_examples():
     assert orbit_distinct(F(5, 6), F(1, 6), 2)
     assert not orbit_distinct(F(5, 6), F(5, 6) - 4, 2)
     assert not orbit_distinct(F(1, 3), F(1, 4), 0)
+
+
+def test_pair_builder_rejects_meeting_orbits():
+    # alpha - beta in k*c*Z: the orbits under z -> z - k*c meet
+    with pytest.raises(HypothesisViolation):
+        cauchon_pair(F(1), F(5, 6), F(-7, 6), 2)
+    with pytest.raises(HypothesisViolation):
+        cauchon_pair(F(-1), F(1, 3), F(1, 3), 1)
+    s, u = cauchon_pair(F(1), F(5, 6), F(1, 6), 2)
+    assert u.den == ONE + P2
 
 
 def test_heisenberg_images():
@@ -142,7 +152,7 @@ def test_eq_cross_matches_structural(rnd):
         b = rand_skewfrac(rnd, AUT, 2)
         assert sf_eq_cross(a, b) == (a == b)
         assert sf_eq_cross(a, a)
-        assert sf_arith(a, a, "eq")
+        assert a == a
 
 
 def test_embedding_consistency_with_base_field(rnd):
