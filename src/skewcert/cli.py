@@ -219,7 +219,7 @@ def run(argv=None) -> int:
         else:  # pragma: no cover
             ap.error("unknown command")
             return 1
-    except KernelError as ex:
+    except (KernelError, ValueError, OSError) as ex:
         print(f"error: {ex}", file=sys.stderr)
         return 1
     elapsed_ms = int((time.monotonic() - t0) * 1000)

@@ -1,6 +1,7 @@
 """Bounded-length freeness certification: enumerate words in the candidate
 generators, evaluate them in the host ring, coordinatize into exact sparse
-Q-vectors and compute the rank by fraction-free elimination.
+Q-vectors and compute the rank: modulo a 61-bit prime first, by exact
+fraction-free elimination only when that rank is deficient.
 
 A `certified` verdict means the evaluated words are Q-linearly independent,
 a finite sound shadow of freeness (for truncation-based coordinatizers the
@@ -55,11 +56,47 @@ def word_str(w: Word, names: Sequence[str]) -> str:
     return ".".join(names[abs(a) - 1] + ("'" if a < 0 else "") for a in w)
 
 
+# fixed 61-bit Mersenne prime for the modular independence check
+MODULUS = 2**61 - 1
+
+
+def _independent_mod_p(rows: Sequence[dict]) -> bool:
+    """True when the integer rows (sparse `{column: int}`) are linearly
+    independent modulo MODULUS.  Incremental sparse row reduction with
+    pivots keyed by their leading column; stops at the first row that
+    reduces to zero."""
+    pivots: dict[int, dict[int, int]] = {}
+    for r in rows:
+        row = {c: y for c, x in r.items() if (y := x % MODULUS)}
+        while row:
+            lead = min(row)
+            piv = pivots.get(lead)
+            if piv is None:
+                inv = pow(row[lead], -1, MODULUS)
+                pivots[lead] = {c: x * inv % MODULUS for c, x in row.items()}
+                break
+            f = row[lead]
+            for c, x in piv.items():
+                y = (row.get(c, 0) - f * x) % MODULUS
+                if y:
+                    row[c] = y
+                else:
+                    row.pop(c, None)
+        else:
+            return False
+    return True
+
+
 def rank_over_Q(vectors: Sequence[dict]) -> tuple[int, Optional[list[Fraction]]]:
-    """Exact rank by fraction-free (Bareiss) elimination on the integerized
-    matrix, with an identity block carried along so a vanishing row yields a
-    rational relation among the input vectors (first nonzero entry positive,
-    integer content 1)."""
+    """Exact rank of sparse Q-vectors, with a rational relation among them
+    (first nonzero entry positive, integer content 1) when it is deficient.
+
+    Each row is scaled to integers by the lcm of its denominators.  Rank
+    modulo the prime MODULUS is at most the rank over Q, so full rank modulo
+    MODULUS certifies independence and returns `(n, None)` at once.  Any
+    deficiency modulo MODULUS is decided by the exact pass: fraction-free
+    (Bareiss) elimination on the dense integer matrix, with an identity
+    block carried along so a vanishing row yields the relation."""
     n = len(vectors)
     if n == 0:
         return 0, None
@@ -67,18 +104,24 @@ def rank_over_Q(vectors: Sequence[dict]) -> tuple[int, Optional[list[Fraction]]]
     col_of = {k: i for i, k in enumerate(keys)}
     width = len(keys)
     scales = []
-    rows = []
+    sparse = []
     for v in vectors:
         denlcm = 1
         for c in v.values():
             denlcm = denlcm * c.denominator // gcd(denlcm, c.denominator)
-        row = [0] * (width + n)
-        for k, c in v.items():
-            row[col_of[k]] = int(c * denlcm)
+        sparse.append({col_of[k]: c.numerator * (denlcm // c.denominator)
+                       for k, c in v.items() if c})
         scales.append(Fraction(denlcm))
+    if _independent_mod_p(sparse):
+        return n, None
+
+    rows = []
+    for i, entries in enumerate(sparse):
+        row = [0] * (width + n)
+        for j, x in entries.items():
+            row[j] = x
+        row[width + i] = 1
         rows.append(row)
-    for i in range(n):
-        rows[i][width + i] = 1
 
     rank = 0
     prev = 1
@@ -221,7 +264,7 @@ def certify_freeness(
                 if c:
                     acc = ops.add(acc, ops.smul(c, v))
             if not ops.is_zero(acc):
-                raise AssertionError("relation does not re-evaluate to zero")
+                raise KernelError("relation does not re-evaluate to zero")
             break
         if cur.escalate is not None and cur.order is not None and cur.order * 2 <= order_ceiling:
             cur = cur.escalate(cur.order * 2)

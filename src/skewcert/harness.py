@@ -13,6 +13,7 @@ from fractions import Fraction
 from typing import Callable
 
 from . import groupring, pbw, series, skewfrac
+from .errors import KernelError
 from .freecert import Coordinatizer, certify_freeness
 from .pbw import (
     LieHom,
@@ -279,7 +280,7 @@ def skew_exact_coordinatizer(aut: ShiftAut) -> Coordinatizer:
                 continue
             q, r = sp_divmod(d, v.den, "right")
             if r:
-                raise AssertionError("common denominator is not a left multiple")
+                raise KernelError("common denominator is not a left multiple")
             numerators.append(sp_mul(q, v.num))
         return _clear_denominators([[(i, c) for i, c in enumerate(num.coeffs) if c]
                                     for num in numerators])

@@ -166,3 +166,21 @@ def test_check_algebra_command(tmp_path, capsys):
     )
     code, report = run_cli(["check-algebra", str(bad)], capsys)
     assert code == 2
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["certify", "cauchon", "--alpha", "abc", "--beta", "1"],
+        ["certify", "groupring", "--max-word-len", "-1"],
+        ["check-algebra", "no-such-algebra.txt"],
+    ],
+)
+def test_bad_input_is_a_one_line_error(argv, capsys, tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    code = cli.run(argv)
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.err.startswith("error:")
+    assert "Traceback" not in captured.err
+    assert captured.out == ""

@@ -3,10 +3,13 @@
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
-from skewcert import groupring
-from skewcert.errors import AdapterFailure
+from skewcert import groupring, harness
+from skewcert.errors import AdapterFailure, KernelError
 from skewcert.freecert import (
+    MODULUS,
     CertReport,
     Coordinatizer,
     certify_freeness,
@@ -50,6 +53,14 @@ def test_word_str():
     assert word_str((1, -2), ["a", "b"]) == "a.b'"
 
 
+def recombine(relation, vecs):
+    acc = {}
+    for c, v in zip(relation, vecs):
+        for k, q in v.items():
+            acc[k] = acc.get(k, F(0)) + c * q
+    return acc
+
+
 def test_rank_standard_basis():
     vecs = [{i: F(1)} for i in range(4)]
     assert rank_over_Q(vecs) == (4, None)
@@ -67,12 +78,7 @@ def test_rank_scaled_relation():
     rank, rel = rank_over_Q(vecs)
     assert rank == 1
     assert rel == [F(6), F(-1)]
-    # the relation must recombine to zero
-    acc = {}
-    for c, v in zip(rel, vecs):
-        for k, q in v.items():
-            acc[k] = acc.get(k, F(0)) + c * q
-    assert not any(acc.values())
+    assert not any(recombine(rel, vecs).values())
 
 
 def test_rank_empty_and_zero_rows():
@@ -80,6 +86,51 @@ def test_rank_empty_and_zero_rows():
     rank, rel = rank_over_Q([{}, {0: F(1)}])
     assert rank == 1
     assert rel == [F(1), F(0)]
+
+
+small_fracs = st.builds(F, st.integers(-9, 9), st.integers(1, 5))
+
+
+@st.composite
+def sparse_matrices(draw):
+    """Sparse Fraction rows over a few columns; some rows are rational
+    combinations of earlier rows, so deficient ranks occur often."""
+    width = draw(st.integers(1, 6))
+    vecs = []
+    for _ in range(draw(st.integers(1, 7))):
+        if vecs and draw(st.booleans()):
+            coeffs = draw(st.lists(small_fracs, min_size=len(vecs), max_size=len(vecs)))
+            row = recombine(coeffs, vecs)
+        else:
+            cols = draw(st.sets(st.integers(0, width - 1), max_size=width))
+            row = {c: draw(small_fracs) for c in cols}
+        vecs.append({k: q for k, q in row.items() if q})
+    return width, vecs
+
+
+@given(sparse_matrices())
+def test_rank_matches_sympy(case):
+    sympy = pytest.importorskip("sympy")
+    width, vecs = case
+    dense = [[sympy.Rational(v.get(j, 0).numerator, v.get(j, 0).denominator)
+              for j in range(width)] for v in vecs]
+    rank, rel = rank_over_Q(vecs)
+    assert rank == sympy.Matrix(dense).rank()
+    if rank == len(vecs):
+        assert rel is None
+    else:
+        assert any(rel)
+        assert not any(recombine(rel, vecs).values())
+
+
+def test_rank_full_over_Q_but_deficient_mod_p():
+    # each input is deficient modulo MODULUS, so the exact pass decides
+    assert rank_over_Q([{0: F(MODULUS)}]) == (1, None)
+    assert rank_over_Q([{0: F(1), 1: F(1)}, {0: F(1), 1: F(1 + MODULUS)}]) == (2, None)
+    # the row scale MODULUS turns the second entry into MODULUS itself
+    assert rank_over_Q([{0: F(1, MODULUS), 1: F(1)}, {0: F(1)}]) == (2, None)
+    rank, rel = rank_over_Q([{0: F(1, MODULUS)}, {0: F(1)}])
+    assert (rank, rel) == (1, [F(MODULUS), F(-1)])
 
 
 def test_groupring_certified_l3():
@@ -101,6 +152,21 @@ def test_monotonicity_prefix_closed():
     for L in (1, 2):
         rep = certify_freeness([X, Y], groupring.ring_ops(), groupring_coordinatizer(), L)
         assert rep.verdict == "certified"
+
+
+def test_groupring_l8_rank():
+    # 511 = 2^9 - 1 words; the dense exact pass alone took minutes here
+    rep = harness.run_certify_groupring(8)[1]
+    assert rep["verdict"] == "certified"
+    assert rep["data"]["rank"] == rep["data"]["word_count"] == 511
+
+
+def test_false_relation_raises_kernel_error():
+    # an exact coordinatizer that maps every word to the same vector
+    lying = Coordinatizer("lying", lambda values: [{0: F(1)} for _ in values])
+    X, Y = groupring.symmetric_generators()
+    with pytest.raises(KernelError, match="does not re-evaluate to zero"):
+        certify_freeness([X, Y], groupring.ring_ops(), lying, 1)
 
 
 def test_group_mode_needs_units():
