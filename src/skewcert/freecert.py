@@ -176,13 +176,18 @@ class Coordinatizer:
     left denominator across the family, so per-element maps do not suffice).
 
     `truncation_based` marks coordinatizers whose deficiency may be a
-    truncation artifact; `escalate(order)` returns a higher-order rebuild."""
+    truncation artifact; `escalate(order)` returns a higher-order rebuild.
+    When the word values are themselves truncated, the rebuild's `expand()`
+    gives the generators and ring at its order and the words are evaluated
+    again; `precision(values)` is the truncation order the values carry."""
 
     name: str
     build: Callable[[list], list[dict]]
     truncation_based: bool = False
     order: Optional[int] = None
     escalate: Optional[Callable[[int], "Coordinatizer"]] = None
+    expand: Optional[Callable[[], tuple[list, RingOps]]] = None
+    precision: Optional[Callable[[list], int]] = None
 
 
 @dataclass
@@ -268,6 +273,9 @@ def certify_freeness(
             break
         if cur.escalate is not None and cur.order is not None and cur.order * 2 <= order_ceiling:
             cur = cur.escalate(cur.order * 2)
+            if cur.expand is not None:
+                generators, ops = cur.expand()
+                values = evaluate_words(generators, ops, words, mode)
             continue
         verdict, relation = "inconclusive", None
         break
@@ -280,7 +288,7 @@ def certify_freeness(
         expected=len(words),
         word_count=len(words),
         relation=relation,
-        truncation_order=cur.order,
+        truncation_order=cur.order if cur.precision is None else cur.precision(values),
         elapsed_ms=elapsed,
         seed=seed,
         words=words,

@@ -4,20 +4,31 @@ reduced rational function field Q(t).
 Rational numbers are `fractions.Fraction` (already reduced, positive
 denominator).  `Poly` stores coefficients lowest degree first and works over
 any coefficient object supporting +, -, * and truthiness, so a two-variable
-polynomial ring is obtained by nesting Poly inside Poly.  The field-level
-helpers (divmod, gcd, inverse, evaluation at a rational point) assume
-Fraction coefficients.
+polynomial ring is obtained by nesting Poly inside Poly; the tower series
+make over a million such small products, so Poly's ring operations stay
+generic.  The field-level helpers (divmod, monic, poly_gcd) assume Fraction
+coefficients.
+
+`RatFun` stores no Polys.  An element of Q(t) is c * N / D with N and D
+primitive integer coefficient lists (lowest degree first, positive leading
+coefficient, coprime over Q) and c a rational content kept as a reduced
+pair of ints; zero is c = 0, N = (), D = (1,).  That form is unique, so
+equality and hashing are structural.  All of its arithmetic runs on Python
+ints through the `_zz_*` kernels: products are convolutions, exact
+quotients are divisions over Z, a gcd comes with both cofactors from the
+heuristic gcd (GCDHEU: Char, Geddes and Gonnet, 1989; a candidate counts
+only once it divides both inputs over Z) or else from a primitive
+pseudo-remainder sequence, and the Taylor shift by u/v rescales to a shift
+by 1 made of additions.  `RatFun.num` and `.den` are read-only Poly views of
+the same value with Fraction coefficients and a monic denominator.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd
+from math import gcd, isqrt
 
 from .errors import DivisionByZero, PoleAtPoint, ZeroDenominator
-
-Rational = Fraction
-
 
 def rat(x) -> Fraction:
     """Coerce ints, 'num/den' strings and Fractions to Fraction."""
@@ -44,10 +55,6 @@ class Poly:
     @classmethod
     def const(cls, c) -> "Poly":
         return cls((c,))
-
-    @classmethod
-    def t(cls) -> "Poly":
-        return cls((Fraction(0), Fraction(1)))
 
     @property
     def degree(self) -> int:
@@ -141,28 +148,11 @@ class Poly:
         inv = 1 / self.lc()
         return Poly(tuple(c * inv for c in self.coeffs))
 
-    def eval(self, point: Fraction) -> Fraction:
-        acc = Fraction(0)
-        for c in reversed(self.coeffs):
-            acc = acc * point + c
-        return acc
-
     def compose(self, inner: "Poly") -> "Poly":
         acc = Poly()
         for c in reversed(self.coeffs):
             acc = acc * inner + Poly.const(c)
         return acc
-
-    def taylor_shift(self, c) -> "Poly":
-        """Substitute t -> t + c (synthetic-division form of compose)."""
-        if not self or not c:
-            return self
-        a = list(self.coeffs)
-        n = len(a)
-        for i in range(1, n):
-            for j in range(n - 1, i - 1, -1):
-                a[j - 1] = a[j - 1] + c * a[j]
-        return Poly(a)
 
     def deriv(self) -> "Poly":
         return Poly(tuple(i * c for i, c in enumerate(self.coeffs) if i))
@@ -190,184 +180,424 @@ class Poly:
         return f"Poly({self.to_str()})"
 
 
-def _int_primitive(coeffs: list) -> list:
-    """Integer coefficient list divided by its content."""
+# -- integer kernels ------------------------------------------------------------
+#
+# Polynomials over Z as lists of ints, lowest degree first, no trailing zeros.
+# "Primitive" means content 1 and a positive leading coefficient.
+
+
+def _zz_strip(a: list) -> list:
+    while a and not a[-1]:
+        a.pop()
+    return a
+
+
+def _zz_primitive(a) -> tuple[int, list]:
+    """(content, primitive part) of a nonzero integer polynomial; the
+    content carries the sign of the leading coefficient."""
     g = 0
-    for c in coeffs:
+    for c in a:
         g = gcd(g, c)
         if g == 1:
-            return coeffs
-    return [c // g for c in coeffs] if g else coeffs
+            break
+    if a[-1] < 0:
+        g = -g
+    if g == 1:
+        return 1, list(a)
+    return g, [c // g for c in a]
 
 
-def _to_primitive_int(p: Poly) -> list:
+def _primitive_from_fracs(coeffs) -> tuple[int, int, list]:
+    """(a, b, P) with coeffs = a/b * P, P primitive and a/b reduced, b > 0;
+    coeffs are nonzero-trailing Fractions or ints."""
     den = 1
-    for c in p.coeffs:
-        den = den * c.denominator // gcd(den, c.denominator)
-    ints = [int(c * den) for c in p.coeffs]
-    return _int_primitive(ints)
+    for c in coeffs:
+        d = c.denominator
+        if d != 1:
+            den = den // gcd(den, d) * d
+    ints = [c.numerator * (den // c.denominator) for c in coeffs]
+    a, prim = _zz_primitive(ints)
+    g = gcd(a, den)
+    return a // g, den // g, prim
+
+
+def _zz_mul(a, b) -> list:
+    """Product of two nonzero integer polynomials."""
+    if len(a) < len(b):
+        a, b = b, a
+    if len(b) == 1:
+        c = b[0]
+        return list(a) if c == 1 else [c * x for x in a]
+    out = [0] * (len(a) + len(b) - 1)
+    for j, y in enumerate(b):
+        if y:
+            for i, x in enumerate(a, j):
+                out[i] += x * y
+    return out
+
+
+def _zz_lincomb(k1: int, a, k2: int, b) -> list:
+    """k1 * a + k2 * b."""
+    out = [k1 * x for x in a]
+    if len(b) > len(out):
+        out.extend([0] * (len(b) - len(out)))
+    for i, y in enumerate(b):
+        out[i] += k2 * y
+    return _zz_strip(out)
+
+
+def _zz_divexact(a, b):
+    """a / b over Z for nonzero b, or None when b does not divide a there."""
+    la, lb = len(a), len(b)
+    if la < lb:
+        return None if a else []
+    lc = b[-1]
+    if lb == 1:
+        if lc == 1:
+            return list(a)
+        q = []
+        for x in a:
+            c, m = divmod(x, lc)
+            if m:
+                return None
+            q.append(c)
+        return q
+    r = list(a)
+    q = [0] * (la - lb + 1)
+    low = b[:-1]
+    for k in range(la - lb, -1, -1):
+        top = r[k + lb - 1]
+        if top:
+            c, m = divmod(top, lc)
+            if m:
+                return None
+            q[k] = c
+            for i, y in enumerate(low, k):
+                r[i] -= c * y
+    return None if any(r[:lb - 1]) else q
+
+
+def _zz_eval_at(a, p: int, q: int) -> int:
+    """q^deg(a) * a(p/q)."""
+    acc = 0
+    w = 1
+    for c in reversed(a):
+        acc = acc * p + c * w
+        w *= q
+    return acc
+
+
+def _zz_eval2(a, k: int) -> int:
+    """a(2^k)."""
+    acc = 0
+    for c in reversed(a):
+        acc = (acc << k) + c
+    return acc
+
+
+def _zz_interpolate2(h: int, k: int) -> list:
+    """Digits of h in the symmetric base-2^k representation: the polynomial
+    P with coefficients in [-2^(k-1), 2^(k-1)) and P(2^k) = h."""
+    out = []
+    mask = (1 << k) - 1
+    half = 1 << (k - 1)
+    while h:
+        d = h & mask
+        h >>= k
+        if d >= half:
+            d -= mask + 1
+            h += 1
+        out.append(d)
+    return out
+
+
+HEU_GCD_TRIES = 6
+
+
+def _zz_heu_gcd(f, g):
+    """GCDHEU: (h, f/h, g/h) for primitive f, g of positive degree, or None
+    when the heuristic gives up.
+
+    Any common factor K of f and g has its roots r below 2 + |f|/|lc f| in
+    modulus (Cauchy), for f and for g.  The evaluation point x = 2^k is above
+    2 min(|f| // |lc f|, |g| // |lc g|) + 4, so every root has |r| < x/2 and
+    |K(x)| > x/2 once deg K > 0.  A candidate h divides both inputs only if
+    h * K = gcd(f, g) for some K with K(x) dividing the content of the
+    interpolated image (at most x/2) or dividing 1, which forces deg K = 0:
+    a candidate that divides both inputs over Z is the greatest common
+    divisor.  The scheme of sympy's dup_zz_heu_gcd, with x a power of two so
+    that evaluation and interpolation are shifts and masks."""
+    f_norm = max(map(abs, f))
+    g_norm = max(map(abs, g))
+    b = 2 * min(f_norm, g_norm) + 29
+    k = max(min(b, 99 * isqrt(b)), 2 * min(f_norm // f[-1], g_norm // g[-1]) + 4).bit_length()
+    for _ in range(HEU_GCD_TRIES):
+        ff, gg = _zz_eval2(f, k), _zz_eval2(g, k)
+        if ff and gg:
+            h = gcd(ff, gg)
+            cand = _zz_primitive(_zz_interpolate2(h, k))[1]
+            if len(cand) == 1:
+                return cand, f, g
+            cf = _zz_divexact(f, cand)
+            if cf is not None:
+                cg = _zz_divexact(g, cand)
+                if cg is not None:
+                    return cand, cf, cg
+            # the cofactor images give the gcd as an exact quotient
+            for u, v, uu in ((f, g, ff), (g, f, gg)):
+                co = _zz_interpolate2(uu // h, k)
+                if co[-1] < 0:
+                    co = [-c for c in co]
+                cand = _zz_divexact(u, co)
+                if cand is not None:
+                    cv = _zz_divexact(v, cand)
+                    if cv is not None:
+                        return (cand, co, cv) if u is f else (cand, cv, co)
+        k += k // 4 + 2  # x -> about 2.7 x^(5/4), as in sympy
+    return None
+
+
+def _zz_prs_gcd(f, g) -> list:
+    """Primitive gcd by the primitive pseudo-remainder sequence over Z."""
+    A, B = f, g
+    while B:
+        if len(B) == 1:
+            return [1]
+        # pseudo-remainder of A by B: lc(B)^(deg A - deg B + 1) A mod B
+        lb = B[-1]
+        R = list(A)
+        while len(R) >= len(B):
+            k = len(R) - len(B)
+            top = R[-1]
+            R = [c * lb for c in R]
+            for i, bc in enumerate(B, k):
+                R[i] -= top * bc
+            R.pop()
+            _zz_strip(R)
+        A, B = B, (_zz_primitive(R)[1] if R else R)
+    return _zz_primitive(A)[1]
+
+
+def _zz_gcd(f, g) -> tuple[list, list, list]:
+    """(h, f/h, g/h) with h the primitive gcd of primitive f and g."""
+    if len(f) == 1 or len(g) == 1:
+        return [1], f, g
+    if f == g:
+        return f, [1], [1]
+    for u, v in ((f, g), (g, f)):
+        if len(u) == 2:
+            # a linear primitive u is the gcd exactly when it divides v
+            q = _zz_divexact(v, u)
+            if q is None:
+                return [1], f, g
+            return (u, [1], q) if u is f else (u, q, [1])
+    res = _zz_heu_gcd(f, g)
+    if res is None:
+        h = _zz_prs_gcd(f, g)
+        res = h, _zz_divexact(f, h), _zz_divexact(g, h)
+    return res
+
+
+def _zz_taylor_shift(f, u: int, v: int) -> list:
+    """Primitive part of f(t + u/v), with v > 0.
+
+    With n = deg f: G(s) = v^n f(u s / v) is integral, H(s) = G(s + 1) takes
+    additions only, and v^n f(t + u/v) = sum_i H_i v^i / u^i t^i, where u^i
+    divides H_i exactly."""
+    n = len(f) - 1
+    if n <= 0 or not u:
+        return list(f)
+    g = list(f)
+    if u != 1 or v != 1:
+        w = 1
+        for j in range(n, -1, -1):  # w = v^(n-j) before the step
+            g[j] *= w
+            w *= v
+        w = 1
+        for j in range(n + 1):  # w = u^j
+            g[j] *= w
+            w *= u
+    for i in range(n):
+        for j in range(n - 1, i - 1, -1):
+            g[j] += g[j + 1]
+    if u != 1 or v != 1:
+        uw = vw = 1
+        for i in range(n + 1):  # uw = u^i, vw = v^i
+            g[i] = g[i] // uw * vw
+            uw *= u
+            vw *= v
+    return _zz_primitive(g)[1]
+
+
+def _monic_poly(a) -> "Poly":
+    lc = a[-1]
+    if lc == 1:
+        return Poly([Fraction(c) for c in a])
+    return Poly([Fraction(c, lc) for c in a])
 
 
 def poly_gcd(a: Poly, b: Poly) -> Poly:
-    """Monic gcd over Q via a primitive pseudo-remainder sequence over Z
-    (naive rational Euclid blows up coefficient sizes at the degrees the
-    certifications reach)."""
+    """Monic gcd over Q."""
     if not a:
         return b.monic()
     if not b:
         return a.monic()
-    A = _to_primitive_int(a)
-    B = _to_primitive_int(b)
-    while B:
-        if len(B) == 1:
-            return Poly((Fraction(1),))
-        # pseudo-remainder of A by B: lc(B)^(deg A - deg B + 1) A mod B
-        lb = B[-1]
-        R = list(A)
-        k = len(R) - len(B)
-        while len(R) >= len(B) and any(R):
-            while R and R[-1] == 0:
-                R.pop()
-            if len(R) < len(B):
-                break
-            k = len(R) - len(B)
-            top = R[-1]
-            R = [c * lb for c in R]
-            for i, bc in enumerate(B):
-                R[k + i] -= top * bc
-            R.pop()
-        while R and R[-1] == 0:
-            R.pop()
-        A, B = B, _int_primitive(R)
-    return Poly(tuple(Fraction(c) for c in A)).monic()
+    A = _primitive_from_fracs(a.coeffs)[2]
+    B = _primitive_from_fracs(b.coeffs)[2]
+    return _monic_poly(_zz_gcd(A, B)[0])
 
 
-def poly_lcm(a: Poly, b: Poly) -> Poly:
-    if not a or not b:
-        return Poly()
-    g = poly_gcd(a, b)
-    return (a * b.divmod(g)[0]).monic()
+# -- Q(t) -------------------------------------------------------------------------
+
+_ONE = (1,)
+
+
+def _ratfun(cn: int, cd: int, n, d) -> "RatFun":
+    r = object.__new__(RatFun)
+    r._set(cn, cd, n, d)
+    return r
 
 
 class RatFun:
-    """Reduced rational function over Q: monic denominator, gcd(num, den) = 1."""
+    """Reduced rational function over Q, stored as (cn/cd) * N / D (see the
+    module docstring); `num`/`den` give it with a monic denominator."""
 
-    __slots__ = ("num", "den")
+    __slots__ = ("_cn", "_cd", "_n", "_d", "_views")
 
-    def __init__(self, num: Poly, den: Poly, _reduced: bool = False):
+    def __init__(self, num: Poly, den: Poly):
         if not den:
             raise ZeroDenominator("rational function with zero denominator")
-        if not _reduced:
-            if not num:
-                den = Poly.const(Fraction(1))
-            else:
-                g = poly_gcd(num, den)
-                if g.degree > 0:
-                    num = num.divmod(g)[0]
-                    den = den.divmod(g)[0]
-                lc = den.lc()
-                if lc != 1:
-                    inv = 1 / lc
-                    num = num.scale(inv)
-                    den = den.scale(inv)
-        self.num = num
-        self.den = den
+        if not num:
+            self._set(0, 1, (), _ONE)
+            return
+        a1, b1, n = _primitive_from_fracs(num.coeffs)
+        a2, b2, d = _primitive_from_fracs(den.coeffs)
+        _, n, d = _zz_gcd(n, d)
+        self._set(a1 * b2, b1 * a2, n, d)
+
+    def _set(self, cn: int, cd: int, n, d) -> None:
+        """Store cn/cd * n/d for coprime primitive n, d and any nonzero cd;
+        the content is reduced here."""
+        if cd < 0:
+            cn, cd = -cn, -cd
+        g = gcd(cn, cd)
+        if g != 1:
+            cn //= g
+            cd //= g
+        self._cn = cn
+        self._cd = cd
+        self._n = tuple(n)
+        self._d = tuple(d)
+        self._views = None
 
     @classmethod
     def const(cls, c) -> "RatFun":
         c = rat(c)
-        return cls(Poly.const(c), Poly.const(Fraction(1)), _reduced=True)
+        if not c:
+            return _ratfun(0, 1, (), _ONE)
+        return _ratfun(c.numerator, c.denominator, _ONE, _ONE)
 
     @classmethod
     def t(cls) -> "RatFun":
-        return cls(Poly.t(), Poly.const(Fraction(1)), _reduced=True)
+        return _ratfun(1, 1, (0, 1), _ONE)
 
     @classmethod
     def from_poly(cls, p: Poly) -> "RatFun":
-        return cls(p, Poly.const(Fraction(1)), _reduced=True)
+        if not p:
+            return RF_ZERO
+        a, b, n = _primitive_from_fracs(p.coeffs)
+        return _ratfun(a, b, n, _ONE)
+
+    def _num_den(self) -> tuple[Poly, Poly]:
+        if self._views is None:
+            d = self._d
+            lc = d[-1]
+            s = Fraction(self._cn, self._cd * lc)
+            self._views = (Poly([s * c for c in self._n]), _monic_poly(d))
+        return self._views
+
+    @property
+    def num(self) -> Poly:
+        """Numerator as a Fraction Poly, over the monic `den`."""
+        return self._num_den()[0]
+
+    @property
+    def den(self) -> Poly:
+        """Monic denominator as a Fraction Poly."""
+        return self._num_den()[1]
 
     def __bool__(self) -> bool:
-        return bool(self.num)
+        return bool(self._n)
 
     def is_const(self) -> bool:
-        return self.num.degree <= 0 and self.den.degree == 0
+        return len(self._n) <= 1 and len(self._d) == 1
 
     def __eq__(self, other) -> bool:
         if isinstance(other, (int, Fraction)):
-            other = RatFun.const(other)
-        return isinstance(other, RatFun) and self.num == other.num and self.den == other.den
+            if not other:
+                return not self._n
+            return (len(self._n) == 1 and len(self._d) == 1
+                    and self._cn == other.numerator and self._cd == other.denominator)
+        return (isinstance(other, RatFun) and self._cn == other._cn and self._cd == other._cd
+                and self._n == other._n and self._d == other._d)
 
     def __hash__(self):
-        return hash((self.num, self.den))
+        return hash((self._cn, self._cd, self._n, self._d))
 
     def __add__(self, other: "RatFun") -> "RatFun":
-        n1, d1, n2, d2 = self.num, self.den, other.num, other.den
-        if not n1:
+        if not self._n:
             return other
-        if not n2:
+        if not other._n:
             return self
-        g = poly_gcd(d1, d2)
-        if g.degree <= 0:
-            # coprime denominators: the sum is already reduced and monic
-            num = n1 * d2 + n2 * d1
-            if not num:
-                return RF_ZERO
-            return RatFun(num, d1 * d2, _reduced=True)
-        t2 = d2.divmod(g)[0]
-        num = n1 * t2 + n2 * d1.divmod(g)[0]
-        if not num:
-            return RF_ZERO
-        g2 = poly_gcd(num, g)
-        if g2.degree > 0:
-            num = num.divmod(g2)[0]
-            den = d1.divmod(g2)[0] * t2
+        a1, b1, n1, d1 = self._cn, self._cd, self._n, self._d
+        a2, b2, n2, d2 = other._cn, other._cd, other._n, other._d
+        l = b1 // gcd(b1, b2) * b2
+        k1, k2 = a1 * (l // b1), a2 * (l // b2)
+        if d1 == d2:
+            g = d1
+            s = _zz_lincomb(k1, n1, k2, n2)
+            rest = _ONE
         else:
-            den = d1 * t2
-        lc = den.lc()
-        if lc != 1:
-            inv = 1 / lc
-            num = num.scale(inv)
-            den = den.scale(inv)
-        return RatFun(num, den, _reduced=True)
+            # d1 = g e1, d2 = g e2 with e1, e2 coprime; the numerator is
+            # coprime to e1 e2, so only g can cancel
+            g, e1, e2 = _zz_gcd(d1, d2)
+            s = _zz_lincomb(k1, _zz_mul(n1, e2), k2, _zz_mul(n2, e1))
+            rest = _zz_mul(e1, e2)
+        if not s:
+            return RF_ZERO
+        cs, s = _zz_primitive(s)
+        _, s, g = _zz_gcd(s, g)
+        return _ratfun(cs, l, s, _zz_mul(g, rest))
 
     def __neg__(self) -> "RatFun":
-        return RatFun(-self.num, self.den, _reduced=True)
+        return _ratfun(-self._cn, self._cd, self._n, self._d)
 
     def __sub__(self, other: "RatFun") -> "RatFun":
         return self + (-other)
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
-            return RatFun(self.num.scale(rat(other)), self.den)
-        # cross-cancel first: both inputs are reduced, so the product of the
-        # cross-quotients is already reduced up to denominator normalization
-        n1, d1, n2, d2 = self.num, self.den, other.num, other.den
+            if not other or not self._n:
+                return RF_ZERO
+            return _ratfun(self._cn * other.numerator, self._cd * other.denominator,
+                           self._n, self._d)
+        n1, d1, n2, d2 = self._n, self._d, other._n, other._d
         if not n1 or not n2:
             return RF_ZERO
-        g1 = poly_gcd(n1, d2)
-        if g1.degree > 0:
-            n1 = n1.divmod(g1)[0]
-            d2 = d2.divmod(g1)[0]
-        g2 = poly_gcd(n2, d1)
-        if g2.degree > 0:
-            n2 = n2.divmod(g2)[0]
-            d1 = d1.divmod(g2)[0]
-        num = n1 * n2
-        den = d1 * d2
-        lc = den.lc()
-        if lc != 1:
-            inv = 1 / lc
-            num = num.scale(inv)
-            den = den.scale(inv)
-        return RatFun(num, den, _reduced=True)
+        # cross-cancel: both inputs are reduced, so the product of the
+        # cross-quotients is reduced
+        _, n1, d2 = _zz_gcd(n1, d2)
+        _, n2, d1 = _zz_gcd(n2, d1)
+        return _ratfun(self._cn * other._cn, self._cd * other._cd,
+                       _zz_mul(n1, n2), _zz_mul(d1, d2))
 
     def __rmul__(self, other):
         return self.__mul__(other)
 
     def inv(self) -> "RatFun":
-        if not self.num:
+        if not self._n:
             raise DivisionByZero("inverse of zero rational function")
-        return RatFun(self.den, self.num)
+        return _ratfun(self._cd, self._cn, self._d, self._n)
 
     def __truediv__(self, other: "RatFun") -> "RatFun":
         if not other:
@@ -375,31 +605,67 @@ class RatFun:
         return self * other.inv()
 
     def eval(self, point: Fraction) -> Fraction:
-        d = self.den.eval(point)
-        if d == 0:
+        p, q = point.numerator, point.denominator
+        n, d = self._n, self._d
+        dv = _zz_eval_at(d, p, q)
+        if dv == 0:
             raise PoleAtPoint(f"pole at t = {point}")
-        return self.num.eval(point) / d
+        if not n:
+            return Fraction(0)
+        # n(p/q) / d(p/q) = (nv / q^deg n) / (dv / q^deg d)
+        num, den = self._cn * _zz_eval_at(n, p, q), self._cd * dv
+        e = len(d) - len(n)
+        if e >= 0:
+            num *= q ** e
+        else:
+            den *= q ** -e
+        return Fraction(num, den)
 
     def shift(self, c: Fraction) -> "RatFun":
         """Substitute t -> t - c; a field automorphism of Q(t), so the image
-        of a reduced fraction is reduced (and the denominator stays monic)."""
+        of a reduced fraction is reduced."""
         if not c or self.is_const():
             return self
-        return RatFun(self.num.taylor_shift(-c), self.den.taylor_shift(-c), _reduced=True)
+        c = -c
+        u, v = c.numerator, c.denominator
+        n, d = self._n, self._d
+        n2, d2 = _zz_taylor_shift(n, u, v), _zz_taylor_shift(d, u, v)
+        # a shift keeps leading coefficients: f(t + c) = lc(f)/lc(f2) * f2
+        return _ratfun(self._cn * n[-1] * d2[-1], self._cd * n2[-1] * d[-1], n2, d2)
 
     def deriv(self) -> "RatFun":
-        return RatFun(
-            self.num.deriv() * self.den - self.num * self.den.deriv(),
-            self.den * self.den,
-        )
+        n, d = self._n, self._d
+        if len(n) <= 1 and len(d) == 1:
+            return RF_ZERO
+        dn = [i * c for i, c in enumerate(n) if i]
+        dd = [i * c for i, c in enumerate(d) if i]
+        s = _zz_lincomb(1, _zz_mul(dn, d) if dn else [], -1, _zz_mul(n, dd) if dd else [])
+        if not s:
+            return RF_ZERO
+        cs, s = _zz_primitive(s)
+        _, s, dsq = _zz_gcd(s, _zz_mul(d, d))
+        return _ratfun(self._cn * cs, self._cd, s, dsq)
 
     def to_str(self, var: str = "t") -> str:
-        if self.den.degree == 0:
-            return self.num.to_str(var)
-        return f"({self.num.to_str(var)})/({self.den.to_str(var)})"
+        num, den = self._num_den()
+        if den.degree == 0:
+            return num.to_str(var)
+        return f"({num.to_str(var)})/({den.to_str(var)})"
 
     def __repr__(self):
         return f"RatFun({self.to_str()})"
+
+
+def lcm_multiples(fs) -> list[list[Fraction]]:
+    """Coefficient lists (lowest degree first) of l * f for each rational
+    function f in fs, where l is the monic lcm of their denominators."""
+    lcm = [1]
+    for f in fs:
+        lcm = _zz_mul(lcm, _zz_gcd(lcm, list(f._d))[2])
+    lc = lcm[-1]
+    # f = cn/cd * n/d and l = lcm/lc, so l * f = cn/(cd lc) * n * (lcm/d)
+    return [[Fraction(f._cn * x, f._cd * lc) for x in _zz_mul(f._n, _zz_divexact(lcm, f._d))]
+            if f._n else [] for f in fs]
 
 
 RF_ZERO = RatFun.const(0)

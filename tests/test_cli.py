@@ -184,3 +184,42 @@ def test_bad_input_is_a_one_line_error(argv, capsys, tmp_path, monkeypatch):
     assert captured.err.startswith("error:")
     assert "Traceback" not in captured.err
     assert captured.out == ""
+
+
+def _freeness(report):
+    (v,) = [v for v in report["verdicts"] if "jets" in v["data"]]
+    return v
+
+
+def test_jet_escalation_reexpands_generators(capsys):
+    # at order 4 the p-jets are rank-deficient; escalation must re-evaluate
+    # the words from generators expanded at the doubled order, and the report
+    # must name that order instead of the escalation ceiling
+    code, report = run_cli(["certify", "heisenberg", "--order", "4", "--max-word-len", "2"], capsys)
+    assert code == 0
+    v = _freeness(report)
+    assert v["verdict"] == "certified"
+    jets = v["data"]["jets"]
+    assert jets["verdict"] == "certified" and jets["rank"] == 7
+    assert jets["truncation_order"] == 8
+    assert jets["params"]["coordinatizer"] == "pjet-order-8"
+    assert v["data"]["paths_agree"]
+
+
+def test_deficient_jets_never_fail_the_exact_verdict(capsys, monkeypatch):
+    # a pre-filter that cannot escalate stays rank-deficient; that is a
+    # truncation limit, so the exact path's certificate stands (exit 0)
+    from skewcert import harness
+
+    fixed = harness.skew_pjet_coordinatizer
+    monkeypatch.setattr(harness, "skew_pjet_coordinatizer",
+                        lambda aut, order, generators_at=None: fixed(aut, order))
+    code, report = run_cli(["certify", "heisenberg", "--order", "4", "--max-word-len", "2"], capsys)
+    assert code == 0
+    v = _freeness(report)
+    assert v["verdict"] == "certified"
+    jets = v["data"]["jets"]
+    assert jets["verdict"] == "inconclusive" and jets["rank"] < 7
+    assert jets["truncation_order"] == 4
+    assert v["data"]["exact"]["verdict"] == "certified"
+    assert not v["data"]["paths_agree"]
