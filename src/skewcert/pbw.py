@@ -341,10 +341,13 @@ def uelem_ring_ops(L: LieAlg) -> RingOps:
 
 def scaling_automorphism(L: LieAlg, lam) -> LieHom:
     """Basis element of weight d maps to lam^d times itself; an algebra
-    automorphism of U(L) whenever the weights grade the brackets."""
+    automorphism of U(L) whenever the weights grade the brackets and lam is
+    nonzero (lam = 0 raises ValueError)."""
     if not L.graded:
         raise NotGraded(f"{L.name} has no bracket-compatible grading")
     lam = rat(lam)
+    if not lam:
+        raise ValueError("scaling factor lambda must be nonzero")
     ops = uelem_ring_ops(L)
     images = [L.gen(name).smul(lam ** L.weights[i]) for i, name in enumerate(L.basis)]
     return LieHom(L, images, ops)

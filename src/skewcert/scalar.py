@@ -4,10 +4,11 @@ reduced rational function field Q(t).
 Rational numbers are `fractions.Fraction` (already reduced, positive
 denominator).  `Poly` stores coefficients lowest degree first and works over
 any coefficient object supporting +, -, * and truthiness, so a two-variable
-polynomial ring is obtained by nesting Poly inside Poly; the tower series
-make over a million such small products, so Poly's ring operations stay
-generic.  The field-level helpers (divmod, monic, poly_gcd) assume Fraction
-coefficients.
+polynomial ring is obtained by nesting Poly inside Poly.  The class-3 tower
+keeps its Q[n1, n2] values in that nested form but does their arithmetic in
+its own kernel (`series.bipoly_ops`, with int-or-Fraction scalars); Poly's
+ring operations stay generic.  The field-level helpers (divmod, monic,
+poly_gcd) assume Fraction coefficients, since int / int would give a float.
 
 `RatFun` stores no Polys.  An element of Q(t) is c * N / D with N and D
 primitive integer coefficient lists (lowest degree first, positive leading

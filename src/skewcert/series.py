@@ -524,34 +524,177 @@ def fraction_ops() -> RingOps:
     )
 
 
+# -- Q[n1, n2] -----------------------------------------------------------------
+#
+# An element of Q[n1, n2] is a Poly in n2 whose coefficients are Polys in n1
+# with rational coefficients, so generic Poly arithmetic and repr apply to
+# it unchanged.  The ring operations of bipoly_ops work on the coefficient
+# tuples instead: a scalar is stored as an int when it is integral and as a
+# Fraction otherwise (normalized where a sum or product is formed; Fraction
+# inputs that are not normalized are accepted), zero entries are skipped, a
+# one-entry operand scales the other, and results are wrapped without being
+# stripped again.  Values stay comparable with generically built ones, since
+# 2 == Fraction(2) and both hash alike.  Division never happens on ints:
+# bipoly_eps returns a Fraction and inv divides through Fraction.
+
+_new_poly = Poly.__new__
+_ZERO = Poly()
+
+
+def _wrap(cs: tuple) -> Poly:
+    """A Poly around a coefficient tuple that has no trailing zero."""
+    p = _new_poly(Poly)
+    p.coeffs = cs
+    return p
+
+
+def _q(c):
+    """A rational as an int when it is integral."""
+    return c if type(c) is int or c.denominator != 1 else c.numerator
+
+
+def _u_add(a: tuple, b: tuple) -> tuple:
+    """Sum of two nonzero elements of Q[n1] (stripped scalar tuples)."""
+    if len(a) < len(b):
+        a, b = b, a
+    out = list(a)
+    for i, y in enumerate(b):
+        s = out[i] + y
+        out[i] = s if type(s) is int or s.denominator != 1 else s.numerator
+    if len(a) == len(b):
+        while out and not out[-1]:
+            out.pop()
+    return tuple(out)
+
+
+def _u_scale(a: tuple, q) -> tuple:
+    """a * q for a nonzero scalar q."""
+    out = []
+    for x in a:
+        r = x * q
+        out.append(r if type(r) is int or r.denominator != 1 else r.numerator)
+    return tuple(out)
+
+
+def _u_mul(a: tuple, b: tuple) -> tuple:
+    """Product of two nonzero elements of Q[n1]."""
+    if len(a) == 1:
+        return _u_scale(b, a[0])
+    if len(b) == 1:
+        return _u_scale(a, b[0])
+    out = [0] * (len(a) + len(b) - 1)
+    for j, y in enumerate(b):
+        if y:
+            for i, x in enumerate(a, j):
+                if x:
+                    out[i] += x * y
+    return tuple([c if type(c) is int or c.denominator != 1 else c.numerator for c in out])
+
+
+def _bp_add(a: Poly, b: Poly) -> Poly:
+    A, B = a.coeffs, b.coeffs
+    if not B:
+        return a
+    if not A:
+        return b
+    if len(A) < len(B):
+        A, B = B, A
+    out = list(A)
+    for i, y in enumerate(B):
+        yc = y.coeffs
+        if yc:
+            xc = out[i].coeffs
+            if xc:
+                s = _u_add(xc, yc)
+                out[i] = _wrap(s) if s else _ZERO
+            else:
+                out[i] = y
+    if len(A) == len(B):
+        while out and not out[-1].coeffs:
+            out.pop()
+    return _wrap(tuple(out))
+
+
+def _bp_neg(a: Poly) -> Poly:
+    return _wrap(tuple([_wrap(tuple([-x for x in p.coeffs])) if p.coeffs else _ZERO
+                        for p in a.coeffs]))
+
+
+def _bp_scale(q, a: Poly) -> Poly:
+    q = _q(q)
+    if not q or not a.coeffs:
+        return _ZERO
+    if q == 1:
+        return a
+    return _wrap(tuple([_wrap(_u_scale(p.coeffs, q)) if p.coeffs else _ZERO
+                        for p in a.coeffs]))
+
+
+def _bp_mul(a: Poly, b: Poly) -> Poly:
+    A, B = a.coeffs, b.coeffs
+    if not A or not B:
+        return _ZERO
+    i, k = len(A) - 1, len(B) - 1
+    x, y = A[i].coeffs, B[k].coeffs
+    j, m = len(x) - 1, len(y) - 1
+    # zero entries are usually the shared _ZERO, so count() seldom calls __eq__
+    if ((not i or A[:i].count(_ZERO) == i) and (not j or x.count(0) == j)
+            and (not k or B[:k].count(_ZERO) == k) and (not m or y.count(0) == m)):
+        # single term times single term: c n2^i n1^j * d n2^k n1^m
+        r = x[j] * y[m]
+        if type(r) is not int and r.denominator == 1:
+            r = r.numerator
+        return _wrap((_ZERO,) * (i + k) + (_wrap((0,) * (j + m) + (r,)),))
+    if len(A) < len(B):
+        A, B = B, A
+    if len(B) == 1:
+        yc = B[0].coeffs
+        return _wrap(tuple([_wrap(_u_mul(p.coeffs, yc)) if p.coeffs else _ZERO for p in A]))
+    out: list = [None] * (len(A) + len(B) - 1)
+    for j, y in enumerate(B):
+        yc = y.coeffs
+        if yc:
+            for i, x in enumerate(A, j):
+                xc = x.coeffs
+                if xc:
+                    p = _u_mul(xc, yc)
+                    out[i] = p if out[i] is None else _u_add(out[i], p)
+    return _wrap(tuple([_wrap(c) if c else _ZERO for c in out]))
+
+
 def bipoly_const(q) -> Poly:
-    """Constant of Q[n1, n2] realized as Poly-over-Poly (outer = n2)."""
-    q = Fraction(q)
+    """Constant of Q[n1, n2] realized as Poly-over-Poly (outer = n2), its
+    scalar an int when integral."""
+    q = _q(Fraction(q))
     if not q:
-        return Poly()
-    return Poly((Poly((q,)),))
+        return _ZERO
+    return _wrap((_wrap((q,)),))
 
 
 def bipoly_n1() -> Poly:
-    return Poly((Poly((Fraction(0), Fraction(1))),))
+    """The generator n1, the inner variable."""
+    return _wrap((_wrap((0, 1)),))
 
 
 def bipoly_n2() -> Poly:
-    return Poly((Poly(), Poly((Fraction(1),))))
+    """The generator n2, the outer variable."""
+    return _wrap((_ZERO, _wrap((1,))))
 
 
 def bipoly_eps(f: Poly) -> Fraction:
-    """Augmentation of Q[n1, n2]: the constant-constant coefficient."""
+    """Augmentation of Q[n1, n2]: the constant-constant coefficient, always
+    a Fraction (it feeds Q((t_z)), whose inverse divides)."""
     if not f:
         return Fraction(0)
     inner = f.coeffs[0]
     if not inner:
         return Fraction(0)
-    return inner.coeffs[0]
+    return Fraction(inner.coeffs[0])
 
 
 def bipoly_ops() -> RingOps:
-    one = bipoly_const(1)
+    """Q[n1, n2] through the kernel above; the units are the nonzero
+    constants."""
 
     def is_unit(f: Poly) -> bool:
         return f.degree == 0 and f.coeffs[0].degree == 0
@@ -559,17 +702,17 @@ def bipoly_ops() -> RingOps:
     def inv(f: Poly) -> Poly:
         if not is_unit(f):
             raise LowestCoeffNotUnit("nonconstant polynomial is not a unit", f)
-        return bipoly_const(1 / f.coeffs[0].coeffs[0])
+        return bipoly_const(1 / Fraction(f.coeffs[0].coeffs[0]))
 
     return RingOps(
         name="Q[n1,n2]",
-        zero=Poly(),
-        one=one,
-        add=lambda a, b: a + b,
-        neg=lambda a: -a,
-        mul=lambda a, b: a * b,
-        smul=lambda q, a: a.scale(q),
-        is_zero=lambda a: not a,
+        zero=_ZERO,
+        one=bipoly_const(1),
+        add=_bp_add,
+        neg=_bp_neg,
+        mul=_bp_mul,
+        smul=_bp_scale,
+        is_zero=lambda a: not a.coeffs,
         inv=inv,
         is_unit=is_unit,
     )

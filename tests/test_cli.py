@@ -86,6 +86,9 @@ def test_report_independent_of_hash_seed():
          ["certify", "cauchon", "--alpha", "5/6", "--beta", "5/6", "--shift", "2"], 2),
         ("scaling.json", ["verify", "scaling", "--lambda", "2", "--order", "10"], 0),
         ("heisenberg.json", ["certify", "heisenberg", "--max-word-len", "2", "--order", "32"], 0),
+        ("nilpotent.json", ["certify", "nilpotent", "--order", "10"], 0),
+        ("cauchon.json",
+         ["certify", "cauchon", "--alpha", "5/6", "--beta", "1/6", "--shift", "2"], 0),
     ],
 )
 def test_golden_reports(name, argv, want_code, capsys):
@@ -174,6 +177,12 @@ def test_check_algebra_command(tmp_path, capsys):
         ["certify", "cauchon", "--alpha", "abc", "--beta", "1"],
         ["certify", "groupring", "--max-word-len", "-1"],
         ["check-algebra", "no-such-algebra.txt"],
+        ["verify", "scaling", "--lambda", "0"],
+        ["certify", "heisenberg", "--order", "0"],
+        ["certify", "twodim", "--order", "0"],
+        ["certify", "nilpotent", "--order", "0"],
+        ["certify", "nilpotent", "--order", "-2"],
+        ["verify", "scaling", "--order", "0"],
     ],
 )
 def test_bad_input_is_a_one_line_error(argv, capsys, tmp_path, monkeypatch):
@@ -184,6 +193,8 @@ def test_bad_input_is_a_one_line_error(argv, capsys, tmp_path, monkeypatch):
     assert captured.err.startswith("error:")
     assert "Traceback" not in captured.err
     assert captured.out == ""
+    if "--order" in argv:
+        assert captured.err == "error: --order must be at least 1\n"
 
 
 def _freeness(report):

@@ -3,6 +3,7 @@
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from skewcert import series
 from skewcert.errors import (
@@ -273,3 +274,113 @@ def test_compatibility_square(rnd):
     for _ in range(10):
         g = u_mul(rnd.choice(gens), rnd.choice(gens))
         assert jets_agree(phi_u(embed_L(g)), embed_H(rho(g)))
+
+
+# -- the Q[n1, n2] kernel against a dict-of-monomials oracle ----------------------
+
+scalars = st.one_of(
+    st.integers(-50, 50),
+    st.builds(F, st.integers(-50, 50), st.integers(1, 12)),  # often non-integral
+    st.builds(F, st.integers(-50, 50)),  # integral but not normalized
+)
+monomials = st.tuples(st.integers(0, 4), st.integers(0, 4))  # (deg n2, deg n1)
+terms = st.dictionaries(monomials, scalars, max_size=8)
+single_terms = st.dictionaries(monomials, scalars, min_size=1, max_size=1)
+elements = st.one_of(terms, single_terms)
+
+
+def bipoly_from_terms(terms: dict) -> Poly:
+    """Built by the generic Poly constructor, as callers outside the kernel
+    do: every coefficient is a Fraction, integral ones included."""
+    n2 = max((i for i, _ in terms), default=-1) + 1
+    n1 = max((j for _, j in terms), default=-1) + 1
+    rows = [[F(0)] * n1 for _ in range(n2)]
+    for (i, j), c in terms.items():
+        rows[i][j] += c
+    return Poly([Poly(row) for row in rows])
+
+
+def terms_of(f: Poly) -> dict:
+    out = {}
+    for i, inner in enumerate(f.coeffs):
+        for j, c in enumerate(inner.coeffs):
+            if c:
+                out[(i, j)] = F(c)
+    return out
+
+
+def ref_add(a: dict, b: dict) -> dict:
+    out = dict(a)
+    for k, c in b.items():
+        out[k] = out.get(k, 0) + c
+    return {k: F(c) for k, c in out.items() if c}
+
+
+def ref_mul(a: dict, b: dict) -> dict:
+    out: dict = {}
+    for (i, j), c in a.items():
+        for (k, m), d in b.items():
+            out[(i + k, j + m)] = out.get((i + k, j + m), 0) + c * d
+    return {k: F(c) for k, c in out.items() if c}
+
+
+def assert_kernel_value(got: Poly, want: dict, normalized: bool = True):
+    """Exact value, hash, and scalar types of a kernel result.  A result of
+    normalized operands stores an int when integral and a Fraction
+    otherwise; coefficients passed through from raw operands may still be
+    integral Fractions.  No float ever appears."""
+    assert terms_of(got) == want
+    reference = bipoly_from_terms(want)
+    assert got == reference and hash(got) == hash(reference)
+    for inner in got.coeffs:
+        assert type(inner) is Poly
+        for c in inner.coeffs:
+            assert type(c) is int or type(c) is F, repr(c)
+            if normalized:
+                assert type(c) is int or c.denominator != 1, repr(c)
+
+
+@settings(max_examples=300)
+@given(elements, elements)
+def test_bipoly_kernel_matches_monomial_oracle(ta, tb):
+    ops = bipoly_ops()
+    a, b = bipoly_from_terms(ta), bipoly_from_terms(tb)
+    da, db = terms_of(a), terms_of(b)
+    neg_b = {k: -c for k, c in db.items()}
+    assert_kernel_value(ops.add(a, b), ref_add(da, db), normalized=False)
+    assert_kernel_value(ops.neg(a), {k: -c for k, c in da.items()}, normalized=False)
+    assert_kernel_value(ops.add(a, ops.neg(a)), {})
+    assert_kernel_value(ops.mul(a, b), ref_mul(da, db))
+    # a product with one normalizes every coefficient; kernel outputs also
+    # share their zero entries, which the single-term test looks for
+    a1, b1 = ops.mul(a, ops.one), ops.mul(ops.one, b)
+    assert_kernel_value(a1, da)
+    assert_kernel_value(ops.mul(a1, b1), ref_mul(da, db))
+    assert_kernel_value(ops.add(a1, b1), ref_add(da, db))
+    assert_kernel_value(ops.add(a1, ops.neg(b1)), ref_add(da, neg_b))
+    assert_kernel_value(ops.mul(a, b1), ref_mul(da, db))
+    assert_kernel_value(ops.add(ops.mul(a1, b1), ops.neg(ops.mul(b, a))), {})
+
+
+@settings(max_examples=200)
+@given(elements, scalars)
+def test_bipoly_smul_matches_monomial_oracle(ta, q):
+    ops = bipoly_ops()
+    a = bipoly_from_terms(ta)
+    want = {k: F(c * q) for k, c in terms_of(a).items() if c * q}
+    assert_kernel_value(ops.smul(q, a), want, normalized=False)
+    assert_kernel_value(ops.smul(q, ops.mul(a, ops.one)), want)
+
+
+@given(scalars.filter(bool))
+def test_bipoly_eps_and_inverse_are_exact(q):
+    ops = bipoly_ops()
+    c = bipoly_const(q)
+    eps = bipoly_eps(ops.add(c, bipoly_n1()))
+    assert type(eps) is F and eps == q
+    assert type(bipoly_eps(ops.mul(bipoly_n2(), c))) is F
+    inv = ops.inv(c)
+    assert_kernel_value(inv, {(0, 0): 1 / F(q)})
+    assert_kernel_value(ops.mul(inv, c), {(0, 0): F(1)})
+    # an integral constant given as an unnormalized Fraction inverts exactly too
+    assert ops.inv(bipoly_from_terms({(0, 0): F(3)})) == bipoly_const(F(1, 3))
