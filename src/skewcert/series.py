@@ -532,8 +532,8 @@ def fraction_ops() -> RingOps:
 # tuples instead: a scalar is stored as an int when it is integral and as a
 # Fraction otherwise (normalized where a sum or product is formed; Fraction
 # inputs that are not normalized are accepted), zero entries are skipped, a
-# one-entry operand scales the other, and results are wrapped without being
-# stripped again.  Values stay comparable with generically built ones, since
+# product of two single-term operands is one scalar product, and results are
+# wrapped without being stripped again.  Values stay comparable with generically built ones, since
 # 2 == Fraction(2) and both hash alike.  Division never happens on ints:
 # bipoly_eps returns a Fraction and inv divides through Fraction.
 
@@ -554,7 +554,7 @@ def _q(c):
 
 
 def _u_add(a: tuple, b: tuple) -> tuple:
-    """Sum of two nonzero elements of Q[n1] (stripped scalar tuples)."""
+    """Sum of two elements of Q[n1] (stripped scalar tuples)."""
     if len(a) < len(b):
         a, b = b, a
     out = list(a)
@@ -603,12 +603,8 @@ def _bp_add(a: Poly, b: Poly) -> Poly:
     for i, y in enumerate(B):
         yc = y.coeffs
         if yc:
-            xc = out[i].coeffs
-            if xc:
-                s = _u_add(xc, yc)
-                out[i] = _wrap(s) if s else _ZERO
-            else:
-                out[i] = y
+            s = _u_add(out[i].coeffs, yc)
+            out[i] = _wrap(s) if s else _ZERO
     if len(A) == len(B):
         while out and not out[-1].coeffs:
             out.pop()
@@ -645,11 +641,6 @@ def _bp_mul(a: Poly, b: Poly) -> Poly:
         if type(r) is not int and r.denominator == 1:
             r = r.numerator
         return _wrap((_ZERO,) * (i + k) + (_wrap((0,) * (j + m) + (r,)),))
-    if len(A) < len(B):
-        A, B = B, A
-    if len(B) == 1:
-        yc = B[0].coeffs
-        return _wrap(tuple([_wrap(_u_mul(p.coeffs, yc)) if p.coeffs else _ZERO for p in A]))
     out: list = [None] * (len(A) + len(B) - 1)
     for j, y in enumerate(B):
         yc = y.coeffs
