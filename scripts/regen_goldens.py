@@ -3,11 +3,19 @@
 
 Reports are byte-stable given (command, flags, seed) except for elapsed_ms,
 which is zeroed here; the CLI test scrubs the same field before diffing.
+
+    python3 scripts/regen_goldens.py           # rewrite every golden
+    python3 scripts/regen_goldens.py --check   # re-render without writing;
+                                               # print the names that differ
+                                               # and exit 1 if any does
 """
 
+import contextlib
+import io
 import json
 import pathlib
 import sys
+import tempfile
 
 sys.path.insert(0, str(pathlib.Path(__file__).resolve().parents[1] / "src"))
 
@@ -24,6 +32,8 @@ COMMANDS = {
     "cauchon_refused.json": ["certify", "cauchon", "--alpha", "5/6", "--beta", "5/6", "--shift", "2"],
     "scaling.json": ["verify", "scaling", "--lambda", "2", "--order", "10"],
     "nilpotent.json": ["certify", "nilpotent", "--order", "10"],
+    "scaling_default.json": ["verify", "scaling"],
+    "nilpotent_default.json": ["certify", "nilpotent"],
 }
 
 
@@ -36,15 +46,34 @@ def scrub(node):
     return node
 
 
-def main():
+def render(argv, scratch: pathlib.Path):
+    """Run one command and return (exit code, the golden's text)."""
+    with contextlib.redirect_stdout(io.StringIO()):
+        code = cli.run(argv + ["--output", str(scratch)])
+    report = scrub(json.loads(scratch.read_text()))
+    return code, json.dumps(report, indent=2, sort_keys=True, default=cli._json_default) + "\n"
+
+
+def main(argv=None):
+    check = "--check" in (sys.argv[1:] if argv is None else argv)
     GOLDEN.mkdir(parents=True, exist_ok=True)
-    for name, argv in COMMANDS.items():
-        out = GOLDEN / name
-        code = cli.run(argv + ["--output", str(out)])
-        report = scrub(json.loads(out.read_text()))
-        out.write_text(json.dumps(report, indent=2, sort_keys=True, default=cli._json_default) + "\n")
-        print(f"{name}: exit {code}")
+    differ = []
+    with tempfile.TemporaryDirectory() as tmp:
+        scratch = pathlib.Path(tmp) / "report.json"
+        for name, cmd in COMMANDS.items():
+            code, text = render(cmd, scratch)
+            out = GOLDEN / name
+            if check:
+                if not out.exists() or out.read_text() != text:
+                    differ.append(name)
+                    print(f"{name}: differs (exit {code})")
+            else:
+                out.write_text(text)
+                print(f"{name}: exit {code}")
+    if check:
+        print(f"{len(COMMANDS) - len(differ)} of {len(COMMANDS)} goldens match")
+    return 1 if differ else 0
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(main())

@@ -32,6 +32,7 @@ from .pbw import (
 )
 from .scalar import Poly, RatFun, lcm_multiples, rat
 from .series import (
+    Tower,
     class3_tower,
     heisenberg_tower,
     hom_phi_u,
@@ -163,12 +164,13 @@ def heisenberg_fact_table() -> tuple[FactTable, LieHom, dict]:
     return table, phi, atoms
 
 
-def class3_fact_table(order: int = 12) -> tuple[FactTable, dict, dict]:
+def class3_fact_table(order: int = 12, tower: Tower | None = None) -> tuple[FactTable, dict, dict]:
     """Facts for the class-3 atoms; invertibility via the series unit
-    criterion (A and B do not commute here, and no commutation is needed)."""
+    criterion (A and B do not commute here, and no commutation is needed).
+    The atom jets live in `tower`, a fresh class3_tower(order) by default."""
     L3 = free_nilpotent_class3()
     atoms = symmetric_pair_atoms(L3)
-    tower = class3_tower(order)
+    tower = tower or class3_tower(order)
     embed = LieHom(L3, [tower.gens[k] for k in ("u", "v", "w", "n1", "n2")], tower.ops())
     jets = {}
 
@@ -536,7 +538,7 @@ def run_certify_nilpotent(order: int = 12, seed: int = DEFAULT_SEED) -> list[dic
     ok = jets_agree(phi_w(lw.make({1: n1})), lz.zero_jet())
     three_plus_n1 = series.bipoly_const(3) + n1
     ok &= jets_agree(phi_w(lw.make({2: three_plus_n1})), lz.make({2: Fraction(3)}))
-    table, atoms, jets = class3_fact_table(order)
+    table, _, jets = class3_fact_table(order, src)
     L3 = table.algebra
     embed_L = LieHom(L3, [src.gens[k] for k in ("u", "v", "w", "n1", "n2")], src.ops())
     ok &= jets_agree(phi_u(embed_L(L3.gen("u"))), lx.monomial(-1))
@@ -593,10 +595,14 @@ def run_certify_nilpotent(order: int = 12, seed: int = DEFAULT_SEED) -> list[dic
             f"{name} invertible; lowest t_v-coefficient is {sign}",
             "freesymmetricresiduallynilpotent", okc and two_sided and low_ok,
             {"audit": trail, "overhead": order - min(inv.trunc, order)}))
+    # the fact checks embed the atoms in `src`; through the cached ops, the S/T
+    # cross-check below reuses the inverses of A and B checked here
+    witnesses = verify_facts(table)
+    ops = cached_inv_ops(lu.ops())
     for name in ("A", "B"):
-        j = embed_L(atoms[name])
+        j = jets[name]
         okc, trail = unit_criterion_audit(j)
-        inv = jet_inv(j)
+        inv = ops.inv(j)
         two_sided = jets_agree(jet_mul(j, inv), lu.one_jet()) and jets_agree(jet_mul(inv, j), lu.one_jet())
         label = "V-w^3/3" if name == "A" else "V+w^3/3"
         verdicts.append(verdict(
@@ -605,9 +611,7 @@ def run_certify_nilpotent(order: int = 12, seed: int = DEFAULT_SEED) -> list[dic
             {"audit": trail, "overhead": order - min(inv.trunc, order)}))
 
     # symmetry of S and T built on u, v, w, with jet substitution cross-check
-    witnesses = verify_facts(table)
     S, T = st_expressions()
-    ops = jets["A"].ring.ops()
     memo: dict = {}
     for name, expr in (("S", S), ("T", T)):
         starred = star(expr, table)
@@ -643,9 +647,10 @@ def run_verify_scaling(lams=(2, 3), seed: int = DEFAULT_SEED, cross_order: int =
 
     for label, L, table, atoms, jets, ops, xo in setups:
         ops = cached_inv_ops(ops)
-        memo: dict = {}
+        memo: dict = {}  # the unscaled S and T, shared by every lambda
         for lam in lams:
             lam = rat(lam)
+            scaled_memo: dict = {}  # released before the next lambda
             sc = scaling_automorphism(L, lam)
             factors = {}
             homogeneous = True
@@ -660,7 +665,7 @@ def run_verify_scaling(lams=(2, 3), seed: int = DEFAULT_SEED, cross_order: int =
                 res = prove_equal(scaled, expr, table)
                 cross = None
                 if res == "equal":
-                    lhs = substitute(scaled, jets, ops, memo)
+                    lhs = substitute(scaled, jets, ops, scaled_memo)
                     rhs = substitute(expr, jets, ops, memo)
                     cross = jets_agree(lhs, rhs, upto=xo)
                 verdicts.append(verdict(

@@ -17,6 +17,15 @@ accumulated from it.  Only exactly-zero coefficients are dropped.  The
 coefficient-ring contract distinguishes the two through RingOps.is_zero
 (known zero) and the optional RingOps.fully_exact.
 
+Clean-jet invariant: every stored order i of a Jet satisfies floor <= i <
+trunc, its coefficient is not an exact zero, and trunc <= EXACT.  The
+public Jet(...) constructor filters to establish it.  jet_add, jet_neg and
+jet_smul build their results through the raw constructor _jet instead and
+check only what can break it there (a sum that cancels, an order that
+reaches trunc), since a nonzero rational multiple of a coefficient that is
+not an exact zero is not one either.  jet_mul and the lifted derivations
+accumulate first and filter once, through the public constructor.
+
 Towers are built by using one JetRing's element ops as the coefficient ring
 of the next level; `lift_derivation` extends an inner derivation across a
 level via delta_s(t_w) = -t_w * delta_s(w) * t_w.
@@ -37,7 +46,7 @@ from .errors import (
     PrecisionExhausted,
 )
 from .rings import RingOps
-from .scalar import Poly
+from .scalar import bipoly_const, bipoly_eps, bipoly_n1, bipoly_n2, bipoly_ops  # noqa: F401
 
 EXACT = 10**9  # truncation sentinel for exactly known jets
 
@@ -172,7 +181,21 @@ class Jet:
         return f"Jet({body}{tail})"
 
 
+_new_jet = Jet.__new__
+
+
+def _jet(ring: JetRing, coeffs: dict, trunc: int) -> Jet:
+    """A Jet around a map that already satisfies the clean-jet invariant."""
+    j = _new_jet(Jet)
+    j.ring = ring
+    j.coeffs = coeffs
+    j.trunc = trunc
+    return j
+
+
 def jet_known_zero(a: Jet) -> bool:
+    if not a.coeffs:
+        return True
     is_zero = a.ring.coeff.is_zero
     return all(is_zero(c) for c in a.coeffs.values())
 
@@ -190,16 +213,26 @@ def _check_ctx(a: Jet, b: Jet):
 
 def jet_add(a: Jet, b: Jet) -> Jet:
     _check_ctx(a, b)
-    out = dict(a.coeffs)
-    add = a.ring.coeff.add
+    ops = a.ring.coeff
+    add, is_zero, exact = ops.add, ops.is_zero, ops.fully_exact
+    trunc = min(a.trunc, b.trunc)
+    out = dict(a.coeffs) if a.trunc == trunc else {
+        i: c for i, c in a.coeffs.items() if i < trunc}
     for i, c in b.coeffs.items():
-        out[i] = add(out[i], c) if i in out else c
-    return Jet(a.ring, out, min(a.trunc, b.trunc))
+        if i in out:
+            s = add(out[i], c)
+            if is_zero(s) and (exact is None or exact(s)):
+                del out[i]
+            else:
+                out[i] = s
+        elif i < trunc:
+            out[i] = c
+    return _jet(a.ring, out, trunc)
 
 
 def jet_neg(a: Jet) -> Jet:
     neg = a.ring.coeff.neg
-    return Jet(a.ring, {i: neg(c) for i, c in a.coeffs.items()}, a.trunc)
+    return _jet(a.ring, {i: neg(c) for i, c in a.coeffs.items()}, a.trunc)
 
 
 def jet_sub(a: Jet, b: Jet) -> Jet:
@@ -208,7 +241,8 @@ def jet_sub(a: Jet, b: Jet) -> Jet:
 
 def jet_smul(q, a: Jet) -> Jet:
     smul = a.ring.coeff.smul
-    return Jet(a.ring, {i: smul(q, c) for i, c in a.coeffs.items()}, a.trunc)
+    # only q = 0 can make exact zeros, and then the public constructor drops them
+    return (_jet if q else Jet)(a.ring, {i: smul(q, c) for i, c in a.coeffs.items()}, a.trunc)
 
 
 def jet_shift(a: Jet, k: int) -> Jet:
@@ -242,25 +276,25 @@ def jet_mul(a: Jet, b: Jet) -> Jet:
     ops = ring.coeff
     trunc = min(_tadd(a.trunc, b.min_ord), _tadd(b.trunc, a.min_ord))
     if not a.coeffs or not b.coeffs:
-        return Jet(ring, {}, min(trunc, EXACT))
+        return _jet(ring, {}, min(trunc, EXACT))
+    add, mul, is_zero = ops.add, ops.mul, ops.is_zero
     delta = ring.delta
     b_min = min(b.coeffs)
     out: dict = {}
 
-    def accumulate(k, c):
-        out[k] = ops.add(out[k], c) if k in out else c
-
     for i, ai in a.coeffs.items():
         if delta is None:
             for j, bj in b.coeffs.items():
-                if i + j < trunc:
-                    accumulate(i + j, ops.mul(ai, bj))
+                k = i + j
+                if k < trunc:
+                    t = mul(ai, bj)
+                    out[k] = add(out[k], t) if k in out else t
             continue
         dm = ai
         max_m = (trunc - i - b_min) - 1 if trunc < EXACT else None
         m = 0
         while True:
-            if ops.is_zero(dm):
+            if is_zero(dm):
                 if not _exact(ops, dm):
                     # the rest of the chain only carries precision caps:
                     # spread one empty product per j over the remaining window
@@ -272,8 +306,8 @@ def jet_mul(a: Jet, b: Jet) -> Jet:
                         cap = None
                         for k in range(i + j + m, hi):
                             if cap is None:
-                                cap = ops.mul(dm, bj)
-                            accumulate(k, cap)
+                                cap = mul(dm, bj)
+                            out[k] = add(out[k], cap) if k in out else cap
                 break
             for j, bj in b.coeffs.items():
                 k = i + j + m
@@ -282,10 +316,12 @@ def jet_mul(a: Jet, b: Jet) -> Jet:
                 kap = _kappa(j, m)
                 if not kap:
                     continue
-                term = ops.mul(dm, bj)
-                if kap != 1:
+                term = mul(dm, bj)
+                if kap == -1:
+                    term = ops.neg(term)
+                elif kap != 1:
                     term = ops.smul(kap, term)
-                accumulate(k, term)
+                out[k] = add(out[k], term) if k in out else term
             m += 1
             if max_m is not None and m > max_m:
                 break
@@ -294,7 +330,7 @@ def jet_mul(a: Jet, b: Jet) -> Jet:
                 trunc = min(trunc, ring.order)
                 break
             dm = delta(dm)
-    return Jet(ring, {k: c for k, c in out.items() if k < trunc}, trunc)
+    return Jet(ring, out, trunc)
 
 
 def jet_inv(a: Jet, order: int | None = None) -> Jet:
@@ -462,6 +498,7 @@ def lift_derivation(
         if a.ring is not jring:
             raise ContextMismatch(f"derivation {name} lifted over {jring!r}")
         ops = jring.coeff
+        add, mul, is_zero = ops.add, ops.mul, ops.is_zero
         out: dict = {}
         trunc = a.trunc
         for i, c in a.coeffs.items():
@@ -469,13 +506,13 @@ def lift_derivation(
             # crossing, so apply it entrywise instead of through jet_mul
             dtwi = d_tw(i)
             for k, ck in dtwi.coeffs.items():
-                term = ops.mul(ck, c)
-                out[k] = ops.add(out[k], term) if k in out else term
+                term = mul(ck, c)
+                out[k] = add(out[k], term) if k in out else term
             trunc = min(trunc, dtwi.trunc)
             if delta_on_coeffs is not None:
                 dc = delta_on_coeffs(c)
-                if not (ops.is_zero(dc) and _exact(ops, dc)):
-                    out[i] = ops.add(out[i], dc) if i in out else dc
+                if not (is_zero(dc) and _exact(ops, dc)):
+                    out[i] = add(out[i], dc) if i in out else dc
         return Jet(jring, out, trunc)
 
     return Derivation(name, fn)
@@ -521,191 +558,6 @@ def fraction_ops() -> RingOps:
         is_zero=lambda a: a == 0,
         inv=lambda a: 1 / a,
         is_unit=lambda a: a != 0,
-    )
-
-
-# -- Q[n1, n2] -----------------------------------------------------------------
-#
-# An element of Q[n1, n2] is a Poly in n2 whose coefficients are Polys in n1
-# with rational coefficients, so generic Poly arithmetic and repr apply to
-# it unchanged.  The ring operations of bipoly_ops work on the coefficient
-# tuples instead: a scalar is stored as an int when it is integral and as a
-# Fraction otherwise (normalized where a sum or product is formed; Fraction
-# inputs that are not normalized are accepted), zero entries are skipped, a
-# product of two single-term operands is one scalar product, and results are
-# wrapped without being stripped again.  Values stay comparable with generically built ones, since
-# 2 == Fraction(2) and both hash alike.  Division never happens on ints:
-# bipoly_eps returns a Fraction and inv divides through Fraction.
-
-_new_poly = Poly.__new__
-_ZERO = Poly()
-
-
-def _wrap(cs: tuple) -> Poly:
-    """A Poly around a coefficient tuple that has no trailing zero."""
-    p = _new_poly(Poly)
-    p.coeffs = cs
-    return p
-
-
-def _q(c):
-    """A rational as an int when it is integral."""
-    return c if type(c) is int or c.denominator != 1 else c.numerator
-
-
-def _u_add(a: tuple, b: tuple) -> tuple:
-    """Sum of two elements of Q[n1] (stripped scalar tuples)."""
-    if len(a) < len(b):
-        a, b = b, a
-    out = list(a)
-    for i, y in enumerate(b):
-        s = out[i] + y
-        out[i] = s if type(s) is int or s.denominator != 1 else s.numerator
-    if len(a) == len(b):
-        while out and not out[-1]:
-            out.pop()
-    return tuple(out)
-
-
-def _u_scale(a: tuple, q) -> tuple:
-    """a * q for a nonzero scalar q."""
-    out = []
-    for x in a:
-        r = x * q
-        out.append(r if type(r) is int or r.denominator != 1 else r.numerator)
-    return tuple(out)
-
-
-def _u_mul(a: tuple, b: tuple) -> tuple:
-    """Product of two nonzero elements of Q[n1]."""
-    if len(a) == 1:
-        return _u_scale(b, a[0])
-    if len(b) == 1:
-        return _u_scale(a, b[0])
-    out = [0] * (len(a) + len(b) - 1)
-    for j, y in enumerate(b):
-        if y:
-            for i, x in enumerate(a, j):
-                if x:
-                    out[i] += x * y
-    return tuple([c if type(c) is int or c.denominator != 1 else c.numerator for c in out])
-
-
-def _bp_add(a: Poly, b: Poly) -> Poly:
-    A, B = a.coeffs, b.coeffs
-    if not B:
-        return a
-    if not A:
-        return b
-    if len(A) < len(B):
-        A, B = B, A
-    out = list(A)
-    for i, y in enumerate(B):
-        yc = y.coeffs
-        if yc:
-            s = _u_add(out[i].coeffs, yc)
-            out[i] = _wrap(s) if s else _ZERO
-    if len(A) == len(B):
-        while out and not out[-1].coeffs:
-            out.pop()
-    return _wrap(tuple(out))
-
-
-def _bp_neg(a: Poly) -> Poly:
-    return _wrap(tuple([_wrap(tuple([-x for x in p.coeffs])) if p.coeffs else _ZERO
-                        for p in a.coeffs]))
-
-
-def _bp_scale(q, a: Poly) -> Poly:
-    q = _q(q)
-    if not q or not a.coeffs:
-        return _ZERO
-    if q == 1:
-        return a
-    return _wrap(tuple([_wrap(_u_scale(p.coeffs, q)) if p.coeffs else _ZERO
-                        for p in a.coeffs]))
-
-
-def _bp_mul(a: Poly, b: Poly) -> Poly:
-    A, B = a.coeffs, b.coeffs
-    if not A or not B:
-        return _ZERO
-    i, k = len(A) - 1, len(B) - 1
-    x, y = A[i].coeffs, B[k].coeffs
-    j, m = len(x) - 1, len(y) - 1
-    # zero entries are usually the shared _ZERO, so count() seldom calls __eq__
-    if ((not i or A[:i].count(_ZERO) == i) and (not j or x.count(0) == j)
-            and (not k or B[:k].count(_ZERO) == k) and (not m or y.count(0) == m)):
-        # single term times single term: c n2^i n1^j * d n2^k n1^m
-        r = x[j] * y[m]
-        if type(r) is not int and r.denominator == 1:
-            r = r.numerator
-        return _wrap((_ZERO,) * (i + k) + (_wrap((0,) * (j + m) + (r,)),))
-    out: list = [None] * (len(A) + len(B) - 1)
-    for j, y in enumerate(B):
-        yc = y.coeffs
-        if yc:
-            for i, x in enumerate(A, j):
-                xc = x.coeffs
-                if xc:
-                    p = _u_mul(xc, yc)
-                    out[i] = p if out[i] is None else _u_add(out[i], p)
-    return _wrap(tuple([_wrap(c) if c else _ZERO for c in out]))
-
-
-def bipoly_const(q) -> Poly:
-    """Constant of Q[n1, n2] realized as Poly-over-Poly (outer = n2), its
-    scalar an int when integral."""
-    q = _q(Fraction(q))
-    if not q:
-        return _ZERO
-    return _wrap((_wrap((q,)),))
-
-
-def bipoly_n1() -> Poly:
-    """The generator n1, the inner variable."""
-    return _wrap((_wrap((0, 1)),))
-
-
-def bipoly_n2() -> Poly:
-    """The generator n2, the outer variable."""
-    return _wrap((_ZERO, _wrap((1,))))
-
-
-def bipoly_eps(f: Poly) -> Fraction:
-    """Augmentation of Q[n1, n2]: the constant-constant coefficient, always
-    a Fraction (it feeds Q((t_z)), whose inverse divides)."""
-    if not f:
-        return Fraction(0)
-    inner = f.coeffs[0]
-    if not inner:
-        return Fraction(0)
-    return Fraction(inner.coeffs[0])
-
-
-def bipoly_ops() -> RingOps:
-    """Q[n1, n2] through the kernel above; the units are the nonzero
-    constants."""
-
-    def is_unit(f: Poly) -> bool:
-        return f.degree == 0 and f.coeffs[0].degree == 0
-
-    def inv(f: Poly) -> Poly:
-        if not is_unit(f):
-            raise LowestCoeffNotUnit("nonconstant polynomial is not a unit", f)
-        return bipoly_const(1 / Fraction(f.coeffs[0].coeffs[0]))
-
-    return RingOps(
-        name="Q[n1,n2]",
-        zero=_ZERO,
-        one=bipoly_const(1),
-        add=_bp_add,
-        neg=_bp_neg,
-        mul=_bp_mul,
-        smul=_bp_scale,
-        is_zero=lambda a: not a.coeffs,
-        inv=inv,
-        is_unit=is_unit,
     )
 
 

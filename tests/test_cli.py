@@ -89,6 +89,9 @@ def test_report_independent_of_hash_seed():
         ("nilpotent.json", ["certify", "nilpotent", "--order", "10"], 0),
         ("cauchon.json",
          ["certify", "cauchon", "--alpha", "5/6", "--beta", "1/6", "--shift", "2"], 0),
+        # the defaults, which the benchmark runs
+        ("nilpotent_default.json", ["certify", "nilpotent"], 0),
+        ("scaling_default.json", ["verify", "scaling"], 0),
     ],
 )
 def test_golden_reports(name, argv, want_code, capsys):
@@ -183,6 +186,8 @@ def test_check_algebra_command(tmp_path, capsys):
         ["certify", "nilpotent", "--order", "0"],
         ["certify", "nilpotent", "--order", "-2"],
         ["verify", "scaling", "--order", "0"],
+        ["verify", "scaling", "--lambda", "1/0"],
+        ["certify", "cauchon", "--alpha", "1/0", "--beta", "1"],
     ],
 )
 def test_bad_input_is_a_one_line_error(argv, capsys, tmp_path, monkeypatch):

@@ -3,9 +3,9 @@
 from fractions import Fraction as F
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
-from skewcert import series
+from skewcert import scalar, series
 from skewcert.errors import (
     CompatibilityFailure,
     ContextMismatch,
@@ -384,3 +384,111 @@ def test_bipoly_eps_and_inverse_are_exact(q):
     assert_kernel_value(ops.mul(inv, c), {(0, 0): F(1)})
     # an integral constant given as an unnormalized Fraction inverts exactly too
     assert ops.inv(bipoly_from_terms({(0, 0): F(3)})) == bipoly_const(F(1, 3))
+
+
+# -- int-first scalar products and clean jets ------------------------------------
+
+rationals = st.one_of(
+    st.integers(-60, 60),
+    st.builds(F, st.integers(-60, 60), st.integers(1, 12)),
+    st.builds(F, st.integers(-60, 60)),  # integral but not normalized
+)
+
+
+@settings(max_examples=300)
+@given(rationals, rationals)
+@example(0, F(5, 7))
+@example(F(-5, 7), 0)
+@example(F(2, 3), F(3, 2))
+@example(F(-4, 3), 3)
+@example(-6, F(5, 3))
+@example(F(-1, 2), -2)
+@example(F(-7, 6), F(-12, 7))
+def test_qmul_matches_fraction_arithmetic(x, y):
+    got = scalar._qmul(x, y)
+    want = F(x) * F(y)
+    assert got == want
+    if want.denominator == 1:
+        assert type(got) is int
+    else:
+        assert type(got) is F and got.denominator == want.denominator
+
+
+def assert_clean(x):
+    """The clean-jet invariant, down every level: refiltering through the
+    public constructor changes neither the coefficients nor trunc."""
+    if not isinstance(x, Jet):
+        return
+    again = Jet(x.ring, dict(x.coeffs), x.trunc)
+    assert again.coeffs == x.coeffs and again.trunc == x.trunc
+    for c in x.coeffs.values():
+        assert_clean(c)
+
+
+TOWERS = {"class3": class3_tower(4), "heisenberg": heisenberg_tower(4)}
+
+
+def draw_jet(data, tower, level: int) -> Jet:
+    """A random element of tower.levels[level] built through the public
+    constructors; exact zeros, inexact zeros and finite truncs included."""
+    ring = tower.levels[level]
+    coeffs = {}
+    for i in data.draw(st.lists(st.integers(-2, 4), max_size=3)):
+        if level:
+            coeffs[i] = draw_jet(data, tower, level - 1)
+        elif ring.coeff.name == "Q":
+            coeffs[i] = data.draw(rationals.map(F))
+        else:
+            coeffs[i] = bipoly_from_terms(data.draw(
+                st.dictionaries(st.tuples(st.integers(0, 1), st.integers(0, 1)), rationals, max_size=2)))
+    return Jet(ring, coeffs, data.draw(st.sampled_from([series.EXACT, 5, 3, 1])))
+
+
+@settings(max_examples=150)
+@given(st.sampled_from(sorted(TOWERS)), st.integers(0, 2), st.data())
+def test_jet_operations_keep_jets_clean(name, level, data):
+    tower = TOWERS[name]
+    ring = tower.levels[level]
+    a, b = draw_jet(data, tower, level), draw_jet(data, tower, level)
+    outputs = [jet_add(a, b), jet_add(a, jet_neg(a)), jet_neg(a), jet_sub(a, b),
+               jet_mul(a, b), jet_mul(b, a)]
+    outputs += [jet_smul(q, a) for q in (0, -1, 2, F(-3, 4))]
+    if ring.delta is not None:
+        below = draw_jet(data, tower, level - 1)
+        outputs += [ring.delta(below), ring.delta(ring.delta(below))]
+    # a unit 1 + x with x = a shifted to positive orders, and (1 + x)(1 - x),
+    # whose orders of x cancel
+    x = jet_shift(a, 1 - a.min_ord) if a.coeffs else a
+    one = ring.one_jet()
+    outputs += [jet_inv(jet_add(one, x)), jet_mul(jet_add(one, x), jet_sub(one, x))]
+    try:
+        outputs.append(jet_inv(a))
+    except (LowestCoeffNotUnit, PrecisionExhausted):
+        pass
+    for x in outputs:
+        assert_clean(x)
+
+
+def test_lifted_derivation_drops_cancelled_and_truncated_orders():
+    tower = class3_tower(4)
+    lw, lv, lu = tower.levels
+    # delta_v(t_w^2) sits at order 3, which a jet known below 3 cannot hold
+    d = lv.delta(lw.make({2: bipoly_const(1)}, 3))
+    assert d.coeffs == {} and d.trunc == 3
+    # delta_u(t_v^-3) and delta_u(t_v^-2) c both reach t_v^-1; choose c so
+    # that the two contributions cancel exactly
+    delta_u = lu.delta
+    c3 = delta_u(lv.monomial(-3)).coeffs[-1]  # 3 n2
+    c2 = delta_u(lv.monomial(-2)).coeffs[-1]  # 2 t_w^-1, exactly invertible
+    assert c2.coeffs == {-1: bipoly_const(2)} and c2.trunc == series.EXACT
+    c = jet_neg(jet_mul(lw.monomial(1, bipoly_const(F(1, 2))), c3))
+    d = delta_u(lv.make({-3: lw.one_jet(), -2: c}))
+    assert -1 not in d.coeffs
+    assert_clean(d)
+    assert jets_agree(d, jet_add(delta_u(lv.monomial(-3)), delta_u(lv.make({-2: c}))))
+
+
+def test_product_below_floor_raises():
+    ring = JetRing(fraction_ops(), None, "t", 8, floor=-2)
+    with pytest.raises(PrecisionExhausted):
+        jet_mul(ring.monomial(-2), ring.monomial(-1))

@@ -195,3 +195,23 @@ def test_class3_table_has_no_false_commutation():
     S, T = st_expressions()
     assert prove_equal(star(S, table), S, table) == "equal"
     assert prove_equal(star(T, table), T, table) == "equal"
+
+
+def test_nilpotent_inverts_each_top_level_jet_once(monkeypatch):
+    # w+v^2, w-v^2, A and B are inverted for their verdicts; the S/T cross-
+    # check reuses the checked inverses of A and B and inverts C and E once
+    from skewcert import harness, series
+
+    top = []
+    real = series.jet_inv
+
+    def counting(a, *args, **kwargs):
+        if a.ring.var == "t_u":
+            top.append(a)
+        return real(a, *args, **kwargs)
+
+    monkeypatch.setattr(series, "jet_inv", counting)
+    monkeypatch.setattr(harness, "jet_inv", counting)
+    verdicts = harness.run_certify_nilpotent(10)
+    assert [v["verdict"] for v in verdicts] == ["certified"] * 7 + ["equal"] * 2
+    assert len(top) == 6
