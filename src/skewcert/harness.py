@@ -8,7 +8,7 @@ The heavy objects (towers, atom inverses) are built once per pipeline run.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable
 
@@ -45,7 +45,6 @@ from .series import (
     unit_criterion_audit,
 )
 from .skewfrac import (
-    PJet,
     ShiftAut,
     SkewFrac,
     build_heisenberg_images,
@@ -72,23 +71,6 @@ from .symcert import (
 )
 
 DEFAULT_SEED = 1729
-
-
-def cached_inv_ops(ops):
-    """Memoize inversion per value identity, so rescaled expressions reuse
-    the inverses of their unscaled atoms."""
-    if ops.inv is None:
-        return ops
-    cache: dict = {}
-    base = ops.inv
-
-    def inv(x):
-        k = id(x)
-        if k not in cache:
-            cache[k] = (x, base(x))
-        return cache[k][1]
-
-    return replace(ops, inv=inv)
 
 
 def verdict(claim: str, paper_label: str, ok, data=None) -> dict:
@@ -380,7 +362,7 @@ def twodim_cross_check(values, cross_order: int):
         rhs = substitute(expr, jet_values, pj_ops, memo_j)
         exact = substitute(starred, values, sf_ops, memo_x) == substitute(expr, values, sf_ops, memo_x)
         return {"jet_cross_check_order": cross_order,
-                "jet_cross_check": pjets_agree(lhs, rhs, cross_order),
+                "jet_cross_check": jets_agree(lhs, rhs, cross_order),
                 "exact_cross_check": exact}
 
     return check
@@ -474,16 +456,7 @@ def run_certify_skew(preset: SkewPreset, max_word_len: int = 3, order: int = 32,
     return verdicts
 
 
-def pjets_agree(a: PJet, b: PJet, upto: int | None = None) -> bool:
-    window = min(a.trunc, b.trunc)
-    if upto is not None:
-        window = min(window, upto)
-    for i in set(a.coeffs) | set(b.coeffs):
-        if i >= window:
-            continue
-        if a.coeffs.get(i) != b.coeffs.get(i):
-            return False
-    return True
+pjets_agree = jets_agree  # p-jets are series jets
 
 
 def run_certify_groupring(max_word_len: int = 6, seed: int = DEFAULT_SEED) -> list[dict]:
@@ -595,14 +568,15 @@ def run_certify_nilpotent(order: int = 12, seed: int = DEFAULT_SEED) -> list[dic
             f"{name} invertible; lowest t_v-coefficient is {sign}",
             "freesymmetricresiduallynilpotent", okc and two_sided and low_ok,
             {"audit": trail, "overhead": order - min(inv.trunc, order)}))
-    # the fact checks embed the atoms in `src`; through the cached ops, the S/T
-    # cross-check below reuses the inverses of A and B checked here
+    # the fact checks embed the atoms in `src`; seeded into the memo, the
+    # inverses of A and B checked here serve the S/T cross-check below
     witnesses = verify_facts(table)
-    ops = cached_inv_ops(lu.ops())
+    ops = lu.ops()
+    memo: dict = {}
     for name in ("A", "B"):
         j = jets[name]
         okc, trail = unit_criterion_audit(j)
-        inv = ops.inv(j)
+        inv = memo[Inv(Atom(name))] = jet_inv(j)
         two_sided = jets_agree(jet_mul(j, inv), lu.one_jet()) and jets_agree(jet_mul(inv, j), lu.one_jet())
         label = "V-w^3/3" if name == "A" else "V+w^3/3"
         verdicts.append(verdict(
@@ -612,7 +586,6 @@ def run_certify_nilpotent(order: int = 12, seed: int = DEFAULT_SEED) -> list[dic
 
     # symmetry of S and T built on u, v, w, with jet substitution cross-check
     S, T = st_expressions()
-    memo: dict = {}
     for name, expr in (("S", S), ("T", T)):
         starred = star(expr, table)
         res = prove_equal(starred, expr, table)
@@ -646,11 +619,12 @@ def run_verify_scaling(lams=(2, 3), seed: int = DEFAULT_SEED, cross_order: int =
         setups.append(("class-3", c_table.algebra, c_table, c_atoms, c_jets, c_jets["A"].ring.ops(), class3_order))
 
     for label, L, table, atoms, jets, ops, xo in setups:
-        ops = cached_inv_ops(ops)
-        memo: dict = {}  # the unscaled S and T, shared by every lambda
+        memo: dict = {}  # the unscaled S and T with their atoms' inverses
+        for expr in (S, T):
+            substitute(expr, jets, ops, memo)
         for lam in lams:
             lam = rat(lam)
-            scaled_memo: dict = {}  # released before the next lambda
+            scaled_memo = dict(memo)  # released before the next lambda
             sc = scaling_automorphism(L, lam)
             factors = {}
             homogeneous = True
@@ -666,8 +640,7 @@ def run_verify_scaling(lams=(2, 3), seed: int = DEFAULT_SEED, cross_order: int =
                 cross = None
                 if res == "equal":
                     lhs = substitute(scaled, jets, ops, scaled_memo)
-                    rhs = substitute(expr, jets, ops, memo)
-                    cross = jets_agree(lhs, rhs, upto=xo)
+                    cross = jets_agree(lhs, memo[expr], upto=xo)
                 verdicts.append(verdict(
                     f"{ename}' = {ename} under lambda = {lam} ({label} atoms)",
                     "freesymmetricOre",
@@ -822,21 +795,21 @@ def prop_fraction_jet_cross(seed: int, n: int = 8, order: int = 32,
     _, u = cauchon_pair(*skewfrac.HEISENBERG_CONSTRUCTION)
     for a, b in ((sbar, u), (u, tbar), (tbar, u.inv())):
         ja, jb = sf_to_pjet(a, order), sf_to_pjet(b, order)
-        if not pjets_agree(sf_to_pjet(a * b, order), ja * jb):
+        if not jets_agree(sf_to_pjet(a * b, order), ja * jb):
             return False, f"pjet multiplication disagrees at order {order}"
-        if not pjets_agree(sf_to_pjet(a + b, order), ja + jb):
+        if not jets_agree(sf_to_pjet(a + b, order), ja + jb):
             return False, f"pjet addition disagrees at order {order}"
-        if not pjets_agree(sf_to_pjet(a.inv(), order), ja.inv()):
+        if not jets_agree(sf_to_pjet(a.inv(), order), ja.inv()):
             return False, f"pjet inversion disagrees at order {order}"
     for _ in range(n):
         a = _small_skewfrac(rnd, aut, 2)
         b = _small_skewfrac(rnd, aut, 2)
         ja, jb = sf_to_pjet(a, fuzz_order), sf_to_pjet(b, fuzz_order)
-        if not pjets_agree(sf_to_pjet(a * b, fuzz_order), ja * jb):
+        if not jets_agree(sf_to_pjet(a * b, fuzz_order), ja * jb):
             return False, "pjet multiplication disagrees with exact multiplication"
-        if not pjets_agree(sf_to_pjet(a + b, fuzz_order), ja + jb):
+        if not jets_agree(sf_to_pjet(a + b, fuzz_order), ja + jb):
             return False, "pjet addition disagrees with exact addition"
-        if not pjets_agree(sf_to_pjet(a.inv(), fuzz_order), ja.inv()):
+        if not jets_agree(sf_to_pjet(a.inv(), fuzz_order), ja.inv()):
             return False, "pjet inversion disagrees with exact inversion"
     ring = skewfrac.weyl_jet_ring(12)
     for _ in range(3):

@@ -1,8 +1,13 @@
-"""Truncated skew power/Laurent series over an abstract coefficient ring
-with a derivation: jets in R((t; delta)) with the crossing rule
+"""Truncated skew power/Laurent series over an abstract coefficient ring,
+the one series kernel of the package.  A ring twists its crossing rule by
+a derivation, jets in R((t; delta)) with
 
     a * t = t*a - t*delta(a)*t = sum_{m>=0} t^(1+m) (-1)^m delta^m(a),
-    a * t^-1 = t^-1 * a + delta(a).
+    a * t^-1 = t^-1 * a + delta(a),
+
+or by an automorphism sigma, given as sigma(a, j) = sigma^j(a), jets in
+R((t; sigma)) with t^i a * t^j b = t^(i+j) sigma^j(a) b (the p-jets of
+K(p;sigma) in `skewfrac`, where PJet is another name for Jet).
 
 Jets store a sparse {order: coefficient} map plus a truncation order: all
 stored coefficients are correct within their own windows, orders >= trunc
@@ -82,8 +87,8 @@ def check_leibniz(delta: Derivation, ops: RingOps, pairs) -> tuple[bool, Any]:
 
 
 class JetRing:
-    """Ring context for jets: coefficient ops, optional derivation, variable
-    name, working order and Laurent floor."""
+    """Ring context for jets: coefficient ops, optional derivation or
+    automorphism (not both), variable name, working order and Laurent floor."""
 
     def __init__(
         self,
@@ -92,15 +97,17 @@ class JetRing:
         var: str,
         order: int,
         floor: int = -8,
+        sigma: Optional[Callable[[Any, int], Any]] = None,
     ):
         self.coeff = coeff
         self.delta = delta
         self.var = var
         self.order = order
         self.floor = floor
+        self.sigma = sigma
 
     def __repr__(self):
-        d = self.delta.name if self.delta else "0"
+        d = self.delta.name if self.delta else "sigma" if self.sigma else "0"
         return f"JetRing({self.coeff.name}(({self.var}; {d})), order={self.order}, floor={self.floor})"
 
     def make(self, coeffs: dict, trunc: int = EXACT) -> "Jet":
@@ -179,6 +186,15 @@ class Jet:
             return f"Jet(0{tail})"
         body = " + ".join(f"{self.ring.var}^{i}*[{c!r}]" for i, c in shown)
         return f"Jet({body}{tail})"
+
+    def __add__(self, other: "Jet") -> "Jet":
+        return jet_add(self, other)
+
+    def __mul__(self, other: "Jet") -> "Jet":
+        return jet_mul(self, other)
+
+    def inv(self) -> "Jet":
+        return jet_inv(self)
 
 
 _new_jet = Jet.__new__
@@ -266,7 +282,8 @@ def _kappa(j: int, m: int) -> int:
 
 
 def jet_mul(a: Jet, b: Jet) -> Jet:
-    """(t^i a)(t^j b) = sum_m kappa(j, m) t^(i+j+m) delta^m(a) b, truncated.
+    """(t^i a)(t^j b) = sum_m kappa(j, m) t^(i+j+m) delta^m(a) b, truncated;
+    t^(i+j) sigma^j(a) b in a ring twisted by sigma.
 
     The delta chain per left coefficient stops only at an exact zero; an
     inexact zero keeps flowing so its finite precision reaches the output.
@@ -278,7 +295,7 @@ def jet_mul(a: Jet, b: Jet) -> Jet:
     if not a.coeffs or not b.coeffs:
         return _jet(ring, {}, min(trunc, EXACT))
     add, mul, is_zero = ops.add, ops.mul, ops.is_zero
-    delta = ring.delta
+    delta, sigma = ring.delta, ring.sigma
     b_min = min(b.coeffs)
     out: dict = {}
 
@@ -287,7 +304,7 @@ def jet_mul(a: Jet, b: Jet) -> Jet:
             for j, bj in b.coeffs.items():
                 k = i + j
                 if k < trunc:
-                    t = mul(ai, bj)
+                    t = mul(sigma(ai, j) if sigma else ai, bj)
                     out[k] = add(out[k], t) if k in out else t
             continue
         dm = ai
@@ -333,13 +350,15 @@ def jet_mul(a: Jet, b: Jet) -> Jet:
     return Jet(ring, out, trunc)
 
 
-def jet_inv(a: Jet, order: int | None = None) -> Jet:
-    """Two-sided inverse modulo the available precision.
+def jet_inv(a: Jet) -> Jet:
+    """Two-sided inverse modulo the available precision, at most the ring's
+    working order.
 
     Requires the lowest nonzero coefficient to be a unit of the coefficient
     ring (recursively, in towers); raises LowestCoeffNotUnit carrying the
     offending coefficient otherwise.  A nonzero lowest order m costs 2m of
-    precision relative to the working order."""
+    precision.  Under sigma the pivot of order n is sigma^n(c0)^-1, and the
+    final right factor t^-m twists every coefficient by sigma^-m."""
     ring = a.ring
     ops = ring.coeff
     m = a.nonzero_min_ord()
@@ -356,11 +375,11 @@ def jet_inv(a: Jet, order: int | None = None) -> Jet:
         )
     if ops.inv is None:
         raise LowestCoeffNotUnit(f"{ops.name} has no inversion", c0)
-    target = min(_tadd(a.trunc, -2 * m), order if order is not None else ring.order)
+    target = min(_tadd(a.trunc, -2 * m), ring.order)
     n_ord = target + m  # d is computed for orders 0 .. n_ord-1
     c = {i - m: ci for i, ci in a.coeffs.items()}
     c0_inv = ops.inv(c0)
-    delta = ring.delta
+    delta, sigma = ring.delta, ring.sigma
     dtab: dict = {i: [ci] for i, ci in c.items()}
 
     def dpow(i, k):
@@ -379,7 +398,7 @@ def jet_inv(a: Jet, order: int | None = None) -> Jet:
                 ci = c.get(rem)
                 if ci is None:
                     continue
-                term = ops.neg(ops.mul(ci, dj))
+                term = ops.neg(ops.mul(sigma(ci, j) if sigma else ci, dj))
                 acc = term if acc is None else ops.add(acc, term)
             else:
                 for i in c:
@@ -401,7 +420,7 @@ def jet_inv(a: Jet, order: int | None = None) -> Jet:
             continue
         if ops.is_zero(acc) and _exact(ops, acc):
             continue
-        d[n] = ops.mul(c0_inv, acc)
+        d[n] = ops.mul(sigma(c0_inv, n) if sigma else c0_inv, acc)
     dj = Jet(ring, d, max(0, n_ord))
     if m == 0:
         return dj
@@ -518,27 +537,18 @@ def lift_derivation(
     return Derivation(name, fn)
 
 
-def series_hom(
-    a: Jet,
-    phi: Callable[[Any], Any],
-    target: JetRing,
-    check_compat: bool = True,
-    extra_samples=(),
-) -> Jet:
+def series_hom(a: Jet, phi: Callable[[Any], Any], target: JetRing) -> Jet:
     """Coefficientwise map sum t_w^i a_i -> sum t_z^i phi(a_i).
 
-    When check_compat is set, phi(delta_w(a)) = delta_z(phi(a)) is verified
-    on every coefficient actually mapped (plus extra_samples); a failure
-    raises CompatibilityFailure carrying the witness coefficient."""
+    phi(delta_w(a)) = delta_z(phi(a)) is verified on every coefficient
+    actually mapped; a failure raises CompatibilityFailure carrying the
+    witness coefficient."""
     src = a.ring
-    if check_compat:
-        for c in list(a.coeffs.values()) + list(extra_samples):
-            lhs = phi(src.delta(c)) if src.delta else target.coeff.zero
-            rhs = target.delta(phi(c)) if target.delta else target.coeff.zero
-            if not target.coeff.eq(lhs, rhs):
-                raise CompatibilityFailure(
-                    "coefficient map does not intertwine the derivations", c
-                )
+    for c in a.coeffs.values():
+        lhs = phi(src.delta(c)) if src.delta else target.coeff.zero
+        rhs = target.delta(phi(c)) if target.delta else target.coeff.zero
+        if not target.coeff.eq(lhs, rhs):
+            raise CompatibilityFailure("coefficient map does not intertwine the derivations", c)
     out = {i: phi(c) for i, c in a.coeffs.items()}
     return Jet(target, out, a.trunc)
 
@@ -583,11 +593,10 @@ def tower_floor(order: int) -> int:
     return -(2 * order + 16)
 
 
-def heisenberg_tower(order: int = 16, floor: int | None = None) -> Tower:
+def heisenberg_tower(order: int = 16) -> Tower:
     """Q((t_z))((t_y))((t_x; delta_x)) with delta_x the inner derivation
     lifted through both completions; x, y, z embed as inverse variables."""
-    if floor is None:
-        floor = tower_floor(order)
+    floor = tower_floor(order)
     lz = JetRing(fraction_ops(), None, "t_z", order, floor)
     ly = JetRing(lz.ops(), None, "t_y", order, floor)
     z_as_coeff = lz.monomial(-1)  # the image of z inside Q((t_z))
@@ -599,12 +608,11 @@ def heisenberg_tower(order: int = 16, floor: int | None = None) -> Tower:
     return Tower([lz, ly, lx], lx, {"x": x, "y": y, "z": z, "delta_x": delta_x})
 
 
-def class3_tower(order: int = 12, floor: int | None = None) -> Tower:
+def class3_tower(order: int = 12) -> Tower:
     """U(N)((t_w))((t_v; delta_v))((t_u; delta_u)) for the free nilpotent
     class-3 algebra on two generators; N = span(n1, n2) is central abelian,
     so U(N) = Q[n1, n2] and all inner derivations vanish on it."""
-    if floor is None:
-        floor = tower_floor(order)
+    floor = tower_floor(order)
     un = bipoly_ops()
     lw = JetRing(un, None, "t_w", order, floor)
     delta_v = lift_derivation(lw, None, bipoly_n2(), "delta_v")  # [w, v] = n2

@@ -5,19 +5,23 @@ explicit generators used throughout the certifications.
 Canonical form: monic denominator, no common left divisor of positive
 degree.  Equality is structural equality of canonical forms.
 
-Two series expansions of K(p;sigma) are provided:
+Two series expansions of K(p;sigma) are provided, both as jets of the one
+series kernel in `series`:
 
-* `PJet` — truncated Laurent series in p with Q(t) coefficients and the
-  automorphism crossing a*p = p*sigma(a).  This is the cheap path used as a
-  pre-filter in freeness runs and as an independent arithmetic cross-oracle.
+* `pjet_ring`/`sf_to_pjet` — truncated Laurent series in p with Q(t)
+  coefficients and the automorphism crossing a*p = p*sigma(a), a
+  `series.JetRing` twisted by sigma.  `PJet` is another name for
+  `series.Jet`.  This is the cheap path used as a pre-filter in freeness
+  runs and as an independent arithmetic cross-oracle.
 * `weyl_jet_ring`/`sf_to_weyl_jet` — the differential-operator model: p maps
   to the inverse series variable and t to (that) * X over the coefficient
   field Q(X) with derivation -d/dX, giving an expansion inside the
-  derivation-twisted series rings of the `series` module.
+  derivation-twisted series rings.
 """
 
 from __future__ import annotations
 
+import functools
 from fractions import Fraction
 
 from . import series
@@ -247,88 +251,40 @@ def build_twodim_images() -> tuple[SkewFrac, SkewFrac]:
 # -- sigma-twisted jets (fast expansion of K(p;sigma)) ------------------------
 
 
-class PJet:
-    """Truncated Laurent series sum_{i >= min_ord} p^i a_i + O(p^trunc) with
-    a_i in Q(t) and the crossing a*p = p*sigma(a).  Exact modulo p^trunc."""
-
-    __slots__ = ("aut", "coeffs", "trunc")
-
-    def __init__(self, aut: ShiftAut, coeffs: dict, trunc: int):
-        self.aut = aut
-        self.coeffs = {i: a for i, a in coeffs.items() if a and i < trunc}
-        self.trunc = trunc
-
-    @property
-    def min_ord(self) -> int:
-        return min(self.coeffs) if self.coeffs else self.trunc
-
-    def _check(self, other: "PJet"):
-        if self.aut != other.aut:
-            raise AutMismatch(f"{self.aut} vs {other.aut}")
-
-    def __add__(self, other: "PJet") -> "PJet":
-        self._check(other)
-        out = dict(self.coeffs)
-        for i, a in other.coeffs.items():
-            out[i] = out.get(i, RF_ZERO) + a
-        return PJet(self.aut, out, min(self.trunc, other.trunc))
-
-    def __neg__(self) -> "PJet":
-        return PJet(self.aut, {i: -a for i, a in self.coeffs.items()}, self.trunc)
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def __mul__(self, other: "PJet") -> "PJet":
-        self._check(other)
-        if not self.coeffs or not other.coeffs:
-            return PJet(self.aut, {}, min(self.trunc + other.min_ord, other.trunc + self.min_ord))
-        trunc = min(self.trunc + other.min_ord, other.trunc + self.min_ord)
-        out: dict = {}
-        for i, a in self.coeffs.items():
-            for j, b in other.coeffs.items():
-                k = i + j
-                if k >= trunc:
-                    continue
-                c = self.aut.apply(a, j) * b
-                out[k] = out.get(k, RF_ZERO) + c
-        return PJet(self.aut, out, trunc)
-
-    def smul(self, q) -> "PJet":
-        f = RatFun.const(q) if isinstance(q, (int, Fraction)) else q
-        return PJet(self.aut, {i: f * a for i, a in self.coeffs.items()}, self.trunc)
-
-    def inv(self) -> "PJet":
-        """Triangular inversion; lowest coefficient must be nonzero (it is a
-        unit of the field Q(t)).  Loses 2*min_ord of precision when shifted."""
-        if not self.coeffs:
-            raise InvertZero("inverse of (known-)zero jet")
-        m = self.min_ord
-        # c = p^-m * self has min_ord 0 and unit constant term
-        c = {i - m: a for i, a in self.coeffs.items()}
-        n_ord = self.trunc - m
-        c0 = c[0]
-        d: dict = {}
-        aut = self.aut
-        for n in range(n_ord):
-            acc = RatFun.const(1) if n == 0 else RF_ZERO
-            for j, dj in d.items():
-                ci = c.get(n - j)
-                if ci:
-                    acc = acc - aut.apply(ci, j) * dj
-            if acc:
-                d[n] = aut.apply(c0, n).inv() * acc
-        # self^{-1} = d * p^{-m}: right multiplication twists by sigma^{-m}
-        out = {j - m: aut.apply(a, -m) for j, a in d.items()}
-        return PJet(aut, out, n_ord - m)
-
-    def __repr__(self):
-        items = ", ".join(f"p^{i}: {a.to_str()}" for i, a in sorted(self.coeffs.items()))
-        return f"PJet({{{items}}}, O(p^{self.trunc}))"
+def ratfun_ops() -> RingOps:
+    """Q(t) as a coefficient ring of series jets."""
+    return RingOps(
+        name="Q(t)",
+        zero=RF_ZERO,
+        one=RF_ONE,
+        add=lambda a, b: a + b,
+        neg=lambda a: -a,
+        mul=lambda a, b: a * b,
+        smul=lambda q, a: a * q,
+        is_zero=lambda a: not a,
+        inv=lambda a: a.inv(),
+        is_unit=lambda a: bool(a),
+    )
 
 
-def pjet_from_poly(f: SkewPoly, trunc: int) -> PJet:
-    return PJet(f.aut, dict(enumerate(f.coeffs)), trunc)
+@functools.lru_cache(maxsize=None)
+def pjet_ring(aut: ShiftAut, order: int) -> series.JetRing:
+    """Laurent series in p over Q(t) with the crossing a*p = p*sigma(a),
+    one ring per (aut, order) so that jets built apart can be combined."""
+    return series.JetRing(ratfun_ops(), None, "p", order, floor=-series.EXACT, sigma=aut.apply)
+
+
+def pjet_ring_ops(aut: ShiftAut, order: int) -> RingOps:
+    return pjet_ring(aut, order).ops()
+
+
+# p-jets are series jets over pjet_ring; perfbench/spans.py wraps PJet.__mul__
+# and PJet.inv by this name
+PJet = series.Jet
+
+
+def _poly_jet(f: SkewPoly, ring: series.JetRing, trunc: int) -> PJet:
+    return ring.make(dict(enumerate(f.coeffs)), trunc)
 
 
 def sf_to_pjet(x: SkewFrac, order: int) -> PJet:
@@ -340,9 +296,8 @@ def sf_to_pjet(x: SkewFrac, order: int) -> PJet:
     """
     val = next(i for i, a in enumerate(x.den.coeffs) if a)
     pad = order + 2 * val
-    dj = pjet_from_poly(x.den, pad)
-    nj = pjet_from_poly(x.num, pad)
-    return dj.inv() * nj
+    ring = pjet_ring(x.aut, order)
+    return _poly_jet(x.den, ring, pad).inv() * _poly_jet(x.num, ring, pad)
 
 
 def symmetric_image_jets(order: int, c, alpha, beta, k: int = 1) -> tuple[PJet, PJet]:
@@ -353,9 +308,10 @@ def symmetric_image_jets(order: int, c, alpha, beta, k: int = 1) -> tuple[PJet, 
     is vastly more expensive.)"""
     s, u = cauchon_pair(c, alpha, beta, k)
     sbar = s + s.inv()
+    ring = pjet_ring(s.aut, order)
     # u = (1+p^k)^{-1}(1-p^k) = (1-p^k)(1+p^k)^{-1}: the coefficients are sigma-fixed
-    u_jet = pjet_from_poly(u.num, order) * pjet_from_poly(u.den, order).inv()
-    s_jet = PJet(s.aut, {0: sbar.as_ratfun()}, order)
+    u_jet = _poly_jet(u.num, ring, order) * _poly_jet(u.den, ring, order).inv()
+    s_jet = ring.make({0: sbar.as_ratfun()}, order)
     return s_jet, u_jet * s_jet * u_jet.inv()
 
 
@@ -367,42 +323,14 @@ def twodim_image_jets(order: int) -> tuple[PJet, PJet]:
     return symmetric_image_jets(order, *TWODIM_CONSTRUCTION)
 
 
-def pjet_ring_ops(aut: ShiftAut, order: int) -> RingOps:
-    one = PJet(aut, {0: RF_ONE}, order)
-    return RingOps(
-        name=f"PJet(order={order})",
-        zero=PJet(aut, {}, order),
-        one=one,
-        add=lambda a, b: a + b,
-        neg=lambda a: -a,
-        mul=lambda a, b: a * b,
-        smul=lambda q, a: a.smul(q),
-        is_zero=lambda a: not a.coeffs,
-        inv=lambda a: a.inv(),
-        is_unit=lambda a: bool(a.coeffs),
-    )
-
-
 # -- expansion into the derivation-twisted series rings ----------------------
 
 
-def weyl_jet_ring(order: int, floor: int | None = None) -> series.JetRing:
+def weyl_jet_ring(order: int) -> series.JetRing:
     """Series ring hosting K(p;sigma): Laurent jets over Q(X) with the
     derivation -d/dX.  The inverse variable acts as p and t = p * X."""
-    rf_ops = RingOps(
-        name="Q(X)",
-        zero=RF_ZERO,
-        one=RF_ONE,
-        add=lambda a, b: a + b,
-        neg=lambda a: -a,
-        mul=lambda a, b: a * b,
-        smul=lambda q, a: a * q,
-        is_zero=lambda a: not a,
-        inv=lambda a: a.inv(),
-        is_unit=lambda a: bool(a),
-    )
     delta = series.Derivation("-d/dX", lambda a: -a.deriv())
-    return series.JetRing(rf_ops, delta, "tau", order, floor=floor if floor is not None else -4 * order)
+    return series.JetRing(ratfun_ops(), delta, "tau", order, floor=-4 * order)
 
 
 def sf_to_weyl_jet(x: SkewFrac, ring: series.JetRing) -> series.Jet:

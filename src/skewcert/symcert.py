@@ -332,8 +332,10 @@ def substitute(e: Expr, values: dict, ops: RingOps, memo: Optional[dict] = None)
 
     The memo is keyed by the (frozen, hashable) nodes themselves, so
     structurally identical subtrees share their values.  Scalar constants
-    inside a product are peeled off before inverting, so rescaled
-    expressions reuse the inverses of their unscaled atoms."""
+    and signs are peeled off before inverting, and the inverse of the peeled
+    product is memoized under its own Inv node, so Inv(Neg(C)) and rescaled
+    expressions reuse the inverse of their unscaled atoms; a caller may seed
+    the memo with inverses it has already checked."""
     if memo is None:
         memo = {}
     if e in memo:
@@ -355,7 +357,11 @@ def substitute(e: Expr, values: dict, ops: RingOps, memo: Optional[dict] = None)
         if ops.inv is None:
             raise TypeError(f"{ops.name} cannot invert")
         scalar, rest = _split_scalars((e.arg,))
-        val = ops.inv(_product(rest, values, ops, memo))
+        core = Inv(rest[0] if len(rest) == 1 else Mul(tuple(rest)))
+        if core in memo:
+            val = memo[core]
+        else:
+            val = memo[core] = ops.inv(_product(rest, values, ops, memo))
         if scalar != 1:
             val = ops.smul(1 / scalar, val)
     else:

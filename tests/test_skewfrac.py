@@ -6,7 +6,7 @@ from fractions import Fraction as F
 import pytest
 
 from skewcert import series
-from skewcert.errors import HypothesisViolation, InvertZero
+from skewcert.errors import ContextMismatch, HypothesisViolation, InvertZero
 from skewcert.scalar import Poly, RatFun
 from skewcert.skewfrac import (
     PJet,
@@ -18,7 +18,7 @@ from skewcert.skewfrac import (
     cauchon_pair,
     heisenberg_image_jets,
     orbit_distinct,
-    pjet_from_poly,
+    pjet_ring,
     sf_eq_cross,
     sf_to_pjet,
     sf_to_weyl_jet,
@@ -189,6 +189,29 @@ def test_pjet_cross_oracle(rnd):
         assert pjets_agree(sf_to_pjet(a + b, 32), ja + jb)
         if a:
             assert pjets_agree(sf_to_pjet(a.inv(), 32), ja.inv())
+
+
+def test_pjet_inverse_twists_by_sigma_and_stops_at_the_order():
+    # x = p (t+1) has p-valuation 1, so x^-1 = (t+1)^-1 p^-1 = p^-1 (t+2)^-1:
+    # the right factor p^-1 twists the coefficient by sigma^-1 (t -> t+1)
+    from skewcert.harness import pjets_agree
+
+    order = 8
+    t1 = RatFun.t() + RatFun.const(1)
+    x = SkewFrac.p(AUT) * SkewFrac.from_ratfun(AUT, t1)
+    jx = sf_to_pjet(x, order)
+    assert isinstance(jx, PJet) and jx.coeffs == {1: t1}
+    inv = jx.inv()
+    assert inv.coeffs == {-1: (RatFun.t() + RatFun.const(2)).inv()}
+    assert inv.trunc == order - 2
+    assert pjets_agree(inv, sf_to_pjet(x.inv(), order))
+    # known past the ring's order, the inverse still stops at the order
+    far = pjet_ring(AUT, order).make({1: t1}, order + 10)
+    assert far.inv().trunc == order
+    assert pjets_agree(far.inv(), inv)
+    # jets of two orders live in two rings
+    with pytest.raises(ContextMismatch):
+        jx + sf_to_pjet(x, order + 1)
 
 
 def test_weyl_model_commutation():

@@ -200,18 +200,33 @@ def test_class3_table_has_no_false_commutation():
 def test_nilpotent_inverts_each_top_level_jet_once(monkeypatch):
     # w+v^2, w-v^2, A and B are inverted for their verdicts; the S/T cross-
     # check reuses the checked inverses of A and B and inverts C and E once
+    # (the starred T holds Inv(Neg(E)) and Inv(Neg(C)), which reuse them)
     from skewcert import harness, series
 
-    top = []
+    top = {"t_u": 0, "t_x": 0}
     real = series.jet_inv
 
     def counting(a, *args, **kwargs):
-        if a.ring.var == "t_u":
-            top.append(a)
+        if a.ring.var in top:
+            top[a.ring.var] += 1
         return real(a, *args, **kwargs)
 
     monkeypatch.setattr(series, "jet_inv", counting)
     monkeypatch.setattr(harness, "jet_inv", counting)
     verdicts = harness.run_certify_nilpotent(10)
     assert [v["verdict"] for v in verdicts] == ["certified"] * 7 + ["equal"] * 2
-    assert len(top) == 6
+    assert top == {"t_u": 6, "t_x": 0}
+
+    # the heisenberg S/T cross-check inverts A, B, C and E once each
+    top["t_u"] = 0
+    table = heisenberg_fact_table()[0]
+    check = harness.heisenberg_cross_check(None, 16)
+    for expr in st_expressions():
+        assert check(star(expr, table), expr)["jet_cross_check"]
+    assert top == {"t_u": 0, "t_x": 4}
+
+    # every lambda of verify scaling reuses the unscaled atoms' inverses
+    top["t_x"] = 0
+    verdicts = harness.run_verify_scaling((2, 3), class3_order=10)
+    assert [v["verdict"] for v in verdicts] == ["equal"] * 8
+    assert top == {"t_u": 4, "t_x": 4}
