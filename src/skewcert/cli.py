@@ -177,6 +177,8 @@ def run(argv=None) -> int:
     try:
         if getattr(args, "order", 1) < 1:
             raise ValueError("--order must be at least 1")
+        if getattr(args, "max_word_len", 1) < 1:
+            raise ValueError("--max-word-len must be at least 1")
         if args.command == "certify" and f"certify {args.target}" in harness.SKEW_PRESETS:
             command = f"certify {args.target}"
             params.update(max_word_len=args.max_word_len, order=args.order)

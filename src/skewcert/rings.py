@@ -2,8 +2,15 @@
 freeness engine and the series towers.
 
 A RingOps bundles the operations a generic algorithm needs; elements stay
-whatever the host module uses.  `smul` is scalar multiplication by a
-Fraction.  `inv`/`is_unit` are optional (None where the ring cannot invert).
+whatever the host module uses.  `smul` is scalar multiplication by an int
+or a Fraction.  `inv`/`is_unit` are optional (None where the ring cannot
+invert).
+
+`sum_products(terms)` returns sum kappa*x*y over (kappa, x, y) triples, each
+kappa a nonzero int.  A ring that can fuse the sum supplies `dot`, called
+with a nonempty list and returning the same value as the generic method:
+each product through mul, then neg (kappa = -1) or smul (kappa != 1), then
+add.
 """
 
 from __future__ import annotations
@@ -27,6 +34,7 @@ class RingOps:
     # None means every element is exactly known (no hidden truncation);
     # rings of truncated jets override this for precision bookkeeping.
     fully_exact: Optional[Callable[[Any], bool]] = None
+    dot: Optional[Callable[[list], Any]] = None
 
     def sub(self, a, b):
         return self.add(a, self.neg(b))
@@ -38,4 +46,20 @@ class RingOps:
         acc = self.zero
         for x in items:
             acc = self.add(acc, x)
+        return acc
+
+    def sum_products(self, terms):
+        if not terms:
+            return self.zero
+        if self.dot is not None:
+            return self.dot(terms)
+        mul, add = self.mul, self.add
+        acc = None
+        for kap, x, y in terms:
+            p = mul(x, y)
+            if kap == -1:
+                p = self.neg(p)
+            elif kap != 1:
+                p = self.smul(kap, p)
+            acc = p if acc is None else add(acc, p)
         return acc

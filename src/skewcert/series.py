@@ -28,8 +28,16 @@ public Jet(...) constructor filters to establish it.  jet_add, jet_neg and
 jet_smul build their results through the raw constructor _jet instead and
 check only what can break it there (a sum that cancels, an order that
 reaches trunc), since a nonzero rational multiple of a coefficient that is
-not an exact zero is not one either.  jet_mul and the lifted derivations
-accumulate first and filter once, through the public constructor.
+not an exact zero is not one either.  jet_mul, the recursion of jet_inv and
+the lifted derivations collect their (kappa, x, y) coefficient triples per
+output order and sum each order once, through the coefficient ring's
+RingOps.sum_products, and only for orders below the final truncation;
+jet_mul and the lifted derivations then filter once, through the public
+constructor.  A ring with neither delta nor sigma fuses such sums itself
+(jet_dot, the dot of its ops): the smallest truncation over all terms
+first, then only the coefficient products below it, one sum_products call
+per order, and one Jet.  An order past a sum's truncation is never formed,
+so it cannot trip the Laurent floor.
 
 Towers are built by using one JetRing's element ops as the coefficient ring
 of the next level; `lift_derivation` extends an inner derivation across a
@@ -39,6 +47,7 @@ level via delta_s(t_w) = -t_w * delta_s(w) * t_w.
 from __future__ import annotations
 
 import math
+from collections import defaultdict
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Any, Callable, Optional
@@ -140,6 +149,7 @@ class JetRing:
             inv=jet_inv,
             is_unit=lambda a: unit_criterion_audit(a)[0],
             fully_exact=jet_fully_exact,
+            dot=jet_dot if self.delta is None and self.sigma is None else None,
         )
 
 
@@ -281,12 +291,40 @@ def _kappa(j: int, m: int) -> int:
     return math.comb(-j, m) if m <= -j else 0
 
 
+def jet_dot(terms) -> Jet:
+    """sum kappa * x * y over (kappa, x, y) triples of jets in one ring with
+    neither delta nor sigma, fused: the truncation is the smallest over all
+    terms, only coefficient products below it are formed, each output order
+    is one sum_products call of the coefficient ring, and the result passes
+    the public constructor once."""
+    ring = terms[0][1].ring
+    trunc = EXACT
+    for _, x, y in terms:
+        if x.ring is not ring or y.ring is not ring:
+            raise ContextMismatch(f"{x.ring!r} vs {y.ring!r} in a sum over {ring!r}")
+        t = min(_tadd(x.trunc, y.min_ord), _tadd(y.trunc, x.min_ord))
+        if t < trunc:
+            trunc = t
+    groups = defaultdict(list)
+    for kap, x, y in terms:
+        yc = y.coeffs.items()
+        for i, xi in x.coeffs.items():
+            for j, yj in yc:
+                if i + j < trunc:
+                    groups[i + j].append((kap, xi, yj))
+    sp = ring.coeff.sum_products
+    return Jet(ring, {k: sp(g) for k, g in groups.items()}, trunc)
+
+
 def jet_mul(a: Jet, b: Jet) -> Jet:
     """(t^i a)(t^j b) = sum_m kappa(j, m) t^(i+j+m) delta^m(a) b, truncated;
     t^(i+j) sigma^j(a) b in a ring twisted by sigma.
 
-    The delta chain per left coefficient stops only at an exact zero; an
-    inexact zero keeps flowing so its finite precision reaches the output.
+    The products are collected per output order and summed once, by the
+    coefficient ring's sum_products, for the orders below the final
+    truncation only.  The delta chain per left coefficient stops only at an
+    exact zero; an inexact zero keeps flowing so its finite precision
+    reaches the output.
     """
     _check_ctx(a, b)
     ring = a.ring
@@ -294,18 +332,16 @@ def jet_mul(a: Jet, b: Jet) -> Jet:
     trunc = min(_tadd(a.trunc, b.min_ord), _tadd(b.trunc, a.min_ord))
     if not a.coeffs or not b.coeffs:
         return _jet(ring, {}, min(trunc, EXACT))
-    add, mul, is_zero = ops.add, ops.mul, ops.is_zero
+    is_zero = ops.is_zero
     delta, sigma = ring.delta, ring.sigma
     b_min = min(b.coeffs)
-    out: dict = {}
+    groups = defaultdict(list)
 
     for i, ai in a.coeffs.items():
         if delta is None:
             for j, bj in b.coeffs.items():
-                k = i + j
-                if k < trunc:
-                    t = mul(sigma(ai, j) if sigma else ai, bj)
-                    out[k] = add(out[k], t) if k in out else t
+                if i + j < trunc:
+                    groups[i + j].append((1, sigma(ai, j) if sigma else ai, bj))
             continue
         dm = ai
         max_m = (trunc - i - b_min) - 1 if trunc < EXACT else None
@@ -320,25 +356,16 @@ def jet_mul(a: Jet, b: Jet) -> Jet:
                         trunc = min(trunc, ring.order)
                     for j, bj in b.coeffs.items():
                         hi = min(trunc, i + 1 if j <= 0 else trunc)
-                        cap = None
                         for k in range(i + j + m, hi):
-                            if cap is None:
-                                cap = mul(dm, bj)
-                            out[k] = add(out[k], cap) if k in out else cap
+                            groups[k].append((1, dm, bj))
                 break
             for j, bj in b.coeffs.items():
                 k = i + j + m
                 if k >= trunc:
                     continue
                 kap = _kappa(j, m)
-                if not kap:
-                    continue
-                term = mul(dm, bj)
-                if kap == -1:
-                    term = ops.neg(term)
-                elif kap != 1:
-                    term = ops.smul(kap, term)
-                out[k] = add(out[k], term) if k in out else term
+                if kap:
+                    groups[k].append((kap, dm, bj))
             m += 1
             if max_m is not None and m > max_m:
                 break
@@ -347,7 +374,8 @@ def jet_mul(a: Jet, b: Jet) -> Jet:
                 trunc = min(trunc, ring.order)
                 break
             dm = delta(dm)
-    return Jet(ring, out, trunc)
+    sp = ops.sum_products
+    return Jet(ring, {k: sp(g) for k, g in groups.items() if k < trunc}, trunc)
 
 
 def jet_inv(a: Jet) -> Jet:
@@ -389,17 +417,15 @@ def jet_inv(a: Jet) -> Jet:
         return col[k]
 
     d: dict = {}
-    one = ops.one
+    sp = ops.sum_products
     for n in range(max(0, n_ord)):
-        acc = one if n == 0 else None
+        terms = []
         for j, dj in d.items():
             rem = n - j
             if delta is None:
                 ci = c.get(rem)
-                if ci is None:
-                    continue
-                term = ops.neg(ops.mul(sigma(ci, j) if sigma else ci, dj))
-                acc = term if acc is None else ops.add(acc, term)
+                if ci is not None:
+                    terms.append((-1, sigma(ci, j) if sigma else ci, dj))
             else:
                 for i in c:
                     mm = rem - i
@@ -411,12 +437,12 @@ def jet_inv(a: Jet) -> Jet:
                     dmi = dpow(i, mm)
                     if ops.is_zero(dmi) and _exact(ops, dmi):
                         continue
-                    term = ops.mul(dmi, dj)
-                    if kap != 1:
-                        term = ops.smul(kap, term)
-                    term = ops.neg(term)
-                    acc = term if acc is None else ops.add(acc, term)
-        if acc is None:
+                    terms.append((-kap, dmi, dj))
+        if n == 0:
+            acc = ops.one
+        elif terms:
+            acc = sp(terms)
+        else:
             continue
         if ops.is_zero(acc) and _exact(ops, acc):
             continue
@@ -517,21 +543,25 @@ def lift_derivation(
         if a.ring is not jring:
             raise ContextMismatch(f"derivation {name} lifted over {jring!r}")
         ops = jring.coeff
-        add, mul, is_zero = ops.add, ops.mul, ops.is_zero
-        out: dict = {}
+        groups = defaultdict(list)
+        inner: dict = {}
         trunc = a.trunc
         for i, c in a.coeffs.items():
             # d_tw(i) * c is a right multiplication by a coefficient: no
             # crossing, so apply it entrywise instead of through jet_mul
             dtwi = d_tw(i)
             for k, ck in dtwi.coeffs.items():
-                term = mul(ck, c)
-                out[k] = add(out[k], term) if k in out else term
+                groups[k].append((1, ck, c))
             trunc = min(trunc, dtwi.trunc)
             if delta_on_coeffs is not None:
                 dc = delta_on_coeffs(c)
-                if not (is_zero(dc) and _exact(ops, dc)):
-                    out[i] = add(out[i], dc) if i in out else dc
+                if not (ops.is_zero(dc) and _exact(ops, dc)):
+                    inner[i] = dc
+        sp, add = ops.sum_products, ops.add
+        out = {k: sp(g) for k, g in groups.items() if k < trunc}
+        for i, dc in inner.items():
+            if i < trunc:
+                out[i] = add(out[i], dc) if i in out else dc
         return Jet(jring, out, trunc)
 
     return Derivation(name, fn)
@@ -544,12 +574,14 @@ def series_hom(a: Jet, phi: Callable[[Any], Any], target: JetRing) -> Jet:
     actually mapped; a failure raises CompatibilityFailure carrying the
     witness coefficient."""
     src = a.ring
-    for c in a.coeffs.values():
-        lhs = phi(src.delta(c)) if src.delta else target.coeff.zero
-        rhs = target.delta(phi(c)) if target.delta else target.coeff.zero
-        if not target.coeff.eq(lhs, rhs):
+    zero, eq = target.coeff.zero, target.coeff.eq
+    out = {}
+    for i, c in a.coeffs.items():
+        lhs = phi(src.delta(c)) if src.delta else zero
+        out[i] = pc = phi(c)
+        rhs = target.delta(pc) if target.delta else zero
+        if not eq(lhs, rhs):
             raise CompatibilityFailure("coefficient map does not intertwine the derivations", c)
-    out = {i: phi(c) for i, c in a.coeffs.items()}
     return Jet(target, out, a.trunc)
 
 

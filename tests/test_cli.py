@@ -61,17 +61,21 @@ def test_determinism_byte_identical(capsys):
     assert runs[0] == runs[1]
 
 
+def src_env(**extra):
+    """The environment of a child interpreter that imports this checkout."""
+    src = str(pathlib.Path(__file__).resolve().parents[1] / "src")
+    return dict(os.environ, **extra,
+                PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+
+
 def test_report_independent_of_hash_seed():
     # witnesses come from sets of atom names; their order must not follow
     # the string hash seed of the interpreter
-    src = str(pathlib.Path(__file__).resolve().parents[1] / "src")
     reports = []
     for hash_seed in ("0", "3"):
-        env = dict(os.environ, PYTHONHASHSEED=hash_seed,
-                   PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
         proc = subprocess.run(
             [sys.executable, "-m", "skewcert.cli", "certify", "heisenberg", "--max-word-len", "1"],
-            capture_output=True, text=True, env=env, check=True,
+            capture_output=True, text=True, env=src_env(PYTHONHASHSEED=hash_seed), check=True,
         )
         reports.append(scrub(json.loads(proc.stdout)))
     assert reports[0] == reports[1]
@@ -169,6 +173,13 @@ def test_check_algebra_command(tmp_path, capsys):
     assert code == 2
 
 
+def test_python_m_skewcert_runs_the_cli():
+    proc = subprocess.run([sys.executable, "-m", "skewcert", "verify", "valuation"],
+                          capture_output=True, text=True, env=src_env())
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout)["command"] == "verify valuation"
+
+
 @pytest.mark.parametrize(
     "argv",
     [
@@ -183,6 +194,10 @@ def test_check_algebra_command(tmp_path, capsys):
         ["verify", "scaling", "--order", "0"],
         ["verify", "scaling", "--lambda", "1/0"],
         ["certify", "cauchon", "--alpha", "1/0", "--beta", "1"],
+        ["certify", "heisenberg", "--max-word-len", "0"],
+        ["certify", "twodim", "--max-word-len", "0"],
+        ["certify", "groupring", "--max-word-len", "0"],
+        ["certify", "cauchon", "--alpha", "5/6", "--beta", "1/6", "--max-word-len", "0"],
     ],
 )
 def test_bad_input_is_a_one_line_error(argv, capsys, tmp_path, monkeypatch):
@@ -195,6 +210,8 @@ def test_bad_input_is_a_one_line_error(argv, capsys, tmp_path, monkeypatch):
     assert captured.out == ""
     if "--order" in argv:
         assert captured.err == "error: --order must be at least 1\n"
+    if "--max-word-len" in argv:
+        assert captured.err == "error: --max-word-len must be at least 1\n"
 
 
 def _freeness(report):

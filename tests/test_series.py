@@ -1,5 +1,6 @@
 """Derivation-twisted jets, derivation lifting, coefficient maps, towers."""
 
+from dataclasses import replace
 from fractions import Fraction as F
 
 import pytest
@@ -32,7 +33,9 @@ from skewcert.series import (
     hom_phi_v,
     hom_phi_w,
     jet_add,
+    jet_fully_exact,
     jet_inv,
+    jet_known_zero,
     jet_mul,
     jet_neg,
     jet_shift,
@@ -499,3 +502,103 @@ def test_product_below_floor_raises():
     ring = JetRing(fraction_ops(), None, "t", 8, floor=-2)
     with pytest.raises(PrecisionExhausted):
         jet_mul(ring.monomial(-2), ring.monomial(-1))
+
+
+def test_sum_never_forms_orders_past_its_truncation():
+    # t^-3 lies below the floor, but the second term leaves nothing known
+    # from t^-3 on, so the fused sum never forms it
+    ring = JetRing(fraction_ops(), None, "t", 8, floor=-2)
+    unknown = ring.zero_jet(-3)
+    s = ring.ops().sum_products([(1, ring.monomial(-2), ring.monomial(-1)),
+                                 (1, unknown, ring.one_jet())])
+    assert s.coeffs == {} and s.trunc == -3
+
+
+# -- fused sums of products against the generic fallback --------------------------
+
+
+def dump(x):
+    """A jet as its trunc and nested sorted (order, coefficient) items."""
+    if isinstance(x, Jet):
+        return (x.trunc, [(i, dump(c)) for i, c in x.items()])
+    return x
+
+
+def plain(ring: JetRing) -> JetRing:
+    """The same ring over its coefficient ring without the fused dot."""
+    return JetRing(replace(ring.coeff, dot=None), ring.delta, ring.var, ring.order,
+                   ring.floor, ring.sigma)
+
+
+def outcome(f, *args):
+    try:
+        return dump(f(*args))
+    except (LowestCoeffNotUnit, PrecisionExhausted) as ex:
+        return type(ex).__name__
+
+
+def lifted(tower):
+    """(jet ring, delta on its coefficients, delta(w), the tower's own
+    derivation) for each derivation the tower lifts across a level."""
+    if "delta_u" in tower.gens:
+        lw, lv, lu = tower.levels
+        on_w = lift_derivation(lw, None, bipoly_n1(), "delta_u|t_w")
+        return [(lw, None, bipoly_n2(), lv.delta), (lv, on_w, lw.monomial(-1), lu.delta)]
+    if "delta_x" in tower.gens:
+        lz, ly, lx = tower.levels
+        return [(ly, None, lz.monomial(-1), lx.delta)]
+    return []
+
+
+def check_fused_matches_fallback(tower, level, pool, kaps):
+    ring = tower.levels[level]
+    p = plain(ring)
+    a, b, c = pool
+    pa, pb, pc = (Jet(p, x.coeffs, x.trunc) for x in pool)
+    assert dump(jet_mul(a, b)) == dump(jet_mul(pa, pb))
+    assert dump(jet_mul(jet_mul(a, b), c)) == dump(jet_mul(jet_mul(pa, pb), pc))
+    x, px = (jet_shift(y, 1 - y.min_ord) if y.coeffs else y for y in (a, pa))
+    assert outcome(jet_inv, jet_add(ring.one_jet(), x)) == outcome(jet_inv, jet_add(p.one_jet(), px))
+    assert outcome(jet_inv, a) == outcome(jet_inv, pa)
+    # the ring's own dot, on sums whose first two terms cancel when kaps
+    # starts with (k, -k)
+    ops = ring.ops()
+    assert ops.dot is (None if ring.delta or ring.sigma else series.jet_dot)
+    terms = [(k, *xy) for k, xy in zip(kaps, [(a, b), (a, b), (b, c), (c, a)])]
+    assert dump(ops.sum_products(terms)) == dump(replace(ops, dot=None).sum_products(terms))
+    for jring, on_coeffs, of_w, own in lifted(tower):
+        if jring is ring:
+            d = lift_derivation(ring, on_coeffs, of_w, "d")
+            pd = lift_derivation(p, on_coeffs, of_w, "d")
+            assert dump(d(a)) == dump(pd(pa)) == dump(own(a))
+            assert dump(d(jet_mul(a, b))) == dump(pd(jet_mul(pa, pb)))
+
+
+@settings(max_examples=150)
+@given(st.sampled_from(sorted(TOWERS)), st.integers(0, 2), st.data())
+def test_fused_products_match_generic_fallback(name, level, data):
+    """jet_mul, jet_inv, the lifted derivations and sum_products give the
+    same coefficients and trunc whether the coefficient ring fuses its sums
+    of products (dot) or runs the mul/neg/smul/add fallback of RingOps."""
+    tower = TOWERS[name]
+    level = min(level, len(tower.levels) - 1)
+    pool = [draw_jet(data, tower, level) for _ in range(3)]
+    k = data.draw(st.sampled_from([1, -1, 2, -3]))
+    kaps = data.draw(st.sampled_from([[k, -k, 2, -1], [k], [k, 1, -1]]))
+    check_fused_matches_fallback(tower, level, pool, kaps)
+
+
+@pytest.mark.parametrize("name", ["class3", "heisenberg"])
+def test_fused_products_cancel_and_keep_inexact_zeros(name):
+    tower = TOWERS[name]
+    inner, ring = tower.levels[0], tower.levels[1]
+    one = inner.coeff.one
+    x = inner.make({0: one, 1: one}, 3)
+    a = ring.make({0: x, 1: inner.zero_jet(2)}, 4)  # an inexact zero at t^1
+    b = ring.make({0: x, 2: jet_neg(x)})
+    c = ring.monomial(1)
+    check_fused_matches_fallback(tower, 1, [a, b, c], [3, -3, 1, -1])
+    # the first two terms cancel exactly; the inexact zero caps the sum
+    s = ring.ops().sum_products([(1, a, b), (-1, a, b)])
+    assert s.trunc == 4 and all(jet_known_zero(v) for v in s.coeffs.values())
+    assert s.coeffs and not any(jet_fully_exact(v) for v in s.coeffs.values())
