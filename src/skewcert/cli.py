@@ -60,11 +60,13 @@ def parse_lie_algebra(text: str) -> LieAlg:
         bracket w u = 0
 
     Unlisted brackets are zero; unlisted weights default to 1.  Either order
-    of the bracket pair is accepted and stored antisymmetrically.
+    of the bracket pair is accepted and stored antisymmetrically.  Every name
+    a line mentions must be in the basis, which may come on any line.
     """
     basis: list[str] = []
     weights: dict[str, int] = {}
     brackets: dict = {}
+    mentions: list[tuple[int, list[str]]] = []  # (line number, names used there)
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -76,6 +78,7 @@ def parse_lie_algebra(text: str) -> LieAlg:
             if len(parts) != 4 or parts[2] != "=":
                 raise ValueError(f"line {lineno}: expected 'weight NAME = INT'")
             weights[parts[1]] = int(parts[3])
+            mentions.append((lineno, [parts[1]]))
         elif parts[0] == "bracket":
             if len(parts) < 5 or parts[3] != "=":
                 raise ValueError(f"line {lineno}: expected 'bracket J I = TERMS'")
@@ -96,15 +99,18 @@ def parse_lie_algebra(text: str) -> LieAlg:
                         coeff, name = rat(1), piece
                     terms.append((coeff, name.strip()))
             brackets[(j_name, i_name)] = terms
+            mentions.append((lineno, [j_name, i_name] + [name for _, name in terms]))
         else:
             raise ValueError(f"line {lineno}: unknown directive {parts[0]!r}")
     if not basis:
         raise ValueError("missing 'basis' line")
     index = {b: i for i, b in enumerate(basis)}
+    for lineno, names in mentions:
+        for name in names:
+            if name not in index:
+                raise ValueError(f"line {lineno}: {name!r} is not a basis element")
     table: dict = {}
     for (j_name, i_name), terms in brackets.items():
-        if j_name not in index or i_name not in index:
-            raise ValueError(f"bracket mentions unknown basis element: {j_name} {i_name}")
         j, i = index[j_name], index[i_name]
         entries = [(index[k], c) for c, k in terms]
         if j == i:
@@ -223,11 +229,11 @@ def run(argv=None) -> int:
         else:  # pragma: no cover
             ap.error("unknown command")
             return 1
+        elapsed_ms = int((time.monotonic() - t0) * 1000)
+        emit_report(command, params, verdicts, seed, elapsed_ms, args.output)
     except (KernelError, ValueError, OSError) as ex:
         print(f"error: {ex}", file=sys.stderr)
         return 1
-    elapsed_ms = int((time.monotonic() - t0) * 1000)
-    emit_report(command, params, verdicts, seed, elapsed_ms, args.output)
     return harness.worst_exit(verdicts)
 
 

@@ -8,14 +8,15 @@ a finite sound shadow of freeness (for truncation-based coordinatizers the
 implication holds because truncation is linear: independent images force
 independent preimages).  `relation_found` carries an explicit rational
 relation, re-verified in the ring when the coordinatizer is exact.
-`inconclusive` is reserved for truncation-based coordinatizers that stay
-rank-deficient at the escalation ceiling.
+`inconclusive` is reserved for coordinatizers of truncated values that are
+rank-deficient: the deficiency may be a truncation artifact.  Raising the
+truncation order is the calling pipeline's policy, not this module's.
 """
 
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass
 from fractions import Fraction
 from math import gcd
 from typing import Callable, Optional, Sequence
@@ -175,18 +176,12 @@ class Coordinatizer:
     exact sparse Q-vectors at once (the exact fraction path needs a common
     left denominator across the family, so per-element maps do not suffice).
 
-    `truncation_based` marks coordinatizers whose deficiency may be a
-    truncation artifact; `escalate(order)` returns a higher-order rebuild.
-    When the word values are themselves truncated, the rebuild's `expand()`
-    gives the generators and ring at its order and the words are evaluated
-    again; `precision(values)` is the truncation order the values carry."""
+    `precision(values)`, set only for coordinatizers of truncated values, is
+    the truncation order the values carry; a deficient rank there is
+    `inconclusive` rather than a relation."""
 
     name: str
     build: Callable[[list], list[dict]]
-    truncation_based: bool = False
-    order: Optional[int] = None
-    escalate: Optional[Callable[[int], "Coordinatizer"]] = None
-    expand: Optional[Callable[[], tuple[list, RingOps]]] = None
     precision: Optional[Callable[[list], int]] = None
 
 
@@ -202,23 +197,12 @@ class CertReport:
     truncation_order: Optional[int] = None
     elapsed_ms: int = 0
     seed: int = 0
-    words: list = field(default_factory=list)
 
     def to_dict(self) -> dict:
-        return {
-            "command": self.command,
-            "params": self.params,
-            "verdict": self.verdict,
-            "rank": self.rank,
-            "expected": self.expected,
-            "word_count": self.word_count,
-            "relation": None
-            if self.relation is None
-            else [f"{c.numerator}/{c.denominator}" for c in self.relation],
-            "truncation_order": self.truncation_order,
-            "elapsed_ms": self.elapsed_ms,
-            "seed": self.seed,
-        }
+        d = asdict(self)
+        if self.relation is not None:
+            d["relation"] = [f"{c.numerator}/{c.denominator}" for c in self.relation]
+        return d
 
 
 def evaluate_words(generators, ops: RingOps, words: Sequence[Word], mode: str):
@@ -247,49 +231,36 @@ def certify_freeness(
     mode: str = "monoid",
     command: str = "certify",
     seed: int = 0,
-    order_ceiling: int = 256,
 ) -> CertReport:
     if mode not in ("monoid", "group"):
         raise ValueError(f"unknown mode {mode!r}")
     t0 = time.monotonic()
     words = enumerate_words(len(generators), length, mode == "group")
     values = evaluate_words(generators, ops, words, mode)
-    cur = coord
-    while True:
-        vectors = cur.build(values)
-        rank, relation = rank_over_Q(vectors)
-        if rank == len(words):
-            verdict, relation = "certified", None
-            break
-        if not cur.truncation_based:
-            verdict = "relation_found"
-            # soundness: the relation must vanish exactly in the ring
-            acc = ops.zero
-            for c, v in zip(relation, values):
-                if c:
-                    acc = ops.add(acc, ops.smul(c, v))
-            if not ops.is_zero(acc):
-                raise KernelError("relation does not re-evaluate to zero")
-            break
-        if cur.escalate is not None and cur.order is not None and cur.order * 2 <= order_ceiling:
-            cur = cur.escalate(cur.order * 2)
-            if cur.expand is not None:
-                generators, ops = cur.expand()
-                values = evaluate_words(generators, ops, words, mode)
-            continue
+    rank, relation = rank_over_Q(coord.build(values))
+    if rank == len(words):
+        verdict, relation = "certified", None
+    elif coord.precision is not None:
         verdict, relation = "inconclusive", None
-        break
+    else:
+        verdict = "relation_found"
+        # soundness: the relation must vanish exactly in the ring
+        acc = ops.zero
+        for c, v in zip(relation, values):
+            if c:
+                acc = ops.add(acc, ops.smul(c, v))
+        if not ops.is_zero(acc):
+            raise KernelError("relation does not re-evaluate to zero")
     elapsed = int((time.monotonic() - t0) * 1000)
     return CertReport(
         command=command,
-        params={"mode": mode, "max_word_len": length, "coordinatizer": cur.name},
+        params={"mode": mode, "max_word_len": length, "coordinatizer": coord.name},
         verdict=verdict,
         rank=rank,
         expected=len(words),
         word_count=len(words),
         relation=relation,
-        truncation_order=cur.order if cur.precision is None else cur.precision(values),
+        truncation_order=None if coord.precision is None else coord.precision(values),
         elapsed_ms=elapsed,
         seed=seed,
-        words=words,
     )

@@ -36,7 +36,6 @@ from .series import (
     class3_tower,
     heisenberg_tower,
     hom_phi_u,
-    hom_phi_v,
     hom_phi_w,
     jet_inv,
     jet_mul,
@@ -275,29 +274,17 @@ def skew_exact_coordinatizer(aut: ShiftAut) -> Coordinatizer:
     return Coordinatizer(name="exact-left-fraction", build=build)
 
 
-def skew_pjet_coordinatizer(aut: ShiftAut, order: int, generators_at=None) -> Coordinatizer:
+def skew_pjet_coordinatizer(aut: ShiftAut, order: int) -> Coordinatizer:
     """Truncation-based pre-filter: coordinatize word values that are
     sigma-twisted Laurent jets in p, clearing the Q[t]-denominators per
-    p-order below their common precision.  Escalation re-evaluates the words
-    from `generators_at(n)`, the generators as jets at order n; without it
-    the order cannot rise, so the coordinatizer does not escalate."""
+    p-order below their common precision."""
 
     def build(jets):
         window = _jet_precision(jets)
         return _clear_denominators([[(i, c) for i, c in j.coeffs.items() if i < window and c]
                                     for j in jets])
 
-    return Coordinatizer(
-        name=f"pjet-order-{order}",
-        build=build,
-        truncation_based=True,
-        order=order,
-        escalate=None if generators_at is None
-        else lambda n: skew_pjet_coordinatizer(aut, n, generators_at),
-        expand=None if generators_at is None
-        else lambda: (generators_at(order), pjet_ring_ops(aut, order)),
-        precision=_jet_precision,
-    )
+    return Coordinatizer(name=f"pjet-order-{order}", build=build, precision=_jet_precision)
 
 
 def _jet_precision(jets) -> int:
@@ -408,12 +395,17 @@ TWODIM = SkewPreset(
 SKEW_PRESETS = {p.command: p for p in (HEISENBERG, TWODIM)}
 
 
-def symmetry_verdict(claim: str, label: str, expr, table: FactTable, cross_check) -> dict:
-    """Prove expr* = expr from the verified fact table; an `equal` stands only
-    if every boolean in the cross-check's data is true."""
-    starred = star(expr, table)
-    res = prove_equal(starred, expr, table)
-    data = cross_check(starred, expr) if res == "equal" else {}
+# highest p-jet order the pre-filter of `run_certify_skew` escalates to
+JET_ORDER_CEILING = 256
+
+
+def equality_verdict(claim: str, label: str, lhs, rhs, table: FactTable, cross_check) -> dict:
+    """Prove lhs = rhs from the verified fact table, then run
+    `cross_check(lhs, rhs)` for the verdict's data; an `equal` stands only if
+    every boolean in that data is true.  An unproved claim keeps the
+    prover's verdict with empty data, and the cross-check does not run."""
+    res = prove_equal(lhs, rhs, table)
+    data = cross_check(lhs, rhs) if res == "equal" else {}
     if not all(v for v in data.values() if isinstance(v, bool)):
         res = "failed"
     return verdict(claim, label, res, data)
@@ -428,19 +420,22 @@ def run_certify_skew(preset: SkewPreset, max_word_len: int = 3, order: int = 32,
     verdicts.append(verdict(preset.facts_claim, preset.label, True, {"witnesses": witnesses}))
     check = preset.cross_check(values, cross_order)
     for claim, expr in zip(preset.symmetry_claims, preset.expressions()):
-        verdicts.append(symmetry_verdict(claim, preset.label, expr, table, check))
+        verdicts.append(equality_verdict(claim, preset.label, star(expr, table), expr, table, check))
 
     # freeness of the images: jets pre-filter (words evaluated in the p-jet
-    # ring), then the authoritative exact fraction path
+    # ring), then the authoritative exact fraction path.  A deficient jet
+    # rank may be a truncation artifact, so the generators are expanded again
+    # at doubled orders up to the ceiling.
     images = skewfrac.symmetric_images(*preset.construction)
     aut = images[0].aut
-
-    def jets_at(n):
-        return skewfrac.symmetric_image_jets(n, *preset.construction)
-
-    rep_jets = certify_freeness(list(jets_at(order)), pjet_ring_ops(aut, order),
-                                skew_pjet_coordinatizer(aut, order, jets_at),
-                                max_word_len, "monoid", command=preset.command, seed=seed)
+    n = order
+    while True:
+        rep_jets = certify_freeness(list(skewfrac.symmetric_image_jets(n, *preset.construction)),
+                                    pjet_ring_ops(aut, n), skew_pjet_coordinatizer(aut, n),
+                                    max_word_len, "monoid", command=preset.command, seed=seed)
+        if rep_jets.verdict == "certified" or 2 * n > JET_ORDER_CEILING:
+            break
+        n *= 2
     rep_exact = certify_freeness(list(images), skewfrac.ring_ops(aut), skew_exact_coordinatizer(aut),
                                  max_word_len, "monoid", command=preset.command, seed=seed)
     # truncation is linear, so the jet rank never exceeds the exact rank; a
@@ -501,11 +496,10 @@ def run_certify_nilpotent(order: int = 12, seed: int = DEFAULT_SEED) -> list[dic
     src = class3_tower(order)
     dst = heisenberg_tower(order)
     lw, lv, lu = src.levels
-    lz, ly, lx = dst.levels
+    lz, _, lx = dst.levels
 
     # morphisms of series: spot identities
     phi_w = hom_phi_w(src, dst)
-    phi_v = hom_phi_v(src, dst)
     phi_u = hom_phi_u(src, dst)
     n1 = series.bipoly_n1()
     ok = jets_agree(phi_w(lw.make({1: n1})), lz.zero_jet())
@@ -585,19 +579,15 @@ def run_certify_nilpotent(order: int = 12, seed: int = DEFAULT_SEED) -> list[dic
             {"audit": trail, "overhead": order - min(inv.trunc, order)}))
 
     # symmetry of S and T built on u, v, w, with jet substitution cross-check
+    def cross_check(lhs, rhs) -> dict:
+        agree = jets_agree(substitute(lhs, jets, ops, memo), substitute(rhs, jets, ops, memo))
+        return {"jet_cross_check": agree, "witnesses_count": len(witnesses)}
+
     S, T = st_expressions()
     for name, expr in (("S", S), ("T", T)):
-        starred = star(expr, table)
-        res = prove_equal(starred, expr, table)
-        cross = None
-        if res == "equal":
-            lhs = substitute(starred, jets, ops, memo)
-            rhs = substitute(expr, jets, ops, memo)
-            cross = jets_agree(lhs, rhs)
-        verdicts.append(verdict(f"{name}* = {name} (class-3 atoms)",
-                                "freesymmetricresiduallynilpotent",
-                                "equal" if res == "equal" and cross else "failed",
-                                {"jet_cross_check": cross, "witnesses_count": len(witnesses)}))
+        verdicts.append(equality_verdict(f"{name}* = {name} (class-3 atoms)",
+                                         "freesymmetricresiduallynilpotent",
+                                         star(expr, table), expr, table, cross_check))
     return verdicts
 
 
@@ -634,20 +624,17 @@ def run_verify_scaling(lams=(2, 3), seed: int = DEFAULT_SEED, cross_order: int =
                 f = lam ** int(-w)
                 homogeneous &= img == el.smul(f)
                 factors[name] = f
+
+            def cross_check(lhs, rhs) -> dict:
+                return {"atom_factors": {k: str(v) for k, v in factors.items()},
+                        "atoms_homogeneous": homogeneous,
+                        "jet_cross_check": jets_agree(substitute(lhs, jets, ops, scaled_memo),
+                                                      memo[rhs], upto=xo)}
+
             for ename, expr in (("S", S), ("T", T)):
-                scaled = scale_atoms(expr, factors)
-                res = prove_equal(scaled, expr, table)
-                cross = None
-                if res == "equal":
-                    lhs = substitute(scaled, jets, ops, scaled_memo)
-                    cross = jets_agree(lhs, memo[expr], upto=xo)
-                verdicts.append(verdict(
-                    f"{ename}' = {ename} under lambda = {lam} ({label} atoms)",
-                    "freesymmetricOre",
-                    "equal" if res == "equal" and cross and homogeneous else "failed",
-                    {"atom_factors": {k: str(v) for k, v in factors.items()},
-                     "atoms_homogeneous": homogeneous,
-                     "jet_cross_check": cross}))
+                verdicts.append(equality_verdict(
+                    f"{ename}' = {ename} under lambda = {lam} ({label} atoms)", "freesymmetricOre",
+                    scale_atoms(expr, factors), expr, table, cross_check))
     return verdicts
 
 

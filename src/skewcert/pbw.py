@@ -270,14 +270,13 @@ class LieHom:
     """Images of basis elements in a target ring; bracket compatibility is
     verified on all basis pairs at construction."""
 
-    def __init__(self, domain: LieAlg, images, ops: RingOps, check: bool = True):
+    def __init__(self, domain: LieAlg, images, ops: RingOps):
         if len(images) != domain.dim:
             raise ValueError("one image per basis element")
         self.domain = domain
         self.images = list(images)
         self.ops = ops
-        if check:
-            self._verify()
+        self._verify()
         self._powers: dict = {}
 
     def _verify(self):

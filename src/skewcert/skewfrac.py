@@ -25,7 +25,7 @@ import functools
 from fractions import Fraction
 
 from . import series
-from .errors import AutMismatch, HypothesisViolation, InvertZero
+from .errors import AutMismatch, HypothesisViolation, InvertZero, KernelError
 from .rings import RingOps
 from .scalar import RF_ONE, RF_ZERO, Poly, RatFun, rat
 from .skewpoly import ShiftAut, SkewPoly, sp_divmod, sp_gcld, sp_gcrd_llcm, sp_mul
@@ -151,7 +151,7 @@ def _canonicalize(den: SkewPoly, num: SkewPoly) -> tuple[SkewPoly, SkewPoly]:
         den_q, r1 = sp_divmod(den, g, "left")
         num_q, r2 = sp_divmod(num, g, "left")
         if r1 or r2:
-            raise AssertionError("gcld does not divide exactly")
+            raise KernelError("gcld does not divide exactly")
         den, num = den_q, num_q
     if not den.is_monic():
         u = aut.apply(den.lc().inv(), -den.degree)

@@ -173,6 +173,27 @@ def test_check_algebra_command(tmp_path, capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("basis u v w\nbracket v u = q\n", "line 2: 'q' is not a basis element"),
+        ("basis u v w\nbracket v u = 2*\n", "line 2: '' is not a basis element"),
+        ("basis u v w\nweight q = 2\n", "line 2: 'q' is not a basis element"),
+        # the basis may come last, so names are checked after every line
+        ("weight q = 2\nbracket v u = w\nbasis u v w\n", "line 1: 'q' is not a basis element"),
+        ("bracket v u = w\nbasis u v\n", "line 1: 'w' is not a basis element"),
+    ],
+)
+def test_check_algebra_rejects_unknown_names(text, message, capsys, tmp_path):
+    path = tmp_path / "alg.txt"
+    path.write_text(text)
+    code = cli.run(["check-algebra", str(path)])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.err == f"error: {message}\n"
+    assert captured.out == ""
+
+
 def test_python_m_skewcert_runs_the_cli():
     proc = subprocess.run([sys.executable, "-m", "skewcert", "verify", "valuation"],
                           capture_output=True, text=True, env=src_env())
@@ -198,6 +219,7 @@ def test_python_m_skewcert_runs_the_cli():
         ["certify", "twodim", "--max-word-len", "0"],
         ["certify", "groupring", "--max-word-len", "0"],
         ["certify", "cauchon", "--alpha", "5/6", "--beta", "1/6", "--max-word-len", "0"],
+        ["verify", "valuation", "--output", "missing-dir/r.json"],
     ],
 )
 def test_bad_input_is_a_one_line_error(argv, capsys, tmp_path, monkeypatch):
@@ -235,13 +257,11 @@ def test_jet_escalation_reexpands_generators(capsys):
 
 
 def test_deficient_jets_never_fail_the_exact_verdict(capsys, monkeypatch):
-    # a pre-filter that cannot escalate stays rank-deficient; that is a
+    # a pre-filter whose order may not rise stays rank-deficient; that is a
     # truncation limit, so the exact path's certificate stands (exit 0)
     from skewcert import harness
 
-    fixed = harness.skew_pjet_coordinatizer
-    monkeypatch.setattr(harness, "skew_pjet_coordinatizer",
-                        lambda aut, order, generators_at=None: fixed(aut, order))
+    monkeypatch.setattr(harness, "JET_ORDER_CEILING", 4)
     code, report = run_cli(["certify", "heisenberg", "--order", "4", "--max-word-len", "2"], capsys)
     assert code == 0
     v = _freeness(report)

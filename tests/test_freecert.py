@@ -214,21 +214,42 @@ def test_report_serialization():
     }
 
 
-def test_inconclusive_escalates_to_ceiling():
-    # a truncation-based coordinatizer that always reports the zero vector
-    calls = []
+def test_truncated_deficiency_is_inconclusive_after_one_build():
+    # a coordinatizer of truncated values that reports the zero vector: the
+    # deficiency may be a truncation artifact, so no relation is claimed
+    builds = []
 
-    def make(order):
-        def build(values):
-            calls.append(order)
-            return [{} for _ in values]
+    def build(values):
+        builds.append(len(values))
+        return [{} for _ in values]
 
-        return Coordinatizer("blind", build, truncation_based=True, order=order,
-                             escalate=make)
-
+    blind = Coordinatizer("blind", build, precision=lambda values: 16)
     X, Y = groupring.symmetric_generators()
-    rep = certify_freeness([X, Y], groupring.ring_ops(), make(16), 1, order_ceiling=64)
+    rep = certify_freeness([X, Y], groupring.ring_ops(), blind, 1)
     assert rep.verdict == "inconclusive"
     assert rep.relation is None
-    assert calls == [16, 32, 64]
-    assert rep.truncation_order == 64
+    assert builds == [3]
+    assert rep.truncation_order == 16
+
+
+def test_skew_pipeline_escalates_jets_to_ceiling(monkeypatch):
+    # a blind jet pre-filter stays deficient at every order: the pipeline
+    # doubles the order up to the ceiling, and the exact path still decides
+    orders = []
+
+    def blind(aut, order):
+        orders.append(order)
+        return Coordinatizer(f"pjet-order-{order}", lambda values: [{} for _ in values],
+                             precision=harness._jet_precision)
+
+    monkeypatch.setattr(harness, "skew_pjet_coordinatizer", blind)
+    monkeypatch.setattr(harness, "JET_ORDER_CEILING", 64)
+    v = harness.run_certify_skew(harness.HEISENBERG, 1, 16)[-1]
+    assert orders == [16, 32, 64]
+    assert v["verdict"] == "certified"
+    jets = v["data"]["jets"]
+    assert jets["verdict"] == "inconclusive" and jets["relation"] is None
+    assert jets["params"]["coordinatizer"] == "pjet-order-64"
+    assert jets["truncation_order"] == 64
+    assert v["data"]["exact"]["verdict"] == "certified"
+    assert not v["data"]["paths_agree"]

@@ -7,6 +7,7 @@ import pytest
 from skewcert.errors import FactFailure, UnknownAtomStar
 from skewcert.harness import (
     class3_fact_table,
+    equality_verdict,
     heisenberg_atom_jets,
     heisenberg_fact_table,
     st_expressions,
@@ -121,6 +122,33 @@ def test_unable_outside_fragment(h_setup):
     table, _ = h_setup
     e = Inv(Add((Atom("A"), Atom("B"))))
     assert prove_equal(e, e, table) == "unable"
+
+
+def test_equality_verdict_needs_proof_and_cross_check(h_setup):
+    table, _ = h_setup
+    S, T = st_expressions()
+    calls = []
+
+    def cross_check(lhs, rhs):
+        calls.append((lhs, rhs))
+        return {"jet_cross_check": False, "order": 16}
+
+    # a proved claim stands only when every boolean of its data is true
+    v = equality_verdict("S* = S", "label", star(S, table), S, table, cross_check)
+    assert v["verdict"] == "failed"
+    assert v["data"] == {"jet_cross_check": False, "order": 16}
+    assert calls == [(star(S, table), S)]
+    v = equality_verdict("S* = S", "label", star(S, table), S, table,
+                         lambda lhs, rhs: {"jet_cross_check": True, "order": 16})
+    assert v["verdict"] == "equal"
+    # an unproved claim keeps the prover's verdict; the cross-check never runs
+    calls.clear()
+    v = equality_verdict("S = T", "label", S, T, table, cross_check)
+    assert (v["verdict"], v["data"]) == ("unequal", {})
+    e = Inv(Add((Atom("A"), Atom("B"))))
+    v = equality_verdict("e = e", "label", e, e, table, cross_check)
+    assert (v["verdict"], v["data"]) == ("unable", {})
+    assert calls == []
 
 
 def test_scaling_cancellation(h_setup):
