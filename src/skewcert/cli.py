@@ -60,29 +60,44 @@ def parse_lie_algebra(text: str) -> LieAlg:
         bracket w u = 0
 
     Unlisted brackets are zero; unlisted weights default to 1.  Either order
-    of the bracket pair is accepted and stored antisymmetrically.  Every name
-    a line mentions must be in the basis, which may come on any line.
+    of the bracket pair is accepted and stored antisymmetrically.  The basis,
+    each weight and each bracket pair may be given once.  Every name a line
+    mentions must be in the basis, which may come on any line and names each
+    element once.
     """
     basis: list[str] = []
     weights: dict[str, int] = {}
     brackets: dict = {}
+    given: dict = {}  # what a line defines -> that line's number
     mentions: list[tuple[int, list[str]]] = []  # (line number, names used there)
+
+    def once(key, what: str) -> None:
+        if key in given:
+            raise ValueError(f"line {lineno}: {what} is already given on line {given[key]}")
+        given[key] = lineno
+
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
         parts = line.split()
         if parts[0] == "basis":
+            once("basis", "the basis")
             basis = parts[1:]
+            twice = sorted({b for b in basis if basis.count(b) > 1})
+            if twice:
+                raise ValueError(f"line {lineno}: {twice[0]!r} appears twice in the basis")
         elif parts[0] == "weight":
             if len(parts) != 4 or parts[2] != "=":
                 raise ValueError(f"line {lineno}: expected 'weight NAME = INT'")
+            once(("weight", parts[1]), f"the weight of {parts[1]}")
             weights[parts[1]] = int(parts[3])
             mentions.append((lineno, [parts[1]]))
         elif parts[0] == "bracket":
             if len(parts) < 5 or parts[3] != "=":
                 raise ValueError(f"line {lineno}: expected 'bracket J I = TERMS'")
             j_name, i_name = parts[1], parts[2]
+            once(frozenset((j_name, i_name)), f"the bracket of {j_name} and {i_name}")
             rhs = " ".join(parts[4:])
             terms = []
             if rhs.strip() != "0":
@@ -120,7 +135,7 @@ def parse_lie_algebra(text: str) -> LieAlg:
         if j < i:
             j, i = i, j
             entries = [(k, -c) for k, c in entries]
-        merged = dict(table.get((j, i), ()))
+        merged: dict = {}
         for k, c in entries:
             merged[k] = merged.get(k, Fraction(0)) + c
         table[(j, i)] = tuple(merged.items())

@@ -1,7 +1,9 @@
 """Bounded-length freeness certification: enumerate words in the candidate
 generators, evaluate them in the host ring, coordinatize into exact sparse
 Q-vectors and compute the rank: modulo a 61-bit prime first, by exact
-fraction-free elimination only when that rank is deficient.
+fraction-free elimination only when that rank is deficient.  A modular
+coordinatizer maps the words to residues modulo that prime instead, and
+their rank is taken modulo the prime alone.
 
 A `certified` verdict means the evaluated words are Q-linearly independent,
 a finite sound shadow of freeness (for truncation-based coordinatizers the
@@ -61,11 +63,10 @@ def word_str(w: Word, names: Sequence[str]) -> str:
 MODULUS = 2**61 - 1
 
 
-def _independent_mod_p(rows: Sequence[dict]) -> bool:
-    """True when the integer rows (sparse `{column: int}`) are linearly
-    independent modulo MODULUS.  Incremental sparse row reduction with
-    pivots keyed by their leading column; stops at the first row that
-    reduces to zero."""
+def rank_mod_p(rows: Sequence[dict]) -> int:
+    """Rank modulo MODULUS of integer rows (sparse `{column: int}`):
+    incremental sparse row reduction with pivots keyed by their leading
+    column, counting the pivots."""
     pivots: dict[int, dict[int, int]] = {}
     for r in rows:
         row = {c: y for c, x in r.items() if (y := x % MODULUS)}
@@ -83,9 +84,7 @@ def _independent_mod_p(rows: Sequence[dict]) -> bool:
                     row[c] = y
                 else:
                     row.pop(c, None)
-        else:
-            return False
-    return True
+    return len(pivots)
 
 
 def rank_over_Q(vectors: Sequence[dict]) -> tuple[int, Optional[list[Fraction]]]:
@@ -113,7 +112,7 @@ def rank_over_Q(vectors: Sequence[dict]) -> tuple[int, Optional[list[Fraction]]]
         sparse.append({col_of[k]: c.numerator * (denlcm // c.denominator)
                        for k, c in v.items() if c})
         scales.append(Fraction(denlcm))
-    if _independent_mod_p(sparse):
+    if rank_mod_p(sparse) == n:
         return n, None
 
     rows = []
@@ -178,11 +177,15 @@ class Coordinatizer:
 
     `precision(values)`, set only for coordinatizers of truncated values, is
     the truncation order the values carry; a deficient rank there is
-    `inconclusive` rather than a relation."""
+    `inconclusive` rather than a relation.  A `modular` coordinatizer builds
+    rows of residues modulo MODULUS instead of Q-vectors: their rank is
+    counted modulo MODULUS alone, since the rank over Q of residues proves
+    nothing, and a deficiency there is `inconclusive` as well."""
 
     name: str
     build: Callable[[list], list[dict]]
     precision: Optional[Callable[[list], int]] = None
+    modular: bool = False
 
 
 @dataclass
@@ -237,10 +240,11 @@ def certify_freeness(
     t0 = time.monotonic()
     words = enumerate_words(len(generators), length, mode == "group")
     values = evaluate_words(generators, ops, words, mode)
-    rank, relation = rank_over_Q(coord.build(values))
+    rows = coord.build(values)
+    rank, relation = (rank_mod_p(rows), None) if coord.modular else rank_over_Q(rows)
     if rank == len(words):
         verdict, relation = "certified", None
-    elif coord.precision is not None:
+    elif coord.precision is not None or coord.modular:
         verdict, relation = "inconclusive", None
     else:
         verdict = "relation_found"

@@ -14,7 +14,7 @@ from typing import Callable
 
 from . import groupring, pbw, series, skewfrac
 from .errors import KernelError
-from .freecert import Coordinatizer, certify_freeness
+from .freecert import MODULUS, Coordinatizer, certify_freeness
 from .pbw import (
     LieHom,
     chi_valuation,
@@ -275,9 +275,10 @@ def skew_exact_coordinatizer(aut: ShiftAut) -> Coordinatizer:
 
 
 def skew_pjet_coordinatizer(aut: ShiftAut, order: int) -> Coordinatizer:
-    """Truncation-based pre-filter: coordinatize word values that are
-    sigma-twisted Laurent jets in p, clearing the Q[t]-denominators per
-    p-order below their common precision."""
+    """Truncation-based coordinatization of word values that are
+    sigma-twisted Laurent jets in p over Q(t), clearing the Q[t]-denominators
+    per p-order below their common precision: exact Q-vectors, kept as a
+    cross-check of the evaluated path (`skew_residue_coordinatizer`)."""
 
     def build(jets):
         window = _jet_precision(jets)
@@ -289,6 +290,21 @@ def skew_pjet_coordinatizer(aut: ShiftAut, order: int) -> Coordinatizer:
 
 def _jet_precision(jets) -> int:
     return min(j.trunc for j in jets)
+
+
+def skew_residue_coordinatizer(order: int, points: int) -> Coordinatizer:
+    """Modular coordinatization of word values that are sigma-jets in p read
+    modulo MODULUS at the points P_0..P_{points-1} (`skewfrac.residue_pjets`):
+    one residue per (p order below the common precision, point).  Reading
+    the coefficients at pole-free points is Z_(MODULUS)-linear on the exact
+    p-jets, so full rank of these rows modulo MODULUS proves the words
+    independent; their rank is never taken over Q."""
+
+    def build(jets):
+        window = _jet_precision(jets)
+        return [skewfrac.residue_row(j, window, points) for j in jets]
+
+    return Coordinatizer(name="pjet-residues", build=build, precision=_jet_precision, modular=True)
 
 
 def groupring_coordinatizer() -> Coordinatizer:
@@ -395,8 +411,10 @@ TWODIM = SkewPreset(
 SKEW_PRESETS = {p.command: p for p in (HEISENBERG, TWODIM)}
 
 
-# highest p-jet order the pre-filter of `run_certify_skew` escalates to
+# highest p-order, and first number of points, of the evaluated p-jets of
+# `certify_skew_jets`
 JET_ORDER_CEILING = 256
+JET_POINTS = 16
 
 
 def equality_verdict(claim: str, label: str, lhs, rhs, table: FactTable, cross_check) -> dict:
@@ -422,25 +440,16 @@ def run_certify_skew(preset: SkewPreset, max_word_len: int = 3, order: int = 32,
     for claim, expr in zip(preset.symmetry_claims, preset.expressions()):
         verdicts.append(equality_verdict(claim, preset.label, star(expr, table), expr, table, check))
 
-    # freeness of the images: jets pre-filter (words evaluated in the p-jet
-    # ring), then the authoritative exact fraction path.  A deficient jet
-    # rank may be a truncation artifact, so the generators are expanded again
-    # at doubled orders up to the ceiling.
+    # freeness of the images: evaluated p-jets, then the authoritative exact
+    # fraction path
+    rep_jets = certify_skew_jets(preset, max_word_len, order, seed)
     images = skewfrac.symmetric_images(*preset.construction)
     aut = images[0].aut
-    n = order
-    while True:
-        rep_jets = certify_freeness(list(skewfrac.symmetric_image_jets(n, *preset.construction)),
-                                    pjet_ring_ops(aut, n), skew_pjet_coordinatizer(aut, n),
-                                    max_word_len, "monoid", command=preset.command, seed=seed)
-        if rep_jets.verdict == "certified" or 2 * n > JET_ORDER_CEILING:
-            break
-        n *= 2
     rep_exact = certify_freeness(list(images), skewfrac.ring_ops(aut), skew_exact_coordinatizer(aut),
                                  max_word_len, "monoid", command=preset.command, seed=seed)
-    # truncation is linear, so the jet rank never exceeds the exact rank; a
-    # lower jet rank is a truncation limit of the pre-filter, and the exact
-    # path decides the verdict
+    # truncation and evaluation are linear, so the jet rank never exceeds
+    # the exact rank; a lower jet rank is a limit of the jets path, and the
+    # exact path decides the verdict
     if rep_jets.rank > rep_exact.rank:
         raise KernelError(f"jet rank {rep_jets.rank} exceeds the exact rank {rep_exact.rank}")
     verdicts.append(verdict(
@@ -449,6 +458,40 @@ def run_certify_skew(preset: SkewPreset, max_word_len: int = 3, order: int = 32,
         {"jets": rep_jets.to_dict(), "exact": rep_exact.to_dict(),
          "paths_agree": rep_jets.rank == rep_exact.rank}))
     return verdicts
+
+
+def certify_skew_jets(preset: SkewPreset, max_word_len: int, order: int, seed: int = DEFAULT_SEED):
+    """Freeness of the preset's images through their p-jets at p-order N
+    read modulo MODULUS at W points, from N = `order` and W = JET_POINTS.
+    While the rank is deficient, which may be a limit of N or W, W doubles
+    until it exceeds the word length and W*N reaches twice the word count,
+    then N doubles, up to JET_ORDER_CEILING; the generators are expanded
+    exactly again at each new N.  W must exceed the word length because
+    Sbar lies in Q(t), where it acts pointwise: the word combination
+    prod_{k<W} (Sbar - Sbar(P_k)) vanishes at all W points at every N.
+    The report's params record N, W, the modulus and the t0 used."""
+    c = preset.construction[0]
+    n, w, t0 = order, JET_POINTS, skewfrac.RESIDUE_T0
+    exact = None
+    while True:
+        if exact is None:
+            exact = list(skewfrac.symmetric_image_jets(n, *preset.construction))
+        # a word of L letters is 1 times its letters: L - 1 of the products
+        # have a right factor that moves ranges
+        gens, t0 = skewfrac.residue_pjets(exact, c, w, max(max_word_len - 1, 0), t0)
+        rep = certify_freeness(gens, skewfrac.residue_pjet_ring(n).ops(),
+                               skew_residue_coordinatizer(n, w), max_word_len, "monoid",
+                               command=preset.command, seed=seed)
+        rep.params.update(order=n, points=w, t0=t0, modulus=MODULUS)
+        if rep.verdict == "certified":
+            return rep
+        if w <= max_word_len or w * n < 2 * rep.word_count:
+            w *= 2
+        elif 2 * n <= JET_ORDER_CEILING:
+            n *= 2
+            exact = None
+        else:
+            return rep
 
 
 pjets_agree = jets_agree  # p-jets are series jets

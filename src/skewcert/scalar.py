@@ -627,6 +627,29 @@ class RatFun:
             den *= q ** -e
         return Fraction(num, den)
 
+    def eval_mod(self, points, q: int) -> list[int]:
+        """Values modulo the prime q at the residues `points`, by integer
+        Horner on the coefficient lists.  PoleAtPoint when the denominator
+        vanishes modulo q at a point, ZeroDenominator when the rational
+        content's denominator is divisible by q."""
+        if not self._cd % q:
+            raise ZeroDenominator(f"content denominator {self._cd} is divisible by {q}")
+        s = self._cn * pow(self._cd, -1, q) % q
+        n = [c % q for c in reversed(self._n)]
+        d = [c % q for c in reversed(self._d)]
+        out = []
+        for x in points:
+            dv = 0
+            for c in d:
+                dv = (dv * x + c) % q
+            if not dv:
+                raise PoleAtPoint(f"pole at t = {x} modulo {q}")
+            nv = 0
+            for c in n:
+                nv = (nv * x + c) % q
+            out.append(s * nv * pow(dv, -1, q) % q)
+        return out
+
     def shift(self, c: Fraction) -> "RatFun":
         """Substitute t -> t - c; a field automorphism of Q(t), so the image
         of a reduced fraction is reduced."""

@@ -28,16 +28,15 @@ public Jet(...) constructor filters to establish it.  jet_add, jet_neg and
 jet_smul build their results through the raw constructor _jet instead and
 check only what can break it there (a sum that cancels, an order that
 reaches trunc), since a nonzero rational multiple of a coefficient that is
-not an exact zero is not one either.  jet_mul, the recursion of jet_inv and
-the lifted derivations collect their (kappa, x, y) coefficient triples per
-output order and sum each order once, through the coefficient ring's
-RingOps.sum_products, and only for orders below the final truncation;
-jet_mul and the lifted derivations then filter once, through the public
-constructor.  A ring with neither delta nor sigma fuses such sums itself
-(jet_dot, the dot of its ops): the smallest truncation over all terms
-first, then only the coefficient products below it, one sum_products call
-per order, and one Jet.  An order past a sum's truncation is never formed,
-so it cannot trip the Laurent floor.
+not an exact zero is not one either.  Sums of products of jets are one
+fused kernel, jet_dot, under every crossing (none, sigma, delta); it is the
+dot of every JetRing's ops, and jet_mul is its one-term case.  It takes the
+smallest truncation over all terms first, collects the (kappa, x, y)
+coefficient triples of every term per output order, sums each order below
+that truncation once through the coefficient ring's RingOps.sum_products,
+and filters once, through the public constructor.  The recursion of jet_inv
+and the lifted derivations sum their orders the same way.  An order past a
+sum's truncation is never formed, so it cannot trip the Laurent floor.
 
 Towers are built by using one JetRing's element ops as the coefficient ring
 of the next level; `lift_derivation` extends an inner derivation across a
@@ -149,7 +148,7 @@ class JetRing:
             inv=jet_inv,
             is_unit=lambda a: unit_criterion_audit(a)[0],
             fully_exact=jet_fully_exact,
-            dot=jet_dot if self.delta is None and self.sigma is None else None,
+            dot=jet_dot,
         )
 
 
@@ -292,11 +291,12 @@ def _kappa(j: int, m: int) -> int:
 
 
 def jet_dot(terms) -> Jet:
-    """sum kappa * x * y over (kappa, x, y) triples of jets in one ring with
-    neither delta nor sigma, fused: the truncation is the smallest over all
-    terms, only coefficient products below it are formed, each output order
-    is one sum_products call of the coefficient ring, and the result passes
-    the public constructor once."""
+    """sum kappa * x * y over (kappa, x, y) triples of jets in one ring,
+    fused as the module docstring says, with (t^i a)(t^j b) = sum_m
+    kappa(j, m) t^(i+j+m) delta^m(a) b under delta, t^(i+j) sigma^j(a) b
+    under sigma.  The delta chain per left coefficient stops only at an
+    exact zero; an inexact zero keeps flowing so its finite precision
+    reaches the output."""
     ring = terms[0][1].ring
     trunc = EXACT
     for _, x, y in terms:
@@ -305,77 +305,59 @@ def jet_dot(terms) -> Jet:
         t = min(_tadd(x.trunc, y.min_ord), _tadd(y.trunc, x.min_ord))
         if t < trunc:
             trunc = t
+    ops = ring.coeff
+    is_zero = ops.is_zero
+    delta, sigma = ring.delta, ring.sigma
     groups = defaultdict(list)
-    for kap, x, y in terms:
-        yc = y.coeffs.items()
-        for i, xi in x.coeffs.items():
-            for j, yj in yc:
-                if i + j < trunc:
-                    groups[i + j].append((kap, xi, yj))
-    sp = ring.coeff.sum_products
-    return Jet(ring, {k: sp(g) for k, g in groups.items()}, trunc)
+    for kap, a, b in terms:
+        if not a.coeffs or not b.coeffs:
+            continue
+        bc = b.coeffs.items()
+        if delta is None:
+            for i, ai in a.coeffs.items():
+                for j, bj in bc:
+                    if i + j < trunc:
+                        groups[i + j].append((kap, sigma(ai, j) if sigma else ai, bj))
+            continue
+        b_min = min(b.coeffs)
+        for i, ai in a.coeffs.items():
+            dm = ai
+            max_m = (trunc - i - b_min) - 1 if trunc < EXACT else None
+            m = 0
+            while True:
+                if is_zero(dm):
+                    if not _exact(ops, dm):
+                        # the rest of the chain only carries precision caps:
+                        # spread one empty product per j over the remaining
+                        # window (for j <= 0 the crossing stops at k = i)
+                        if trunc >= EXACT:
+                            trunc = min(trunc, ring.order)
+                        for j, bj in bc:
+                            hi = min(trunc, i + 1 if j <= 0 else trunc)
+                            for k in range(i + j + m, hi):
+                                groups[k].append((kap, dm, bj))
+                    break
+                for j, bj in bc:
+                    k = i + j + m
+                    if k < trunc:
+                        kk = _kappa(j, m)
+                        if kk:
+                            groups[k].append((kap * kk, dm, bj))
+                m += 1
+                if max_m is not None and m > max_m:
+                    break
+                if max_m is None and i + b_min + m >= ring.order:
+                    # nonterminating crossing on an exact product: truncate
+                    trunc = min(trunc, ring.order)
+                    break
+                dm = delta(dm)
+    sp = ops.sum_products
+    return Jet(ring, {k: sp(g) for k, g in groups.items() if k < trunc}, trunc)
 
 
 def jet_mul(a: Jet, b: Jet) -> Jet:
-    """(t^i a)(t^j b) = sum_m kappa(j, m) t^(i+j+m) delta^m(a) b, truncated;
-    t^(i+j) sigma^j(a) b in a ring twisted by sigma.
-
-    The products are collected per output order and summed once, by the
-    coefficient ring's sum_products, for the orders below the final
-    truncation only.  The delta chain per left coefficient stops only at an
-    exact zero; an inexact zero keeps flowing so its finite precision
-    reaches the output.
-    """
     _check_ctx(a, b)
-    ring = a.ring
-    ops = ring.coeff
-    trunc = min(_tadd(a.trunc, b.min_ord), _tadd(b.trunc, a.min_ord))
-    if not a.coeffs or not b.coeffs:
-        return _jet(ring, {}, min(trunc, EXACT))
-    is_zero = ops.is_zero
-    delta, sigma = ring.delta, ring.sigma
-    b_min = min(b.coeffs)
-    groups = defaultdict(list)
-
-    for i, ai in a.coeffs.items():
-        if delta is None:
-            for j, bj in b.coeffs.items():
-                if i + j < trunc:
-                    groups[i + j].append((1, sigma(ai, j) if sigma else ai, bj))
-            continue
-        dm = ai
-        max_m = (trunc - i - b_min) - 1 if trunc < EXACT else None
-        m = 0
-        while True:
-            if is_zero(dm):
-                if not _exact(ops, dm):
-                    # the rest of the chain only carries precision caps:
-                    # spread one empty product per j over the remaining window
-                    # (for j <= 0 the crossing stops at k = i)
-                    if trunc >= EXACT:
-                        trunc = min(trunc, ring.order)
-                    for j, bj in b.coeffs.items():
-                        hi = min(trunc, i + 1 if j <= 0 else trunc)
-                        for k in range(i + j + m, hi):
-                            groups[k].append((1, dm, bj))
-                break
-            for j, bj in b.coeffs.items():
-                k = i + j + m
-                if k >= trunc:
-                    continue
-                kap = _kappa(j, m)
-                if kap:
-                    groups[k].append((kap, dm, bj))
-            m += 1
-            if max_m is not None and m > max_m:
-                break
-            if max_m is None and i + b_min + m >= ring.order:
-                # nonterminating crossing on an exact product: truncate
-                trunc = min(trunc, ring.order)
-                break
-            dm = delta(dm)
-    sp = ops.sum_products
-    return Jet(ring, {k: sp(g) for k, g in groups.items() if k < trunc}, trunc)
+    return jet_dot([(1, a, b)])
 
 
 def jet_inv(a: Jet) -> Jet:

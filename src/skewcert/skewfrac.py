@@ -11,8 +11,10 @@ series kernel in `series`:
 * `pjet_ring`/`sf_to_pjet` — truncated Laurent series in p with Q(t)
   coefficients and the automorphism crossing a*p = p*sigma(a), a
   `series.JetRing` twisted by sigma.  `PJet` is another name for
-  `series.Jet`.  This is the cheap path used as a pre-filter in freeness
-  runs and as an independent arithmetic cross-oracle.
+  `series.Jet`.  They are an independent arithmetic cross-oracle, and
+  `residue_pjets` reads them modulo a prime at the sigma-orbit points of
+  t0, a ring of residues (`residue_pjet_ring`) on which freeness runs
+  evaluate their words.
 * `weyl_jet_ring`/`sf_to_weyl_jet` — the differential-operator model: p maps
   to the inverse series variable and t to (that) * X over the coefficient
   field Q(X) with derivation -d/dX, giving an expansion inside the
@@ -23,9 +25,11 @@ from __future__ import annotations
 
 import functools
 from fractions import Fraction
+from operator import add, mul
 
 from . import series
-from .errors import AutMismatch, HypothesisViolation, InvertZero, KernelError
+from .errors import AutMismatch, HypothesisViolation, InvertZero, KernelError, PoleAtPoint
+from .freecert import MODULUS
 from .rings import RingOps
 from .scalar import RF_ONE, RF_ZERO, Poly, RatFun, rat
 from .skewpoly import ShiftAut, SkewPoly, sp_divmod, sp_gcld, sp_gcrd_llcm, sp_mul
@@ -321,6 +325,132 @@ def heisenberg_image_jets(order: int) -> tuple[PJet, PJet]:
 
 def twodim_image_jets(order: int) -> tuple[PJet, PJet]:
     return symmetric_image_jets(order, *TWODIM_CONSTRUCTION)
+
+
+# -- sigma-jets evaluated modulo a prime ---------------------------------------
+#
+# An evaluated coefficient is a Q(t) value read modulo the prime MODULUS at
+# the sigma-orbit points P_k = t0 - k*c: a pair (lo, (a(P_lo), a(P_lo+1),
+# ...)), or one int for a sigma-fixed constant.  Since sigma^j(a)(P_k) =
+# a(P_{k+j}), sigma only moves lo by -j, and sums and products are
+# pointwise on the overlap of the index ranges.  Reading a jet's
+# coefficients at points where none has a pole modulo MODULUS is a ring
+# homomorphism on the jets, Z_(MODULUS)-linear, so words evaluated here are
+# the exact p-jet values read at the points.  No evaluated value counts as
+# an exact zero: one that vanishes at the points may not vanish in Q(t),
+# and a jet that keeps every order it forms never overstates its precision.
+
+
+# first point of the evaluated p-jets, far from the small rationals where
+# the presets' coefficients have their poles
+RESIDUE_T0 = 2**31 - 1
+
+
+def _residue_of(q) -> int:
+    q = rat(q)
+    return q.numerator * pow(q.denominator, -1, MODULUS) % MODULUS
+
+
+def _residue_window(a, start: int, stop: int):
+    """The values of a non-constant residue at the indices start..stop-1."""
+    lo, vals = a
+    return vals[start - lo:max(stop, start) - lo]
+
+
+def residue_dot(terms):
+    """sum kappa * x * y over residues, pointwise on the overlap of every
+    range involved, reduced modulo MODULUS once per point."""
+    ranged = [z for _, x, y in terms for z in (x, y) if type(z) is not int]
+    if not ranged:
+        return sum(k * x * y for k, x, y in terms) % MODULUS
+    start = max(lo for lo, _ in ranged)
+    stop = min(lo + len(v) for lo, v in ranged)
+    acc = [0] * max(stop - start, 0)
+    for kap, x, y in terms:
+        if type(x) is int:
+            x, y = y, x
+        if type(x) is int:
+            c = kap * x * y
+            acc = [s + c for s in acc]
+            continue
+        xs = _residue_window(x, start, stop)
+        if type(y) is int:
+            c = kap * y
+            acc = [s + c * u for s, u in zip(acc, xs)]
+        elif kap == 1:
+            acc = list(map(add, acc, map(mul, xs, _residue_window(y, start, stop))))
+        else:
+            acc = [s + kap * u * v for s, u, v in zip(acc, xs, _residue_window(y, start, stop))]
+    return start, tuple(s % MODULUS for s in acc)
+
+
+def residue_ops() -> RingOps:
+    """Residues at the sigma-orbit points as a coefficient ring of jets;
+    there is no inverse, since a value may vanish at one point only."""
+    return RingOps(
+        name=f"Q(t) at sigma-orbit points mod {MODULUS}",
+        zero=0,
+        one=1,
+        add=lambda a, b: residue_dot([(1, a, 1), (1, 1, b)]),
+        neg=lambda a: residue_dot([(-1, a, 1)]),
+        mul=lambda a, b: residue_dot([(1, a, b)]),
+        smul=lambda q, a: residue_dot([(1, _residue_of(q), a)]),
+        is_zero=lambda a: False,
+        dot=residue_dot,
+    )
+
+
+def _residue_sigma(a, j: int):
+    return a if type(a) is int else (a[0] - j, a[1])
+
+
+@functools.lru_cache(maxsize=None)
+def residue_pjet_ring(order: int) -> series.JetRing:
+    """Laurent series in p over the residues, twisted by sigma."""
+    return series.JetRing(residue_ops(), None, "p", order, floor=-series.EXACT, sigma=_residue_sigma)
+
+
+def residue_pjets(jets, c, width: int, products: int, t0: int):
+    """The p-jets `jets` read modulo MODULUS at P_k = t0 - k*c, for the k
+    that up to `products` right multiplications by them need to keep the
+    `width` points 0..width-1: a right factor of p-order j moves its left
+    factor's range by -j.  A pole at any needed point moves t0 to the next
+    integer; no point is skipped.  Returns the residue jets and the t0 used."""
+    cq = _residue_of(c)
+    orders = [i for j in jets for i in j.coeffs] or [0]
+    lo = -products * max(0, -min(orders))
+    hi = width + products * max(0, max(orders))
+    ring = residue_pjet_ring(jets[0].ring.order)
+    while True:
+        points = [(t0 - k * cq) % MODULUS for k in range(lo, hi)]
+        try:
+            return [ring.make({i: _residues(a, points, lo) for i, a in j.coeffs.items()}, j.trunc)
+                    for j in jets], t0
+        except PoleAtPoint:
+            t0 += 1
+
+
+def _residues(a: RatFun, points, lo: int):
+    if a.is_const():
+        return a.eval_mod([0], MODULUS)[0]
+    return lo, tuple(a.eval_mod(points, MODULUS))
+
+
+def residue_row(jet: PJet, window: int, width: int) -> dict:
+    """A residue jet as a sparse row: column i*width + k holds the value of
+    its p^i coefficient at P_k, for i < window and 0 <= k < width."""
+    row = {}
+    for i, a in jet.coeffs.items():
+        if i >= window:
+            continue
+        if type(a) is int:
+            vals = (a,) * width
+        elif a[0] > 0 or a[0] + len(a[1]) < width:
+            raise KernelError(f"the p^{i} coefficient misses some of the points 0..{width - 1}")
+        else:
+            vals = _residue_window(a, 0, width)
+        row.update((i * width + k, x) for k, x in enumerate(vals) if x)
+    return row
 
 
 # -- expansion into the derivation-twisted series rings ----------------------

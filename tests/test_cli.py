@@ -194,6 +194,33 @@ def test_check_algebra_rejects_unknown_names(text, message, capsys, tmp_path):
     assert captured.out == ""
 
 
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        # the reversed pair says [v, u] = -w; it once cancelled to a zero bracket
+        ("basis u v w\nbracket v u = w\nbracket u v = w\n",
+         "line 3: the bracket of u and v is already given on line 2"),
+        # a repeated line once replaced the earlier one
+        ("basis u v w\nbracket v u = w\n\nbracket v u = 2*w\n",
+         "line 4: the bracket of v and u is already given on line 2"),
+        ("basis u u v\nbracket v u = u\n", "line 1: 'u' appears twice in the basis"),
+        # a second basis or weight line once replaced the first
+        ("basis u v w\nbracket v u = w\nbasis x y z\n",
+         "line 3: the basis is already given on line 1"),
+        ("basis u v w\nweight u = 1\nweight u = 3\n",
+         "line 3: the weight of u is already given on line 2"),
+    ],
+)
+def test_check_algebra_rejects_contradictory_tables(text, message, capsys, tmp_path):
+    path = tmp_path / "alg.txt"
+    path.write_text(text)
+    code = cli.run(["check-algebra", str(path)])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.err == f"error: {message}\n"
+    assert captured.out == ""
+
+
 def test_python_m_skewcert_runs_the_cli():
     proc = subprocess.run([sys.executable, "-m", "skewcert", "verify", "valuation"],
                           capture_output=True, text=True, env=src_env())
@@ -242,9 +269,10 @@ def _freeness(report):
 
 
 def test_jet_escalation_reexpands_generators(capsys):
-    # at order 4 the p-jets are rank-deficient; escalation must re-evaluate
-    # the words from generators expanded at the doubled order, and the report
-    # must name that order instead of the escalation ceiling
+    # at order 4 the evaluated p-jets are rank-deficient, and 16 points
+    # already exceed the word length and give W*N >= 2 * 7 words; escalation
+    # must re-evaluate the words from generators expanded at the doubled
+    # order, and the report must name that order instead of the ceiling
     code, report = run_cli(["certify", "heisenberg", "--order", "4", "--max-word-len", "2"], capsys)
     assert code == 0
     v = _freeness(report)
@@ -252,7 +280,8 @@ def test_jet_escalation_reexpands_generators(capsys):
     jets = v["data"]["jets"]
     assert jets["verdict"] == "certified" and jets["rank"] == 7
     assert jets["truncation_order"] == 8
-    assert jets["params"]["coordinatizer"] == "pjet-order-8"
+    assert jets["params"]["coordinatizer"] == "pjet-residues"
+    assert (jets["params"]["order"], jets["params"]["points"]) == (8, 16)
     assert v["data"]["paths_agree"]
 
 
@@ -269,5 +298,6 @@ def test_deficient_jets_never_fail_the_exact_verdict(capsys, monkeypatch):
     jets = v["data"]["jets"]
     assert jets["verdict"] == "inconclusive" and jets["rank"] < 7
     assert jets["truncation_order"] == 4
+    assert (jets["params"]["order"], jets["params"]["points"]) == (4, 16)
     assert v["data"]["exact"]["verdict"] == "certified"
     assert not v["data"]["paths_agree"]

@@ -233,23 +233,75 @@ def test_truncated_deficiency_is_inconclusive_after_one_build():
 
 
 def test_skew_pipeline_escalates_jets_to_ceiling(monkeypatch):
-    # a blind jet pre-filter stays deficient at every order: the pipeline
-    # doubles the order up to the ceiling, and the exact path still decides
-    orders = []
+    # a blind evaluated-jet path stays deficient at every (order, points):
+    # the points double until they exceed the word length, then the order
+    # doubles up to the ceiling, and the exact path still decides
+    steps = []
 
-    def blind(aut, order):
-        orders.append(order)
-        return Coordinatizer(f"pjet-order-{order}", lambda values: [{} for _ in values],
-                             precision=harness._jet_precision)
+    def blind(order, points):
+        steps.append((order, points))
+        return Coordinatizer("pjet-residues", lambda values: [{} for _ in values],
+                             precision=harness._jet_precision, modular=True)
 
-    monkeypatch.setattr(harness, "skew_pjet_coordinatizer", blind)
+    monkeypatch.setattr(harness, "skew_residue_coordinatizer", blind)
     monkeypatch.setattr(harness, "JET_ORDER_CEILING", 64)
+    monkeypatch.setattr(harness, "JET_POINTS", 1)
     v = harness.run_certify_skew(harness.HEISENBERG, 1, 16)[-1]
-    assert orders == [16, 32, 64]
+    assert steps == [(16, 1), (16, 2), (32, 2), (64, 2)]
     assert v["verdict"] == "certified"
     jets = v["data"]["jets"]
     assert jets["verdict"] == "inconclusive" and jets["relation"] is None
-    assert jets["params"]["coordinatizer"] == "pjet-order-64"
+    assert jets["params"]["coordinatizer"] == "pjet-residues"
+    assert (jets["params"]["order"], jets["params"]["points"]) == (64, 2)
     assert jets["truncation_order"] == 64
     assert v["data"]["exact"]["verdict"] == "certified"
     assert not v["data"]["paths_agree"]
+
+
+def test_modular_rows_are_ranked_modulo_the_prime_only():
+    # independent over Q, dependent modulo MODULUS: residues say nothing
+    # over Q, so the deficiency is inconclusive and no relation is claimed
+    residues = Coordinatizer("residues", lambda values: [{0: 1}, {0: 1 + MODULUS}],
+                             precision=lambda values: 8, modular=True)
+    X, Y = groupring.symmetric_generators()
+    rep = certify_freeness([X, Y], groupring.ring_ops(), residues, 1)
+    assert (rep.verdict, rep.rank, rep.relation) == ("inconclusive", 1, None)
+
+
+def test_deficient_residue_rank_never_reaches_bareiss(monkeypatch):
+    from skewcert import freecert
+
+    def bareiss(vectors):
+        raise AssertionError("residue rows reached rank_over_Q")
+
+    monkeypatch.setattr(freecert, "rank_over_Q", bareiss)
+    monkeypatch.setattr(harness, "JET_ORDER_CEILING", 4)
+    rep = harness.certify_skew_jets(harness.HEISENBERG, 2, 4)
+    assert (rep.verdict, rep.rank, rep.word_count, rep.relation) == ("inconclusive", 6, 7, None)
+    assert (rep.params["order"], rep.params["points"]) == (4, 16)
+
+
+def test_four_points_escalate_past_the_word_length(monkeypatch):
+    # at W = 4 <= L the word prod_k (Sbar - Sbar(P_k)) of length 4 vanishes
+    # at every point, whatever the order; the points must double, not the
+    # order, and the run certifies
+    monkeypatch.setattr(harness, "JET_POINTS", 4)
+    rep = harness.certify_skew_jets(harness.HEISENBERG, 4, 32)
+    assert (rep.verdict, rep.rank) == ("certified", 31)
+    assert (rep.params["order"], rep.params["points"]) == (32, 8)
+
+
+@pytest.mark.parametrize("preset, order", [(harness.HEISENBERG, 32), (harness.TWODIM, 16)])
+def test_evaluated_jets_certify_at_length_four(preset, order):
+    rep = harness.certify_skew_jets(preset, 4, order)
+    assert (rep.verdict, rep.rank, rep.word_count) == ("certified", 31, 31)
+    assert rep.params == {"mode": "monoid", "max_word_len": 4, "coordinatizer": "pjet-residues",
+                          "order": order, "points": 16, "t0": skewfrac.RESIDUE_T0,
+                          "modulus": MODULUS}
+
+
+def test_pole_at_t0_moves_it_in_the_pipeline(monkeypatch):
+    third = pow(3, -1, MODULUS)  # a pole of Sbar in the two-dimensional case
+    monkeypatch.setattr(skewfrac, "RESIDUE_T0", third)
+    rep = harness.certify_skew_jets(harness.TWODIM, 2, 16)
+    assert rep.verdict == "certified" and rep.params["t0"] == third + 1

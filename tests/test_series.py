@@ -563,7 +563,7 @@ def check_fused_matches_fallback(tower, level, pool, kaps):
     # the ring's own dot, on sums whose first two terms cancel when kaps
     # starts with (k, -k)
     ops = ring.ops()
-    assert ops.dot is (None if ring.delta or ring.sigma else series.jet_dot)
+    assert ops.dot is series.jet_dot
     terms = [(k, *xy) for k, xy in zip(kaps, [(a, b), (a, b), (b, c), (c, a)])]
     assert dump(ops.sum_products(terms)) == dump(replace(ops, dot=None).sum_products(terms))
     for jring, on_coeffs, of_w, own in lifted(tower):

@@ -6,9 +6,20 @@ from fractions import Fraction as F
 import pytest
 
 from skewcert import series
-from skewcert.errors import ContextMismatch, HypothesisViolation, InvertZero
+from skewcert.errors import (
+    ContextMismatch,
+    HypothesisViolation,
+    InvertZero,
+    KernelError,
+    PoleAtPoint,
+    ZeroDenominator,
+)
+from skewcert.freecert import MODULUS, enumerate_words, evaluate_words
 from skewcert.scalar import Poly, RatFun
 from skewcert.skewfrac import (
+    HEISENBERG_CONSTRUCTION,
+    RESIDUE_T0,
+    TWODIM_CONSTRUCTION,
     PJet,
     ShiftAut,
     SkewFrac,
@@ -19,9 +30,16 @@ from skewcert.skewfrac import (
     heisenberg_image_jets,
     orbit_distinct,
     pjet_ring,
+    residue_ops,
+    residue_pjet_ring,
+    residue_pjets,
+    residue_row,
+    ring_ops,
     sf_eq_cross,
     sf_to_pjet,
     sf_to_weyl_jet,
+    symmetric_image_jets,
+    symmetric_images,
     twodim_image_jets,
     weyl_jet_ring,
 )
@@ -254,3 +272,85 @@ def test_pjet_rank_monotone_in_order():
         vectors = skew_pjet_coordinatizer(AUT, order).build(values)
         ranks.append(rank_over_Q(vectors)[0])
     assert ranks == sorted(ranks)
+
+
+# -- sigma-jets evaluated modulo a prime ---------------------------------------
+
+
+@pytest.mark.parametrize("construction, order", [(HEISENBERG_CONSTRUCTION, 16),
+                                                 (TWODIM_CONSTRUCTION, 8)])
+def test_residue_words_match_the_exact_expansion(construction, order):
+    # oracle: each word's evaluated jet equals the exact p-jet expansion of
+    # its exact value in K(p;sigma), read at the same points
+    width, length = 6, 2
+    c = construction[0]
+    gens, t0 = residue_pjets(list(symmetric_image_jets(order, *construction)), c, width,
+                             length - 1, RESIDUE_T0)
+    words = enumerate_words(2, length, False)
+    ring = residue_pjet_ring(order)
+    residue_values = evaluate_words(gens, ring.ops(), words, "monoid")
+    exact_values = evaluate_words(list(symmetric_images(*construction)),
+                                  ring_ops(ShiftAut(c)), words, "monoid")
+    expanded, t0_exact = residue_pjets([sf_to_pjet(v, order) for v in exact_values], c, width, 0, t0)
+    assert t0_exact == t0 == RESIDUE_T0
+    for x, y in zip(residue_values, expanded):
+        window = min(x.trunc, y.trunc)
+        assert window >= order
+        assert residue_row(x, window, width) == residue_row(y, window, width)
+    # and the words differ from each other at these points
+    assert len({tuple(sorted(residue_row(x, order, width).items())) for x in residue_values}) == 7
+
+
+def test_residues_are_never_exact_zeros():
+    ops = residue_ops()
+    ring = residue_pjet_ring(4)
+    a = ring.make({0: 0, 1: (0, (0, 0, 0)), 2: (0, (1, 2, 3))}, 4)
+    assert not ops.is_zero(0) and not ops.is_zero((0, (0, 0, 0)))
+    assert sorted(a.coeffs) == [0, 1, 2]
+    # a difference that vanishes at every point keeps its orders, so its
+    # lowest order never moves past the true valuation
+    d = series.jet_sub(a, a)
+    assert sorted(d.coeffs) == [0, 1, 2] and d.min_ord == 0
+    assert d.coeffs[2] == (0, (0, 0, 0))
+    assert ops.inv is None
+
+
+def test_residue_ring_shifts_and_overlaps():
+    ops = residue_ops()
+    x, y = (2, (1, 2, 3, 4)), (3, (5, 6, 7))
+    # sigma^j moves the range by -j, so values keep their points
+    assert residue_pjet_ring(4).sigma(x, 1) == (1, (1, 2, 3, 4))
+    assert residue_pjet_ring(4).sigma(7, 5) == 7
+    assert ops.mul(x, y) == (3, (10, 18, 28))
+    assert ops.add(x, 1) == (2, (2, 3, 4, 5))
+    assert ops.neg(x) == (2, tuple(MODULUS - v for v in (1, 2, 3, 4)))
+    assert ops.smul(F(1, 2), 4) == 2
+    assert ops.sum_products([(2, x, y), (-1, y, 3)]) == (3, (5, 18, 35))
+    # a row needs every point 0..width-1 of every coefficient
+    assert residue_row(residue_pjet_ring(4).make({0: (-1, (1, 2, 3)), 1: 5}), 4, 2) == {
+        0: 2, 1: 3, 2: 5, 3: 5}
+    with pytest.raises(KernelError):
+        residue_row(residue_pjet_ring(4).make({0: x}), 4, 2)
+
+
+def test_pole_at_a_point_moves_t0_and_skips_no_point():
+    # t0 = 1/3 mod q is a pole of s = (e - 1/3)(e + 1/3)^-1, so of Sbar
+    third = pow(3, -1, MODULUS)
+    sbar = symmetric_images(*TWODIM_CONSTRUCTION)[0].as_ratfun()
+    with pytest.raises(PoleAtPoint):
+        sbar.eval_mod([third], MODULUS)
+    with pytest.raises(ZeroDenominator):
+        RatFun.const(F(1, MODULUS)).eval_mod([0], MODULUS)
+    width, products, order = 4, 2, 8
+    exact = list(symmetric_image_jets(order, *TWODIM_CONSTRUCTION))
+    gens, t0 = residue_pjets(exact, -1, width, products, third)
+    assert t0 == third + 1
+    hi = width + products * (order - 1)
+    points = [(t0 + k) % MODULUS for k in range(hi)]  # sigma(e) = e + 1
+    for g, e in zip(gens, exact):
+        assert sorted(g.coeffs) == sorted(e.coeffs)
+        for i, a in g.coeffs.items():
+            if type(a) is int:
+                assert e.coeffs[i].is_const()
+            else:
+                assert a == (0, tuple(e.coeffs[i].eval_mod(points, MODULUS)))

@@ -2,6 +2,7 @@
 
 import ast
 import pathlib
+import sys
 
 PACKAGE = pathlib.Path(__file__).resolve().parents[1] / "src" / "skewcert"
 
@@ -24,3 +25,24 @@ def test_no_assert_statements_in_src():
                   if isinstance(node, ast.Assert) or _raises_assertion_error(node)]
     assert list(PACKAGE.rglob("*.py"))
     assert not found, f"assert statements or AssertionErrors in src: {found}"
+
+
+def test_src_imports_only_stdlib():
+    # the core package stays pure standard library: every absolute import
+    # names a standard module or skewcert itself, and relative imports stay
+    # inside the package
+    allowed = set(sys.stdlib_module_names) | {"skewcert"}
+    found = []
+    for path in sorted(PACKAGE.rglob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                names = [a.name for a in node.names]
+            elif isinstance(node, ast.ImportFrom) and not node.level:
+                names = [node.module]
+            else:
+                continue
+            found += [f"{path.name}:{node.lineno}: {n}" for n in names
+                      if n.split(".")[0] not in allowed]
+    assert list(PACKAGE.rglob("*.py"))
+    assert not found, f"imports outside the standard library in src: {found}"
