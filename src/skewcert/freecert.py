@@ -234,12 +234,19 @@ def certify_freeness(
     mode: str = "monoid",
     command: str = "certify",
     seed: int = 0,
+    inverses=None,
 ) -> CertReport:
     if mode not in ("monoid", "group"):
         raise ValueError(f"unknown mode {mode!r}")
     t0 = time.monotonic()
     words = enumerate_words(len(generators), length, mode == "group")
-    values = evaluate_words(generators, ops, words, mode)
+    if inverses is None:
+        values = evaluate_words(generators, ops, words, mode)
+    else:
+        # the given inverses replace ops.inv: letter -i becomes letter m + i
+        m = len(generators)
+        values = evaluate_words(list(generators) + list(inverses), ops,
+                                [tuple(a if a > 0 else m - a for a in w) for w in words], "monoid")
     rows = coord.build(values)
     rank, relation = (rank_mod_p(rows), None) if coord.modular else rank_over_Q(rows)
     if rank == len(words):

@@ -13,7 +13,7 @@ from fractions import Fraction
 from typing import Callable
 
 from . import groupring, pbw, series, skewfrac
-from .errors import KernelError
+from .errors import KernelError, ZeroDenominator
 from .freecert import MODULUS, Coordinatizer, certify_freeness
 from .pbw import (
     LieHom,
@@ -85,13 +85,14 @@ def _passing(v: dict) -> bool:
 
 
 def worst_exit(verdicts) -> int:
-    bad = [v for v in verdicts if not _passing(v)]
+    """0 if every verdict passes, 2 for a relation or counterexample, 3 if
+    every failure is a truncation limit (`inconclusive`), else 4 (`unable`)."""
+    bad = {v["verdict"] for v in verdicts if not _passing(v)}
     if not bad:
         return 0
-    if any(v["verdict"] == "inconclusive" for v in bad):
-        if all(v["verdict"] == "inconclusive" for v in bad):
-            return 3
-    return 2
+    if bad - {"inconclusive", "unable"}:
+        return 2
+    return 3 if bad == {"inconclusive"} else 4
 
 
 # -- atoms and fact tables -----------------------------------------------------
@@ -412,9 +413,10 @@ SKEW_PRESETS = {p.command: p for p in (HEISENBERG, TWODIM)}
 
 
 # highest p-order, and first number of points, of the evaluated p-jets of
-# `certify_skew_jets`
+# `certify_skew_jets`, and the first p-order of `certify cauchon`
 JET_ORDER_CEILING = 256
 JET_POINTS = 16
+CAUCHON_JET_ORDER = 16
 
 
 def equality_verdict(claim: str, label: str, lhs, rhs, table: FactTable, cross_check) -> dict:
@@ -442,7 +444,9 @@ def run_certify_skew(preset: SkewPreset, max_word_len: int = 3, order: int = 32,
 
     # freeness of the images: evaluated p-jets, then the authoritative exact
     # fraction path
-    rep_jets = certify_skew_jets(preset, max_word_len, order, seed)
+    rep_jets = certify_skew_jets(lambda n: skewfrac.symmetric_image_jets(n, *preset.construction),
+                                 preset.construction[0], max_word_len, order,
+                                 command=preset.command, seed=seed)
     images = skewfrac.symmetric_images(*preset.construction)
     aut = images[0].aut
     rep_exact = certify_freeness(list(images), skewfrac.ring_ops(aut), skew_exact_coordinatizer(aut),
@@ -460,32 +464,37 @@ def run_certify_skew(preset: SkewPreset, max_word_len: int = 3, order: int = 32,
     return verdicts
 
 
-def certify_skew_jets(preset: SkewPreset, max_word_len: int, order: int, seed: int = DEFAULT_SEED):
-    """Freeness of the preset's images through their p-jets at p-order N
-    read modulo MODULUS at W points, from N = `order` and W = JET_POINTS.
-    While the rank is deficient, which may be a limit of N or W, W doubles
-    until it exceeds the word length and W*N reaches twice the word count,
-    then N doubles, up to JET_ORDER_CEILING; the generators are expanded
-    exactly again at each new N.  W must exceed the word length because
-    Sbar lies in Q(t), where it acts pointwise: the word combination
-    prod_{k<W} (Sbar - Sbar(P_k)) vanishes at all W points at every N.
-    The report's params record N, W, the modulus and the t0 used."""
-    c = preset.construction[0]
+def certify_skew_jets(image_jets: Callable[[int], tuple], c, max_word_len: int, order: int,
+                      mode: str = "monoid", command: str = "certify", seed: int = DEFAULT_SEED):
+    """Freeness of words in the p-jets `image_jets(N)`, the generators of
+    K(p;sigma) with sigma(t) = t - c expanded exactly at p-order N (in group
+    mode each one followed by its exact inverse), read modulo MODULUS at W
+    points, from N = `order` and W = JET_POINTS.  While the rank is
+    deficient, which may be a limit of N or W, W doubles until it exceeds
+    the top power of one letter (L in monoid mode, 2L in group mode) and
+    W*N reaches twice the word count, then N doubles, up to
+    JET_ORDER_CEILING; the generators are expanded exactly again at each
+    new N.  W must exceed that power because a generator g in Q(t), such as
+    Sbar or xi, acts pointwise: prod_{k<W} (g - g(P_k)) vanishes at all W
+    points at every N.  The report's params record N, W, the modulus and
+    the t0 used."""
     n, w, t0 = order, JET_POINTS, skewfrac.RESIDUE_T0
+    top_power = max_word_len * (2 if mode == "group" else 1)
     exact = None
     while True:
         if exact is None:
-            exact = list(skewfrac.symmetric_image_jets(n, *preset.construction))
+            exact = list(image_jets(n))
         # a word of L letters is 1 times its letters: L - 1 of the products
         # have a right factor that moves ranges
         gens, t0 = skewfrac.residue_pjets(exact, c, w, max(max_word_len - 1, 0), t0)
-        rep = certify_freeness(gens, skewfrac.residue_pjet_ring(n).ops(),
-                               skew_residue_coordinatizer(n, w), max_word_len, "monoid",
-                               command=preset.command, seed=seed)
+        letters, inverses = (gens[::2], gens[1::2]) if mode == "group" else (gens, None)
+        rep = certify_freeness(letters, skewfrac.residue_pjet_ring(n).ops(),
+                               skew_residue_coordinatizer(n, w), max_word_len, mode,
+                               command=command, seed=seed, inverses=inverses)
         rep.params.update(order=n, points=w, t0=t0, modulus=MODULUS)
         if rep.verdict == "certified":
             return rep
-        if w <= max_word_len or w * n < 2 * rep.word_count:
+        if w <= top_power or w * n < 2 * rep.word_count:
             w *= 2
         elif 2 * n <= JET_ORDER_CEILING:
             n *= 2
@@ -522,11 +531,17 @@ def run_certify_cauchon(alpha, beta, shift=2, max_word_len: int = 2,
         verdicts.append(verdict("freeness of the group algebra on (xi, eta)", "Cauchon",
                                 "failed", {"reason": "orbit hypothesis fails; refusing to certify"}))
         return verdicts
-    s, u, xi, eta = cauchon_generators(alpha, beta, shift)
-    aut = s.aut
-    sf_ops = skewfrac.ring_ops(aut)
-    rep = certify_freeness([xi, eta], sf_ops, skew_exact_coordinatizer(aut),
-                           max_word_len, "group", command="certify cauchon", seed=seed)
+    # evaluated p-jets of xi, eta and their exact inverses; the exact fraction
+    # path decides on a deficiency, or on a content denominator divisible by MODULUS
+    try:
+        rep = certify_skew_jets(lambda n: skewfrac.cauchon_image_jets(n, alpha, beta, shift), shift,
+                                max_word_len, CAUCHON_JET_ORDER, "group", "certify cauchon", seed)
+    except ZeroDenominator:
+        rep = None
+    if rep is None or rep.verdict != "certified":
+        s, u, xi, eta = cauchon_generators(alpha, beta, shift)
+        rep = certify_freeness([xi, eta], skewfrac.ring_ops(s.aut), skew_exact_coordinatizer(s.aut),
+                               max_word_len, "group", command="certify cauchon", seed=seed)
     verdicts.append(verdict(
         f"group-mode freeness of (xi, eta) to reduced word length {max_word_len}",
         "Cauchon", rep.verdict, rep.to_dict()))

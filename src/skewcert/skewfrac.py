@@ -310,13 +310,27 @@ def symmetric_image_jets(order: int, c, alpha, beta, k: int = 1) -> tuple[PJet, 
     sandwich multiplications touch shifted copies of the base-field element.
     (Expanding the canonical fractions through their degree-2k denominators
     is vastly more expensive.)"""
+    ring, s, u_jet, u_inv = _conjugator_jets(order, c, alpha, beta, k)
+    s_jet = ring.make({0: s + s.inv()}, order)
+    return s_jet, u_jet * s_jet * u_inv
+
+
+def cauchon_image_jets(order: int, alpha, beta, c) -> tuple[PJet, PJet, PJet, PJet]:
+    """xi = s, xi^{-1}, eta = u s u^{-1} and eta^{-1} = u s^{-1} u^{-1} of
+    `cauchon_generators` as p-jets, each inverse taken exactly in Q(t)."""
+    ring, s, u_jet, u_inv = _conjugator_jets(order, c, alpha, beta, 1)
+    xi, xi_inv = ring.make({0: s}, order), ring.make({0: s.inv()}, order)
+    return xi, xi_inv, u_jet * xi * u_inv, u_jet * xi_inv * u_inv
+
+
+def _conjugator_jets(order: int, c, alpha, beta, k: int):
+    """The p-jet ring, s as an element of Q(t), and the p-jets of u and u^{-1}
+    for `cauchon_pair`."""
     s, u = cauchon_pair(c, alpha, beta, k)
-    sbar = s + s.inv()
     ring = pjet_ring(s.aut, order)
     # u = (1+p^k)^{-1}(1-p^k) = (1-p^k)(1+p^k)^{-1}: the coefficients are sigma-fixed
     u_jet = _poly_jet(u.num, ring, order) * _poly_jet(u.den, ring, order).inv()
-    s_jet = ring.make({0: sbar.as_ratfun()}, order)
-    return s_jet, u_jet * s_jet * u_jet.inv()
+    return ring, s.as_ratfun(), u_jet, u_jet.inv()
 
 
 def heisenberg_image_jets(order: int) -> tuple[PJet, PJet]:

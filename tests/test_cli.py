@@ -301,3 +301,13 @@ def test_deficient_jets_never_fail_the_exact_verdict(capsys, monkeypatch):
     assert (jets["params"]["order"], jets["params"]["points"]) == (4, 16)
     assert v["data"]["exact"]["verdict"] == "certified"
     assert not v["data"]["paths_agree"]
+
+
+def test_cauchon_certifies_at_length_three(capsys):
+    code, report = run_cli(["certify", "cauchon", "--alpha", "5/6", "--beta", "1/6",
+                            "--max-word-len", "3"], capsys)
+    assert code == 0
+    v = report["verdicts"][-1]
+    assert v["verdict"] == v["data"]["verdict"] == "certified"
+    assert (v["data"]["rank"], v["data"]["word_count"]) == (53, 53)
+    assert v["data"]["params"]["coordinatizer"] == "pjet-residues"

@@ -7,7 +7,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from skewcert import groupring, harness
-from skewcert.errors import AdapterFailure, KernelError
+from skewcert.errors import AdapterFailure, KernelError, LowestCoeffNotUnit, PoleAtPoint
 from skewcert.freecert import (
     MODULUS,
     CertReport,
@@ -268,6 +268,11 @@ def test_modular_rows_are_ranked_modulo_the_prime_only():
     assert (rep.verdict, rep.rank, rep.relation) == ("inconclusive", 1, None)
 
 
+def preset_jets(preset, length, order):
+    return harness.certify_skew_jets(lambda n: skewfrac.symmetric_image_jets(n, *preset.construction),
+                                     preset.construction[0], length, order)
+
+
 def test_deficient_residue_rank_never_reaches_bareiss(monkeypatch):
     from skewcert import freecert
 
@@ -276,7 +281,7 @@ def test_deficient_residue_rank_never_reaches_bareiss(monkeypatch):
 
     monkeypatch.setattr(freecert, "rank_over_Q", bareiss)
     monkeypatch.setattr(harness, "JET_ORDER_CEILING", 4)
-    rep = harness.certify_skew_jets(harness.HEISENBERG, 2, 4)
+    rep = preset_jets(harness.HEISENBERG, 2, 4)
     assert (rep.verdict, rep.rank, rep.word_count, rep.relation) == ("inconclusive", 6, 7, None)
     assert (rep.params["order"], rep.params["points"]) == (4, 16)
 
@@ -286,14 +291,14 @@ def test_four_points_escalate_past_the_word_length(monkeypatch):
     # at every point, whatever the order; the points must double, not the
     # order, and the run certifies
     monkeypatch.setattr(harness, "JET_POINTS", 4)
-    rep = harness.certify_skew_jets(harness.HEISENBERG, 4, 32)
+    rep = preset_jets(harness.HEISENBERG, 4, 32)
     assert (rep.verdict, rep.rank) == ("certified", 31)
     assert (rep.params["order"], rep.params["points"]) == (32, 8)
 
 
 @pytest.mark.parametrize("preset, order", [(harness.HEISENBERG, 32), (harness.TWODIM, 16)])
 def test_evaluated_jets_certify_at_length_four(preset, order):
-    rep = harness.certify_skew_jets(preset, 4, order)
+    rep = preset_jets(preset, 4, order)
     assert (rep.verdict, rep.rank, rep.word_count) == ("certified", 31, 31)
     assert rep.params == {"mode": "monoid", "max_word_len": 4, "coordinatizer": "pjet-residues",
                           "order": order, "points": 16, "t0": skewfrac.RESIDUE_T0,
@@ -303,5 +308,87 @@ def test_evaluated_jets_certify_at_length_four(preset, order):
 def test_pole_at_t0_moves_it_in_the_pipeline(monkeypatch):
     third = pow(3, -1, MODULUS)  # a pole of Sbar in the two-dimensional case
     monkeypatch.setattr(skewfrac, "RESIDUE_T0", third)
-    rep = harness.certify_skew_jets(harness.TWODIM, 2, 16)
+    rep = preset_jets(harness.TWODIM, 2, 16)
     assert rep.verdict == "certified" and rep.params["t0"] == third + 1
+
+
+# -- certify cauchon: group mode on evaluated p-jets -----------------------------
+
+CAUCHON = (F(5, 6), F(1, 6), F(2))  # alpha, beta, shift
+
+
+def cauchon_jets(length, order=16):
+    alpha, beta, c = CAUCHON
+    return harness.certify_skew_jets(lambda n: skewfrac.cauchon_image_jets(n, alpha, beta, c), c,
+                                     length, order, "group")
+
+
+@pytest.mark.parametrize("length", [2, 3])
+def test_cauchon_evaluated_rank_matches_the_exact_rank(length):
+    # oracle: the exact fraction path at L=2.  At L=3 it takes minutes; the
+    # exact rank over Q of the Q(t) p-jets, inverted by the jet ring, stands
+    # in: truncation is linear, so it is a lower bound of the exact rank
+    s, _, xi, eta = skewfrac.cauchon_generators(*CAUCHON)
+    if length == 2:
+        gens, ops, coord = [xi, eta], skewfrac.ring_ops(s.aut), skew_exact_coordinatizer(s.aut)
+    else:
+        gens = skewfrac.cauchon_image_jets(16, *CAUCHON)[::2]
+        ops, coord = pjet_ring_ops(s.aut, 16), skew_pjet_coordinatizer(s.aut, 16)
+    rep_exact = certify_freeness(gens, ops, coord, length, "group")
+    rep = cauchon_jets(length)
+    assert rep.rank == rep_exact.rank == rep.word_count == len(enumerate_words(2, length, True))
+    assert rep.verdict == rep_exact.verdict == "certified"
+    assert rep.params == {"mode": "group", "max_word_len": length, "coordinatizer": "pjet-residues",
+                          "order": 16, "points": 16, "t0": skewfrac.RESIDUE_T0, "modulus": MODULUS}
+
+
+def test_evaluated_jets_are_never_inverted():
+    # group mode over the residues needs the exact inverses handed in
+    xi, _, eta, _ = skewfrac.cauchon_image_jets(4, *CAUCHON)
+    gens, _ = skewfrac.residue_pjets([xi, eta], CAUCHON[2], 4, 0, skewfrac.RESIDUE_T0)
+    assert skewfrac.residue_ops().inv is None
+    with pytest.raises(LowestCoeffNotUnit):
+        evaluate_words(gens, skewfrac.residue_pjet_ring(4).ops(), [(-1,)], "group")
+
+
+@pytest.mark.parametrize("length", [2, 3])
+def test_cauchon_four_points_escalate_past_twice_the_word_length(monkeypatch, length):
+    # xi = s lies in Q(t): its 2L + 1 powers s^-L..s^L are reduced words,
+    # and at W <= 2L points some combination of them vanishes at every order
+    monkeypatch.setattr(harness, "JET_POINTS", 4)
+    rep = cauchon_jets(length)
+    assert (rep.verdict, rep.rank) == ("certified", rep.word_count)
+    assert (rep.params["order"], rep.params["points"]) == (16, 8)
+
+
+def test_cauchon_deficient_jets_fall_back_to_the_exact_path(monkeypatch):
+    # at p-order 1 only the powers of s survive: the jets stay deficient, and
+    # the exact path decides; a limit of the jets never exits 2
+    monkeypatch.setattr(harness, "CAUCHON_JET_ORDER", 1)
+    monkeypatch.setattr(harness, "JET_ORDER_CEILING", 1)
+    monkeypatch.setattr(harness, "JET_POINTS", 1)
+    verdicts = harness.run_certify_cauchon(*CAUCHON, 2)
+    data = verdicts[-1]["data"]
+    assert verdicts[-1]["verdict"] == data["verdict"] == "certified"
+    assert data["params"]["coordinatizer"] == "exact-left-fraction"
+    assert (data["rank"], data["truncation_order"]) == (17, None)
+    assert harness.worst_exit(verdicts) == 0
+
+
+def test_cauchon_content_without_a_residue_falls_back_to_the_exact_path():
+    # alpha = 1/MODULUS: s has no residue modulo MODULUS at any point
+    verdicts = harness.run_certify_cauchon(F(1, MODULUS), F(1, 6), 2, 1)
+    data = verdicts[-1]["data"]
+    assert (verdicts[-1]["verdict"], data["rank"]) == ("certified", 5)
+    assert data["params"]["coordinatizer"] == "exact-left-fraction"
+
+
+def test_cauchon_pole_at_t0_moves_it(monkeypatch):
+    beta = pow(6, -1, MODULUS)  # the pole of s = (t - 5/6)(t - 1/6)^-1
+    xi = skewfrac.cauchon_image_jets(1, *CAUCHON)[0]
+    with pytest.raises(PoleAtPoint):
+        xi.coeffs[0].eval_mod([beta], MODULUS)
+    monkeypatch.setattr(skewfrac, "RESIDUE_T0", beta)
+    rep = cauchon_jets(2)
+    assert (rep.verdict, rep.rank) == ("certified", 17)
+    assert (rep.params["t0"], rep.params["points"]) == (beta + 1, 16)

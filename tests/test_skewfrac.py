@@ -26,6 +26,7 @@ from skewcert.skewfrac import (
     build_heisenberg_images,
     build_twodim_images,
     cauchon_generators,
+    cauchon_image_jets,
     cauchon_pair,
     heisenberg_image_jets,
     orbit_distinct,
@@ -354,3 +355,17 @@ def test_pole_at_a_point_moves_t0_and_skips_no_point():
                 assert e.coeffs[i].is_const()
             else:
                 assert a == (0, tuple(e.coeffs[i].eval_mod(points, MODULUS)))
+
+
+def test_cauchon_image_jets_expand_the_generators_and_their_inverses():
+    # xi = s, xi^-1, eta = u s u^-1 and eta^-1, each inverse taken exactly
+    order = 8
+    _, _, xi, eta = cauchon_generators(F(5, 6), F(1, 6), 2)
+    jets = cauchon_image_jets(order, F(5, 6), F(1, 6), 2)
+    for jet, x in zip(jets, (xi, xi.inv(), eta, eta.inv())):
+        assert jet.trunc >= order
+        assert series.jets_agree(jet, sf_to_pjet(x, order), order)
+    one = jets[0].ring.one_jet()
+    assert series.jets_agree(jets[0] * jets[1], one, order)
+    assert series.jets_agree(jets[2] * jets[3], one, order)
+    assert series.jets_agree(jets[3] * jets[2], one, order)

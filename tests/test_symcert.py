@@ -13,6 +13,7 @@ from skewcert.harness import (
     st_expressions,
     twodim_expressions,
     twodim_fact_table,
+    worst_exit,
 )
 from skewcert.pbw import heisenberg, u_involution, u_mul
 from skewcert.series import jets_agree
@@ -122,6 +123,18 @@ def test_unable_outside_fragment(h_setup):
     table, _ = h_setup
     e = Inv(Add((Atom("A"), Atom("B"))))
     assert prove_equal(e, e, table) == "unable"
+
+
+def test_unable_has_its_own_exit_code():
+    # exit 2 needs a relation or counterexample, exit 3 a truncation limit
+    def exit_of(*names):
+        return worst_exit([{"verdict": n} for n in names])
+
+    assert exit_of("equal", "unable") == 4
+    assert exit_of("unable", "inconclusive") == 4
+    assert exit_of("inconclusive", "inconclusive") == 3
+    assert exit_of("unable", "failed") == exit_of("unequal") == exit_of("relation_found") == 2
+    assert exit_of("certified", "equal") == 0
 
 
 def test_equality_verdict_needs_proof_and_cross_check(h_setup):
