@@ -1,7 +1,7 @@
 """Bounded-length freeness certification: enumerate words in the candidate
 generators, evaluate them in the host ring, coordinatize into exact sparse
-Q-vectors and compute the rank: modulo a 61-bit prime first, by exact
-fraction-free elimination only when that rank is deficient.  A modular
+Q-vectors and compute the rank by one sparse row reduction: modulo a
+61-bit prime first, over Q only when that rank is deficient.  A modular
 coordinatizer maps the words to residues modulo that prime instead, and
 their rank is taken modulo the prime alone.
 
@@ -9,7 +9,8 @@ A `certified` verdict means the evaluated words are Q-linearly independent,
 a finite sound shadow of freeness (for truncation-based coordinatizers the
 implication holds because truncation is linear: independent images force
 independent preimages).  `relation_found` carries an explicit rational
-relation, re-verified in the ring when the coordinatizer is exact.
+relation, the first word in length-lex order that depends on the words
+before it, re-verified in the ring when the coordinatizer is exact.
 `inconclusive` is reserved for coordinatizers of truncated values that are
 rank-deficient: the deficiency may be a truncation artifact.  Raising the
 truncation order is the calling pipeline's policy, not this module's.
@@ -20,7 +21,7 @@ from __future__ import annotations
 import time
 from dataclasses import asdict, dataclass
 from fractions import Fraction
-from math import gcd
+from math import gcd, inf, lcm
 from typing import Callable, Optional, Sequence
 
 from .errors import AdapterFailure, KernelError
@@ -63,28 +64,53 @@ def word_str(w: Word, names: Sequence[str]) -> str:
 MODULUS = 2**61 - 1
 
 
-def rank_mod_p(rows: Sequence[dict]) -> int:
-    """Rank modulo MODULUS of integer rows (sparse `{column: int}`):
-    incremental sparse row reduction with pivots keyed by their leading
-    column, counting the pivots."""
+def _eliminate(rows: Sequence[dict], modulus: Optional[int] = None) -> tuple[int, Optional[list[int]]]:
+    """Rank of integer rows (sparse `{int column: int}`) by incremental
+    sparse row reduction, pivots keyed by their leading column.  Modulo
+    `modulus` pivots are scaled to lead 1.  Over Q (no modulus) the
+    reduction is fraction-free, each row is divided by its content, and row
+    i carries its combination of the input rows in column `width + i`.  The
+    first row whose columns vanish depends on the rows before it, which are
+    independent, so that combination is unique: it is the relation."""
+    width = inf if modulus else 1 + max((c for r in rows for c in r), default=-1)
     pivots: dict[int, dict[int, int]] = {}
-    for r in rows:
-        row = {c: y for c, x in r.items() if (y := x % MODULUS)}
+    relation = None
+    for i, r in enumerate(rows):
+        row = {c: y for c, x in r.items() if (y := x % modulus if modulus else x)}
+        if not modulus:
+            row[width + i] = 1
         while row:
             lead = min(row)
+            if lead >= width:  # only the combination is left
+                relation = relation or [row.get(width + j, 0) for j in range(len(rows))]
+                break
             piv = pivots.get(lead)
             if piv is None:
-                inv = pow(row[lead], -1, MODULUS)
-                pivots[lead] = {c: x * inv % MODULUS for c, x in row.items()}
+                if modulus:
+                    inv = pow(row[lead], -1, modulus)
+                    row = {c: x * inv % modulus for c, x in row.items()}
+                pivots[lead] = row
                 break
-            f = row[lead]
-            for c, x in piv.items():
-                y = (row.get(c, 0) - f * x) % MODULUS
-                if y:
-                    row[c] = y
-                else:
-                    row.pop(c, None)
-    return len(pivots)
+            if modulus:
+                f = row[lead]
+                for c, x in piv.items():
+                    y = (row.get(c, 0) - f * x) % modulus
+                    if y:
+                        row[c] = y
+                    else:
+                        row.pop(c, None)
+            else:  # fraction-free, then divided by the content
+                g = gcd(piv[lead], row[lead])
+                a, f = piv[lead] // g, row[lead] // g
+                row = {c: a * row.get(c, 0) - f * piv.get(c, 0) for c in row.keys() | piv.keys()}
+                g = gcd(*row.values())
+                row = {c: x // g for c, x in row.items() if x}
+    return len(pivots), relation
+
+
+def rank_mod_p(rows: Sequence[dict]) -> int:
+    """Rank modulo MODULUS of integer rows (sparse `{column: int}`)."""
+    return _eliminate(rows, MODULUS)[0]
 
 
 def rank_over_Q(vectors: Sequence[dict]) -> tuple[int, Optional[list[Fraction]]]:
@@ -94,79 +120,23 @@ def rank_over_Q(vectors: Sequence[dict]) -> tuple[int, Optional[list[Fraction]]]
     Each row is scaled to integers by the lcm of its denominators.  Rank
     modulo the prime MODULUS is at most the rank over Q, so full rank modulo
     MODULUS certifies independence and returns `(n, None)` at once.  Any
-    deficiency modulo MODULUS is decided by the exact pass: fraction-free
-    (Bareiss) elimination on the dense integer matrix, with an identity
-    block carried along so a vanishing row yields the relation."""
-    n = len(vectors)
-    if n == 0:
-        return 0, None
-    keys = sorted({k for v in vectors for k in v}, key=repr)
-    col_of = {k: i for i, k in enumerate(keys)}
-    width = len(keys)
-    scales = []
-    sparse = []
+    deficiency is decided by the same reduction over Q: the exact rank, and
+    the first vector that depends on those before it, written in them."""
+    col_of: dict = {}
+    rows, scales = [], []
     for v in vectors:
-        denlcm = 1
-        for c in v.values():
-            denlcm = denlcm * c.denominator // gcd(denlcm, c.denominator)
-        sparse.append({col_of[k]: c.numerator * (denlcm // c.denominator)
-                       for k, c in v.items() if c})
-        scales.append(Fraction(denlcm))
-    if rank_mod_p(sparse) == n:
-        return n, None
-
-    rows = []
-    for i, entries in enumerate(sparse):
-        row = [0] * (width + n)
-        for j, x in entries.items():
-            row[j] = x
-        row[width + i] = 1
-        rows.append(row)
-
-    rank = 0
-    prev = 1
-    pivot_row = 0
-    for col in range(width):
-        pr = next((r for r in range(pivot_row, n) if rows[r][col]), None)
-        if pr is None:
-            continue
-        rows[pivot_row], rows[pr] = rows[pr], rows[pivot_row]
-        piv = rows[pivot_row][col]
-        for r in range(pivot_row + 1, n):
-            rc = rows[r][col]
-            row_r, row_p = rows[r], rows[pivot_row]
-            for j in range(width + n):
-                num = row_r[j] * piv - rc * row_p[j]
-                q, rem = divmod(num, prev)
-                if rem:
-                    raise KernelError("Bareiss division must be exact")
-                row_r[j] = q
-        prev = piv
-        rank += 1
-        pivot_row += 1
-        if pivot_row == n:
-            break
-
-    if rank == n:
+        scale = lcm(*(c.denominator for c in v.values()))
+        rows.append({col_of.setdefault(k, len(col_of)): c.numerator * (scale // c.denominator)
+                     for k, c in v.items() if c})
+        scales.append(scale)
+    if rank_mod_p(rows) == len(rows):
+        return len(rows), None
+    rank, combination = _eliminate(rows)
+    if combination is None:
         return rank, None
-    for r in range(n):
-        if any(rows[r][:width]):
-            continue
-        lam = [Fraction(rows[r][width + i]) * scales[i] for i in range(n)]
-        if not any(lam):
-            continue
-        denlcm = 1
-        for c in lam:
-            denlcm = denlcm * c.denominator // gcd(denlcm, c.denominator)
-        ints = [int(c * denlcm) for c in lam]
-        g = 0
-        for c in ints:
-            g = gcd(g, c)
-        ints = [c // g for c in ints]
-        if next(c for c in ints if c) < 0:
-            ints = [-c for c in ints]
-        return rank, [Fraction(c) for c in ints]
-    return rank, None
+    lam = [c * s for c, s in zip(combination, scales)]
+    g = gcd(*lam) if next(c for c in lam if c) > 0 else -gcd(*lam)
+    return rank, [Fraction(c // g) for c in lam]
 
 
 @dataclass

@@ -1,5 +1,6 @@
 """CLI contract: report schema, exit codes, determinism, golden diffs."""
 
+import importlib.util
 import json
 import os
 import pathlib
@@ -81,25 +82,25 @@ def test_report_independent_of_hash_seed():
     assert reports[0] == reports[1]
 
 
-@pytest.mark.parametrize(
-    "name, argv, want_code",
-    [
-        ("valuation.json", ["verify", "valuation"], 0),
-        ("groupring.json", ["certify", "groupring", "--max-word-len", "3"], 0),
-        ("cauchon_refused.json",
-         ["certify", "cauchon", "--alpha", "5/6", "--beta", "5/6", "--shift", "2"], 2),
-        ("scaling.json", ["verify", "scaling", "--lambda", "2", "--order", "10"], 0),
-        ("heisenberg.json", ["certify", "heisenberg", "--max-word-len", "2", "--order", "32"], 0),
-        ("nilpotent.json", ["certify", "nilpotent", "--order", "10"], 0),
-        ("cauchon.json",
-         ["certify", "cauchon", "--alpha", "5/6", "--beta", "1/6", "--shift", "2"], 0),
-        # the defaults, which the benchmark runs
-        ("nilpotent_default.json", ["certify", "nilpotent"], 0),
-        ("scaling_default.json", ["verify", "scaling"], 0),
-        # the other paper preset at L=2
-        ("twodim.json", ["certify", "twodim", "--max-word-len", "2", "--order", "16"], 0),
-    ],
-)
+GOLDEN_CASES = [
+    ("valuation.json", ["verify", "valuation"], 0),
+    ("groupring.json", ["certify", "groupring", "--max-word-len", "3"], 0),
+    ("cauchon_refused.json",
+     ["certify", "cauchon", "--alpha", "5/6", "--beta", "5/6", "--shift", "2"], 2),
+    ("scaling.json", ["verify", "scaling", "--lambda", "2", "--order", "10"], 0),
+    ("heisenberg.json", ["certify", "heisenberg", "--max-word-len", "2", "--order", "32"], 0),
+    ("nilpotent.json", ["certify", "nilpotent", "--order", "10"], 0),
+    ("cauchon.json",
+     ["certify", "cauchon", "--alpha", "5/6", "--beta", "1/6", "--shift", "2"], 0),
+    # the defaults, which the benchmark runs
+    ("nilpotent_default.json", ["certify", "nilpotent"], 0),
+    ("scaling_default.json", ["verify", "scaling"], 0),
+    # the other paper preset at L=2
+    ("twodim.json", ["certify", "twodim", "--max-word-len", "2", "--order", "16"], 0),
+]
+
+
+@pytest.mark.parametrize("name, argv, want_code", GOLDEN_CASES)
 def test_golden_reports(name, argv, want_code, capsys):
     # compare the rendered text, as the benchmark's gate does: equal dicts
     # would also let 1 stand for 1.0 or True
@@ -107,6 +108,19 @@ def test_golden_reports(name, argv, want_code, capsys):
     assert code == want_code
     rendered = json.dumps(scrub(report), indent=2, sort_keys=True) + "\n"
     assert rendered == (GOLDEN / name).read_text()
+
+
+def test_golden_cases_match_regen_script():
+    # every golden file is rendered by scripts/regen_goldens.py and diffed
+    # here, with the same argv
+    path = pathlib.Path(__file__).resolve().parents[1] / "scripts" / "regen_goldens.py"
+    spec = importlib.util.spec_from_file_location("regen_goldens", path)
+    regen = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(regen)
+    cases = {name: argv for name, argv, _ in GOLDEN_CASES}
+    assert len(cases) == len(GOLDEN_CASES)
+    assert cases == regen.COMMANDS
+    assert set(cases) == {p.name for p in GOLDEN.iterdir()}
 
 
 def test_output_file(tmp_path, capsys):

@@ -1,6 +1,7 @@
 """Word enumeration, exact rank computation, freeness verdicts."""
 
 from fractions import Fraction as F
+from math import gcd
 
 import pytest
 from hypothesis import given
@@ -108,19 +109,28 @@ def sparse_matrices(draw):
     return width, vecs
 
 
-@given(sparse_matrices())
-def test_rank_matches_sympy(case):
+@given(sparse_matrices(), st.permutations(range(6)))
+def test_rank_matches_sympy(case, perm):
     sympy = pytest.importorskip("sympy")
     width, vecs = case
     dense = [[sympy.Rational(v.get(j, 0).numerator, v.get(j, 0).denominator)
               for j in range(width)] for v in vecs]
     rank, rel = rank_over_Q(vecs)
     assert rank == sympy.Matrix(dense).rank()
+    # renamed columns, first seen in another order: the relation is unique,
+    # so neither the names nor the order of the columns may change it
+    renamed = [{perm[k]: v[k] for k in sorted(v, key=perm.__getitem__)} for v in vecs]
+    assert rank_over_Q(renamed) == (rank, rel)
     if rank == len(vecs):
         assert rel is None
     else:
         assert any(rel)
         assert not any(recombine(rel, vecs).values())
+        ints = [int(c) for c in rel]
+        assert ints == rel and gcd(*ints) == 1 and next(c for c in ints if c) > 0
+        # it writes the first vector that depends on those before it in them
+        r = max(i for i, c in enumerate(rel) if c)
+        assert sympy.Matrix(dense[:r]).rank() == r
 
 
 def test_rank_full_over_Q_but_deficient_mod_p():
@@ -147,6 +157,15 @@ def test_duplicate_generator_relation():
     assert rep.relation == [F(0), F(1), F(-1)]
 
 
+def test_dependent_product_generator_relation():
+    # X, Y, XY: the first dependent word is x3 itself, and it equals x1 x2
+    X, Y = groupring.symmetric_generators()
+    ops = groupring.ring_ops()
+    rep = certify_freeness([X, Y, ops.mul(X, Y)], ops, groupring_coordinatizer(), 5)
+    assert (rep.verdict, rep.rank, rep.word_count) == ("relation_found", 232, 364)
+    assert {i: c for i, c in enumerate(rep.relation) if c} == {3: 1, 5: -1}
+
+
 def test_monotonicity_prefix_closed():
     X, Y = groupring.symmetric_generators()
     for L in (1, 2):
@@ -155,7 +174,7 @@ def test_monotonicity_prefix_closed():
 
 
 def test_groupring_l8_rank():
-    # 511 = 2^9 - 1 words; the dense exact pass alone took minutes here
+    # 511 = 2^9 - 1 words, certified by full rank modulo the prime alone
     rep = harness.run_certify_groupring(8)[1]
     assert rep["verdict"] == "certified"
     assert rep["data"]["rank"] == rep["data"]["word_count"] == 511
@@ -197,6 +216,19 @@ def test_relation_reverifies_in_skew_field():
     )
     assert rep.verdict == "relation_found"
     assert rep.relation == [F(0), F(1), F(-1)]
+
+
+@pytest.mark.parametrize("length, rank, word_count", [(2, 5, 7), (4, 9, 31)])
+def test_sbar_and_its_square_are_not_free(length, rank, word_count):
+    # Sbar lies in Q(t): the words are its powers Sbar^0..Sbar^(2L), and the
+    # first dependent word, x1 x1, is x2
+    aut = ShiftAut(F(1))
+    sbar, _ = build_heisenberg_images()
+    ops = skewfrac.ring_ops(aut)
+    rep = certify_freeness([sbar, ops.mul(sbar, sbar)], ops, skew_exact_coordinatizer(aut), length)
+    assert (rep.verdict, rep.rank, rep.word_count) == ("relation_found", rank, word_count)
+    words = enumerate_words(2, length, False)
+    assert {words[i]: c for i, c in enumerate(rep.relation) if c} == {(2,): 1, (1, 1): -1}
 
 
 def test_report_serialization():
@@ -276,10 +308,10 @@ def preset_jets(preset, length, order):
 def test_deficient_residue_rank_never_reaches_bareiss(monkeypatch):
     from skewcert import freecert
 
-    def bareiss(vectors):
+    def refuse(vectors):
         raise AssertionError("residue rows reached rank_over_Q")
 
-    monkeypatch.setattr(freecert, "rank_over_Q", bareiss)
+    monkeypatch.setattr(freecert, "rank_over_Q", refuse)
     monkeypatch.setattr(harness, "JET_ORDER_CEILING", 4)
     rep = preset_jets(harness.HEISENBERG, 2, 4)
     assert (rep.verdict, rep.rank, rep.word_count, rep.relation) == ("inconclusive", 6, 7, None)
