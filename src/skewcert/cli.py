@@ -202,6 +202,8 @@ def run(argv=None) -> int:
             raise ValueError("--max-word-len must be at least 1")
         if args.command == "certify" and f"certify {args.target}" in harness.SKEW_PRESETS:
             command = f"certify {args.target}"
+            if args.order > harness.JET_ORDER_CEILING:
+                raise ValueError(f"--order must be at most {harness.JET_ORDER_CEILING}")
             params.update(max_word_len=args.max_word_len, order=args.order)
             verdicts = harness.run_certify_skew(harness.SKEW_PRESETS[command],
                                                 args.max_word_len, args.order, seed)

@@ -332,10 +332,15 @@ def substitute(e: Expr, values: dict, ops: RingOps, memo: Optional[dict] = None)
 
     The memo is keyed by the (frozen, hashable) nodes themselves, so
     structurally identical subtrees share their values.  Scalar constants
-    and signs are peeled off before inverting, and the inverse of the peeled
-    product is memoized under its own Inv node, so Inv(Neg(C)) and rescaled
-    expressions reuse the inverse of their unscaled atoms; a caller may seed
-    the memo with inverses it has already checked."""
+    and signs are peeled off products and out of inverted factors, so
+    (6A)(6B)^-1 is evaluated as the scalar-free product A B^-1.  Every
+    left-to-right prefix of a scalar-free product is memoized under its own
+    Mul node, and the inverse of a scalar-free argument under its own Inv
+    node, so rescaled and starred expressions reuse the products and
+    inverses of their unscaled atoms; a caller may seed the memo with
+    inverses it has already checked.  Factors are multiplied in their given
+    order and sums added in their given order, so every value is the one a
+    plain left-to-right evaluation gives."""
     if memo is None:
         memo = {}
     if e in memo:
@@ -357,7 +362,7 @@ def substitute(e: Expr, values: dict, ops: RingOps, memo: Optional[dict] = None)
         if ops.inv is None:
             raise TypeError(f"{ops.name} cannot invert")
         scalar, rest = _split_scalars((e.arg,))
-        core = Inv(rest[0] if len(rest) == 1 else Mul(tuple(rest)))
+        core = Inv(_join(rest))
         if core in memo:
             val = memo[core]
         else:
@@ -374,12 +379,21 @@ def _product(factors, values, ops, memo):
     if not factors:
         return ops.one
     val = substitute(factors[0], values, ops, memo)
-    for f in factors[1:]:
-        val = ops.mul(val, substitute(f, values, ops, memo))
+    for i in range(2, len(factors) + 1):
+        prefix = Mul(tuple(factors[:i]))
+        if prefix not in memo:
+            memo[prefix] = ops.mul(val, substitute(factors[i - 1], values, ops, memo))
+        val = memo[prefix]
     return val
 
 
+def _join(factors) -> Expr:
+    return factors[0] if len(factors) == 1 else Mul(tuple(factors))
+
+
 def _split_scalars(factors) -> tuple[Fraction, list]:
+    """(scalar, scalar-free factors): nested products are flattened and
+    Inv(q x) becomes q^-1 Inv(x); an inverse of scalars alone stays a factor."""
     scalar = Fraction(1)
     rest = []
     for f in factors:
@@ -392,6 +406,12 @@ def _split_scalars(factors) -> tuple[Fraction, list]:
             s2, r2 = _split_scalars(f.factors)
             scalar *= s2
             rest.extend(r2)
+        elif isinstance(f, Inv):
+            s2, r2 = _split_scalars((f.arg,))
+            if r2:
+                scalar /= s2
+                f = Inv(_join(r2))
+            rest.append(f)
         else:
             rest.append(f)
     return scalar, rest

@@ -277,6 +277,35 @@ def test_bad_input_is_a_one_line_error(argv, capsys, tmp_path, monkeypatch):
         assert captured.err == "error: --max-word-len must be at least 1\n"
 
 
+@pytest.mark.parametrize("target", ["heisenberg", "twodim"])
+def test_order_above_the_jet_ceiling_is_a_one_line_error(target, capsys):
+    # the p-jet escalation starts at --order and is bounded by the ceiling,
+    # so a higher starting order is refused before any work
+    code = cli.run(["certify", target, "--max-word-len", "1", "--order", "257"])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.err == "error: --order must be at most 256\n"
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize("target", ["heisenberg", "twodim"])
+def test_order_at_the_jet_ceiling_is_accepted(target, capsys, monkeypatch):
+    # the pipeline is stubbed: a real twodim run at order 256 takes about 46 s
+    from skewcert import harness
+
+    calls = []
+
+    def run_certify_skew(preset, max_word_len, order, seed):
+        calls.append((preset.command, max_word_len, order))
+        return [harness.verdict("stub", "label", True)]
+
+    monkeypatch.setattr(harness, "run_certify_skew", run_certify_skew)
+    code, report = run_cli(["certify", target, "--max-word-len", "1", "--order", "256"], capsys)
+    assert code == 0
+    assert calls == [(f"certify {target}", 1, 256)]
+    assert report["params"] == {"max_word_len": 1, "order": 256}
+
+
 def _freeness(report):
     (v,) = [v for v in report["verdicts"] if "jets" in v["data"]]
     return v

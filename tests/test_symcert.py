@@ -1,5 +1,6 @@
 """Symbolic star/equality certification over the fact tables."""
 
+import dataclasses
 from fractions import Fraction as F
 
 import pytest
@@ -15,8 +16,8 @@ from skewcert.harness import (
     twodim_fact_table,
     worst_exit,
 )
-from skewcert.pbw import heisenberg, u_involution, u_mul
-from skewcert.series import jets_agree
+from skewcert.pbw import chi_valuation, heisenberg, u_involution, u_mul
+from skewcert.series import Jet, fraction_ops, heisenberg_tower, jets_agree
 from skewcert.symcert import (
     Add,
     Atom,
@@ -271,3 +272,126 @@ def test_nilpotent_inverts_each_top_level_jet_once(monkeypatch):
     verdicts = harness.run_verify_scaling((2, 3), class3_order=10)
     assert [v["verdict"] for v in verdicts] == ["equal"] * 8
     assert top == {"t_u": 4, "t_x": 4}
+
+
+# -- shared products in substitute against a plain evaluation -----------------
+
+
+def _plain(e, values, ops):
+    """Every node evaluated afresh: products left to right through ops.mul,
+    one ops.inv per Inv node, no memo and no scalar peeling."""
+    if isinstance(e, ConstQ):
+        return ops.smul(e.value, ops.one)
+    if isinstance(e, Atom):
+        return values[e.name]
+    if isinstance(e, Neg):
+        return ops.neg(_plain(e.arg, values, ops))
+    if isinstance(e, Add):
+        return ops.total(_plain(t, values, ops) for t in e.terms)
+    if isinstance(e, Mul):
+        val = _plain(e.factors[0], values, ops)
+        for f in e.factors[1:]:
+            val = ops.mul(val, _plain(f, values, ops))
+        return val
+    if isinstance(e, Inv):
+        return ops.inv(_plain(e.arg, values, ops))
+    raise TypeError(e)
+
+
+def _same(a, b) -> bool:
+    """Equal order by order down to the base coefficients, trunc included."""
+    if isinstance(a, Jet):
+        return (isinstance(b, Jet) and a.trunc == b.trunc and a.coeffs.keys() == b.coeffs.keys()
+                and all(_same(c, b.coeffs[k]) for k, c in a.coeffs.items()))
+    return type(a) is type(b) and a == b
+
+
+def _tower_setup(name):
+    if name == "heisenberg":
+        table, _, atoms = heisenberg_fact_table()
+        verify_facts(table)
+        tower, jets = heisenberg_atom_jets(20)
+        return table, atoms, jets, tower.ops()
+    table, atoms, jets = class3_fact_table(8)
+    verify_facts(table)  # the invertibility checks fill in the atom jets
+    return table, atoms, jets, jets["A"].ring.ops()
+
+
+@pytest.mark.parametrize("tower", ["heisenberg", "class3"])
+def test_shared_products_match_plain_evaluation(tower):
+    table, atoms, jets, ops = _tower_setup(tower)
+    S, T = st_expressions()
+    exprs = [S, T, star(S, table), star(T, table)]
+    for lam in (2, 3):
+        factors = {k: F(lam) ** int(-chi_valuation(el)) for k, el in atoms.items()}
+        exprs += [scale_atoms(S, factors), scale_atoms(T, factors)]
+    memo = {}
+    for e in exprs:
+        assert _same(substitute(e, jets, ops, memo), _plain(e, jets, ops)), e
+
+
+def test_unbalanced_scaling_is_not_shared_into_agreement():
+    # (2A)(3B)^-1 + (2A)^-1(3B) = 2/3 AB^-1 + 3/2 A^-1B differs from S: the
+    # peeled scalars must survive the shared products
+    table, _, jets, ops = _tower_setup("heisenberg")
+    S, _ = st_expressions()
+    memo = {}
+    substitute(S, jets, ops, memo)
+    lopsided = scale_atoms(S, {"A": F(2), "B": F(3)})
+    assert not jets_agree(substitute(lopsided, jets, ops, memo), memo[S])
+    assert prove_equal(lopsided, S, table) == "unequal"
+
+
+def _count_products(monkeypatch):
+    """Count the ring multiplications substitute makes inside the harness."""
+    from skewcert import harness
+
+    count = [0]
+    real = harness.substitute
+
+    def counting(e, values, ops, memo=None):
+        def mul(a, b):
+            count[0] += 1
+            return ops.mul(a, b)
+
+        return real(e, values, dataclasses.replace(ops, mul=mul), memo)
+
+    monkeypatch.setattr(harness, "substitute", counting)
+    return harness, count
+
+
+def test_verify_scaling_shares_products(monkeypatch):
+    # per tower: S costs 2 products and T 4; per lambda S' reuses both of S's
+    # and T' reuses C^-1 E, so 2 * (6 + 2 * 3) = 24
+    harness, count = _count_products(monkeypatch)
+    verdicts = harness.run_verify_scaling()
+    assert [v["verdict"] for v in verdicts] == ["equal"] * 8
+    assert count[0] == 24
+
+
+def test_nilpotent_cross_check_shares_products(monkeypatch):
+    # S and T cost 6 products; S* reuses both of S's and T* reuses C^-1 E
+    harness, count = _count_products(monkeypatch)
+    verdicts = harness.run_certify_nilpotent()
+    assert [v["verdict"] for v in verdicts][-2:] == ["equal"] * 2
+    assert count[0] == 9
+
+
+def test_inverse_of_scalars_keeps_its_value():
+    # an inverse with nothing but scalars under it stays a factor of its own
+    x = Atom("x")
+    q = fraction_ops()
+    assert substitute(Inv(ConstQ(F(3))), {}, q) == F(1, 3)
+    assert substitute(Inv(Neg(ConstQ(F(3)))), {}, q) == F(-1, 3)
+    assert substitute(Mul((x, Inv(ConstQ(F(3))))), {"x": F(5)}, q) == F(5, 3)
+    tower = heisenberg_tower(8)
+    ops = tower.ops()
+    values = {"x": tower.gens["x"]}
+    for e in (Inv(ConstQ(F(3))), Inv(Neg(ConstQ(F(3)))), Mul((x, Inv(ConstQ(F(3))))),
+              Mul((Inv(Neg(ConstQ(F(3)))), x, Inv(Mul((ConstQ(F(2)), x)))))):
+        assert _same(substitute(e, values, ops), _plain(e, values, ops)), e
+    for o in (q, ops):
+        with pytest.raises(ZeroDivisionError):
+            substitute(Inv(ConstQ(F(0))), {}, o)
+        with pytest.raises(ZeroDivisionError):
+            substitute(Mul((x, Inv(ConstQ(F(0))))), {"x": o.one}, o)
