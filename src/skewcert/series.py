@@ -34,7 +34,10 @@ dot of every JetRing's ops, and jet_mul is its one-term case.  It takes the
 smallest truncation over all terms first, collects the (kappa, x, y)
 coefficient triples of every term per output order, sums each order below
 that truncation once through the coefficient ring's RingOps.sum_products,
-and filters once, through the public constructor.  The recursion of jet_inv
+and filters once, through the public constructor.  Under a derivation, a
+left coefficient's delta chain under a finite truncation stops at the last
+power m that reaches the output: kappa(j, m) = 0 once m > -j for j <= 0,
+and t^(i+j+m) passes trunc for j > 0.  The recursion of jet_inv
 and the lifted derivations sum their orders the same way.  An order past a
 sum's truncation is never formed, so it cannot trip the Laurent floor.
 
@@ -294,9 +297,10 @@ def jet_dot(terms) -> Jet:
     """sum kappa * x * y over (kappa, x, y) triples of jets in one ring,
     fused as the module docstring says, with (t^i a)(t^j b) = sum_m
     kappa(j, m) t^(i+j+m) delta^m(a) b under delta, t^(i+j) sigma^j(a) b
-    under sigma.  The delta chain per left coefficient stops only at an
-    exact zero; an inexact zero keeps flowing so its finite precision
-    reaches the output."""
+    under sigma.  The delta chain per left coefficient stops at an exact
+    zero or, under a finite truncation, at the last power m that some
+    kappa(j, m) of a right order j carries below trunc; an inexact zero
+    keeps flowing so its finite precision reaches the output."""
     ring = terms[0][1].ring
     trunc = EXACT
     for _, x, y in terms:
@@ -320,9 +324,13 @@ def jet_dot(terms) -> Jet:
                         groups[i + j].append((kap, sigma(ai, j) if sigma else ai, bj))
             continue
         b_min = min(b.coeffs)
+        b_pos = min((j for j in b.coeffs if j > 0), default=EXACT)
         for i, ai in a.coeffs.items():
             dm = ai
-            max_m = (trunc - i - b_min) - 1 if trunc < EXACT else None
+            # past max_m each t^(i+j+m) has kappa(j, m) = 0 (j <= 0 < m + j)
+            # or lies at or past trunc (j > 0)
+            max_m = min(max(-b_min, trunc - i - b_pos - 1),
+                        trunc - i - b_min - 1) if trunc < EXACT else None
             m = 0
             while True:
                 if is_zero(dm):
@@ -553,9 +561,11 @@ def series_hom(a: Jet, phi: Callable[[Any], Any], target: JetRing) -> Jet:
     """Coefficientwise map sum t_w^i a_i -> sum t_z^i phi(a_i).
 
     phi(delta_w(a)) = delta_z(phi(a)) is verified on every coefficient
-    actually mapped; a failure raises CompatibilityFailure carrying the
-    witness coefficient."""
+    actually mapped, unless neither ring has a derivation; a failure raises
+    CompatibilityFailure carrying the witness coefficient."""
     src = a.ring
+    if src.delta is None and target.delta is None:
+        return Jet(target, {i: phi(c) for i, c in a.coeffs.items()}, a.trunc)
     zero, eq = target.coeff.zero, target.coeff.eq
     out = {}
     for i, c in a.coeffs.items():
@@ -580,7 +590,7 @@ def fraction_ops() -> RingOps:
         mul=lambda a, b: a * b,
         smul=lambda q, a: q * a,
         is_zero=lambda a: a == 0,
-        inv=lambda a: 1 / a,
+        inv=lambda a: 1 / Fraction(a),
         is_unit=lambda a: a != 0,
     )
 

@@ -1,5 +1,7 @@
 """Derivation-twisted jets, derivation lifting, coefficient maps, towers."""
 
+import sys
+from collections import defaultdict
 from dataclasses import replace
 from fractions import Fraction as F
 
@@ -14,7 +16,9 @@ from skewcert.errors import (
     LowestCoeffNotUnit,
     PrecisionExhausted,
 )
+from skewcert.harness import run_verify_scaling
 from skewcert.pbw import LieHom, free_nilpotent_class3, heisenberg, u_mul
+from skewcert.rings import RingOps
 from skewcert.scalar import Poly, RatFun
 from skewcert.series import (
     Derivation,
@@ -434,12 +438,15 @@ TOWERS = {"class3": class3_tower(4), "heisenberg": heisenberg_tower(4),
           "sigma": series.Tower([SIGMA_RING], SIGMA_RING)}
 
 
-def draw_jet(data, tower, level: int) -> Jet:
+def draw_jet(data, tower, level: int, orders=None) -> Jet:
     """A random element of tower.levels[level] built through the public
-    constructors; exact zeros, inexact zeros and finite truncs included."""
+    constructors, drawn at the given orders or at random ones; exact zeros,
+    inexact zeros and finite truncs included."""
     ring = tower.levels[level]
     coeffs = {}
-    for i in data.draw(st.lists(st.integers(-2, 4), max_size=3)):
+    if orders is None:
+        orders = data.draw(st.lists(st.integers(-2, 4), max_size=3))
+    for i in orders:
         if level:
             coeffs[i] = draw_jet(data, tower, level - 1)
         elif ring.coeff.name == "Q":
@@ -602,3 +609,141 @@ def test_fused_products_cancel_and_keep_inexact_zeros(name):
     s = ring.ops().sum_products([(1, a, b), (-1, a, b)])
     assert s.trunc == 4 and all(jet_known_zero(v) for v in s.coeffs.values())
     assert s.coeffs and not any(jet_fully_exact(v) for v in s.coeffs.values())
+
+
+# -- the delta chain stops at the kappa support -----------------------------------
+
+
+def crossing_reference(terms) -> Jet:
+    """jet_dot over a ring without sigma, with the delta chain run the long
+    way: under a finite truncation the chain of left order i runs to
+    m = trunc - i - b_min - 1 or to an exact zero, whatever kappa reaches."""
+    ring = terms[0][1].ring
+    ops, delta = ring.coeff, ring.delta
+    trunc = min(min(series._tadd(x.trunc, y.min_ord), series._tadd(y.trunc, x.min_ord))
+                for _, x, y in terms)
+    groups = defaultdict(list)
+    for kap, a, b in terms:
+        if not a.coeffs or not b.coeffs:
+            continue
+        b_min = min(b.coeffs)
+        for i, ai in a.coeffs.items():
+            if delta is None:
+                for j, bj in b.coeffs.items():
+                    if i + j < trunc:
+                        groups[i + j].append((kap, ai, bj))
+                continue
+            dm, m = ai, 0
+            max_m = trunc - i - b_min - 1 if trunc < series.EXACT else None
+            while True:
+                if ops.is_zero(dm):
+                    if not series._exact(ops, dm):
+                        if trunc >= series.EXACT:
+                            trunc = ring.order
+                        for j, bj in b.coeffs.items():
+                            for k in range(i + j + m, trunc if j > 0 else min(trunc, i + 1)):
+                                groups[k].append((kap, dm, bj))
+                    break
+                for j, bj in b.coeffs.items():
+                    kk = series._kappa(j, m)
+                    if kk and i + j + m < trunc:
+                        groups[i + j + m].append((kap * kk, dm, bj))
+                m += 1
+                if max_m is not None and m > max_m:
+                    break
+                if max_m is None and i + b_min + m >= ring.order:
+                    trunc = min(trunc, ring.order)
+                    break
+                dm = delta(dm)
+    return Jet(ring, {k: ops.sum_products(g) for k, g in groups.items() if k < trunc}, trunc)
+
+
+# only negative, mixed-sign and only positive orders of the right factor
+RIGHT_ORDERS = [[-1], [-2], [-2, -1], [-1, 2], [-2, 0, 1], [0, 3], [1], [2, 3]]
+
+
+@settings(max_examples=200)
+@given(st.sampled_from(["class3", "heisenberg"]), st.integers(0, 2), st.data())
+def test_delta_chain_stop_matches_the_full_chain(name, level, data):
+    """Stopping each delta chain where kappa leaves the window changes no
+    coefficient and no trunc of jet_mul or the ring's sum_products."""
+    tower = TOWERS[name]
+    ring = tower.levels[level]
+    a, c = draw_jet(data, tower, level), draw_jet(data, tower, level)
+    b = draw_jet(data, tower, level, data.draw(st.sampled_from(RIGHT_ORDERS)))
+    if level and data.draw(st.booleans()):  # an inexact zero on the left
+        unknown = tower.levels[level - 1].zero_jet(data.draw(st.sampled_from([3, 0, -1])))
+        a = ring.make({**a.coeffs, data.draw(st.integers(-2, 3)): unknown}, a.trunc)
+    assert dump(jet_mul(a, b)) == dump(crossing_reference([(1, a, b)]))
+    terms = [(1, a, b), (-2, c, b), (3, b, a)]
+    assert dump(ring.ops().sum_products(terms)) == dump(crossing_reference(terms))
+
+
+@pytest.mark.parametrize("orders", RIGHT_ORDERS)
+@pytest.mark.parametrize("name", ["class3", "heisenberg"])
+def test_delta_chain_stop_on_long_exact_chains(name, orders):
+    """Exact coefficients keep their delta chains long, so each chain is
+    cut at the last power that kappa reaches; a product by t^-1 applies
+    delta at most once per left coefficient."""
+    tower = TOWERS[name]
+    ring, inner = tower.levels[2], tower.levels[1]
+    calls = []
+
+    def counted(x):
+        calls.append(x)
+        return ring.delta(x)
+
+    counting = JetRing(ring.coeff, Derivation("counted", counted), ring.var, ring.order,
+                       ring.floor)
+    a = counting.make({-2: inner.monomial(-1), 0: inner.monomial(-2), 1: inner.monomial(1),
+                       3: inner.one_jet()}, 5)
+    b = counting.make({j: inner.one_jet() for j in orders})
+    got = jet_mul(a, b)
+    stopped = len(calls)
+    calls.clear()
+    assert dump(got) == dump(crossing_reference([(1, a, b)]))
+    assert stopped <= len(calls)
+    if orders == [-1]:
+        assert 0 < stopped <= len(a.coeffs) < len(calls)  # the full chains run to trunc - i
+
+
+def test_verify_scaling_delta_applications(monkeypatch):
+    calls = []
+    call = Derivation.__call__
+
+    def counted(self, x):
+        if sys._getframe(1).f_code is series.jet_dot.__code__:
+            calls.append(self.name)
+        return call(self, x)
+
+    monkeypatch.setattr(Derivation, "__call__", counted)
+    run_verify_scaling()
+    assert len(calls) == 5645  # 15,448 with the chains run to trunc - i - b_min - 1
+
+
+def test_series_hom_checks_only_when_a_derivation_is_present(monkeypatch):
+    eqs = []
+    eq = RingOps.eq
+    monkeypatch.setattr(RingOps, "eq", lambda self, x, y: eqs.append(x) or eq(self, x, y))
+    src, dst = class3_tower(6), heisenberg_tower(6)
+    lw = src.levels[0]
+    out = hom_phi_w(src, dst)(lw.make({-1: bipoly_const(2) + bipoly_n1(), 2: bipoly_n2()}, 4))
+    assert eqs == [] and dump(out) == (4, [(-1, F(2))])
+
+    def at_one(f):  # n1 = n2 = 1, which does not kill delta(n1) = n2
+        return sum((F(x) for c in f.coeffs for x in c.coeffs), F(0))
+
+    # a derivation on the source side only is still checked coefficientwise
+    src_d = JetRing(bipoly_ops(), Derivation("d", dn1), "s", 8)
+    with pytest.raises(CompatibilityFailure):
+        series_hom(src_d.const(bipoly_n1()), at_one, JetRing(fraction_ops(), None, "z", 8))
+    assert eqs
+
+
+def test_fraction_inverse_is_exact_on_ints():
+    ops = fraction_ops()
+    assert ops.inv(2) == F(1, 2) and type(ops.inv(2)) is F
+    inv = jet_inv(JetRing(ops, None, "t", 6).make({0: 2, 1: 1}))
+    # 1/(2 + t) = sum (-1)^n t^n / 2^(n+1)
+    assert inv.items() == [(n, F((-1) ** n, 2 ** (n + 1))) for n in range(6)]
+    assert all(type(c) is F for c in inv.coeffs.values())
