@@ -1,9 +1,11 @@
 """Bounded-length freeness certification: enumerate words in the candidate
-generators, evaluate them in the host ring, coordinatize into exact sparse
-Q-vectors and compute the rank by one sparse row reduction: modulo a
-61-bit prime first, over Q only when that rank is deficient.  A modular
-coordinatizer maps the words to residues modulo that prime instead, and
-their rank is taken modulo the prime alone.
+generators, evaluate them in the host ring (each word its first letter
+times the value of its suffix), coordinatize into exact sparse Q-vectors
+and compute the rank by one sparse row reduction: modulo the Mersenne
+prime 2^61 - 1 first, over Q only when that rank is deficient.  A modular
+coordinatizer maps the words to residues modulo that prime instead; their
+rows are dense, and their rank is taken modulo the prime alone, by an
+elimination on rows packed into one integer each.
 
 A `certified` verdict means the evaluated words are Q-linearly independent,
 a finite sound shadow of freeness (for truncation-based coordinatizers the
@@ -18,7 +20,9 @@ truncation order is the calling pipeline's policy, not this module's.
 
 from __future__ import annotations
 
+import sys
 import time
+from array import array
 from dataclasses import asdict, dataclass
 from fractions import Fraction
 from math import gcd, inf, lcm
@@ -108,9 +112,49 @@ def _eliminate(rows: Sequence[dict], modulus: Optional[int] = None) -> tuple[int
     return len(pivots), relation
 
 
-def rank_mod_p(rows: Sequence[dict]) -> int:
-    """Rank modulo MODULUS of integer rows (sparse `{column: int}`)."""
-    return _eliminate(rows, MODULUS)[0]
+def rank_mod_p_packed(rows: Sequence[dict]) -> int:
+    """Rank modulo MODULUS = q of dense integer rows (`{column: int}`).
+
+    Each row is one int with a 128-bit slot per column, in column order: a
+    row operation x + f*(4q - p) is one big-int multiply-add, and reduction
+    is delayed (Dumas, Giorgi and Pernet, ACM TOMS 2008; packing as in
+    Harvey, JSC 2009).  Since 2^61 = 1 mod q, one fold
+    x -> (x & M61) + ((x >> 61) & M67) reduces every slot at once.  Bounds:
+    a fold leaves every slot below 2^68; a pivot p is folded twice, so it
+    is below 2^62 < 4q and 4q - p is slotwise nonnegative; f < q, so an
+    operation adds less than 4q^2 < 2^124 to a slot, and a row is folded
+    before every 16th operation: no slot reaches 2^128 and nothing
+    carries.  A row drops each slot below its lead, a multiple of q, and a
+    pivot is kept from its lead on, so an operation spans only the columns
+    still in play."""
+    q, m128 = MODULUS, 2**128 - 1
+    slot = {c: i for i, c in enumerate(sorted({c for r in rows for c in r}))}
+    n = len(slot)
+    ones = int.from_bytes((b"\1" + bytes(15)) * n, "little")
+    m61, m67, q4 = ones * (2**61 - 1), ones * (2**67 - 1), ones * 4 * q
+    pivots: dict[int, tuple[int, int]] = {}  # lead slot -> (1 / lead, 4q - pivot)
+    for r in rows:
+        vals = array("Q", bytes(16 * n))
+        for c, v in r.items():
+            vals[2 * slot[c]] = v % q
+        if sys.byteorder == "big":  # array("Q") holds machine words
+            vals.byteswap()
+        x, lead, ops = int.from_bytes(vals.tobytes(), "little"), 0, 0
+        while x:  # slot 0 of x is column `lead`
+            v = x & m128
+            if not v % q:
+                x, lead = x >> 128, lead + 1
+            elif lead in pivots:
+                if ops == 15:
+                    x, ops = (x & m61) + ((x >> 61) & m67), 0
+                inv, neg = pivots[lead]
+                x, lead, ops = (x + v % q * inv % q * neg) >> 128, lead + 1, ops + 1
+            else:
+                for _ in range(2):
+                    x = (x & m61) + ((x >> 61) & m67)
+                pivots[lead] = (pow(x & m128, -1, q), (q4 >> 128 * lead) - x)
+                break
+    return len(pivots)
 
 
 def rank_over_Q(vectors: Sequence[dict]) -> tuple[int, Optional[list[Fraction]]]:
@@ -129,7 +173,7 @@ def rank_over_Q(vectors: Sequence[dict]) -> tuple[int, Optional[list[Fraction]]]
         rows.append({col_of.setdefault(k, len(col_of)): c.numerator * (scale // c.denominator)
                      for k, c in v.items() if c})
         scales.append(scale)
-    if rank_mod_p(rows) == len(rows):
+    if _eliminate(rows, MODULUS)[0] == len(rows):
         return len(rows), None
     rank, combination = _eliminate(rows)
     if combination is None:
@@ -179,8 +223,10 @@ class CertReport:
 
 
 def evaluate_words(generators, ops: RingOps, words: Sequence[Word], mode: str):
-    """Evaluate words by ring multiplication, sharing prefixes.  Group mode
-    needs every generator invertible (AdapterFailure otherwise)."""
+    """Evaluate words by ring multiplication, sharing suffixes: a word is its
+    first letter times its suffix, earlier in length-lex order, so in
+    K(p;sigma) only a generator is shifted by a right factor's p-orders.
+    Group mode needs every generator invertible (AdapterFailure otherwise)."""
     letters: dict[int, object] = {}
     for i, g in enumerate(generators, start=1):
         letters[i] = g
@@ -192,7 +238,7 @@ def evaluate_words(generators, ops: RingOps, words: Sequence[Word], mode: str):
             letters[-i] = ops.inv(g)
     values: dict[Word, object] = {}
     for w in words:
-        values[w] = ops.one if not w else ops.mul(values[w[:-1]], letters[w[-1]])
+        values[w] = ops.one if not w else ops.mul(letters[w[0]], values[w[1:]])
     return [values[w] for w in words]
 
 
@@ -218,7 +264,7 @@ def certify_freeness(
         values = evaluate_words(list(generators) + list(inverses), ops,
                                 [tuple(a if a > 0 else m - a for a in w) for w in words], "monoid")
     rows = coord.build(values)
-    rank, relation = (rank_mod_p(rows), None) if coord.modular else rank_over_Q(rows)
+    rank, relation = (rank_mod_p_packed(rows), None) if coord.modular else rank_over_Q(rows)
     if rank == len(words):
         verdict, relation = "certified", None
     elif coord.precision is not None or coord.modular:

@@ -14,7 +14,7 @@ from typing import Callable
 
 from . import groupring, pbw, series, skewfrac
 from .errors import KernelError, ZeroDenominator
-from .freecert import MODULUS, Coordinatizer, certify_freeness
+from .freecert import MODULUS, Coordinatizer, certify_freeness, enumerate_words
 from .pbw import (
     LieHom,
     chi_valuation,
@@ -295,7 +295,7 @@ def _jet_precision(jets) -> int:
 
 def skew_residue_coordinatizer(order: int, points: int) -> Coordinatizer:
     """Modular coordinatization of word values that are sigma-jets in p read
-    modulo MODULUS at the points P_0..P_{points-1} (`skewfrac.residue_pjets`):
+    modulo MODULUS at the points P_0..P_{points-1} (`skewfrac.residue_generators`):
     one residue per (p order below the common precision, point).  Reading
     the coefficients at pole-free points is Z_(MODULUS)-linear on the exact
     p-jets, so full rank of these rows modulo MODULUS proves the words
@@ -444,8 +444,7 @@ def run_certify_skew(preset: SkewPreset, max_word_len: int = 3, order: int = 32,
 
     # freeness of the images: evaluated p-jets, then the authoritative exact
     # fraction path
-    rep_jets = certify_skew_jets(lambda n: skewfrac.symmetric_image_jets(n, *preset.construction),
-                                 preset.construction[0], max_word_len, order,
+    rep_jets = certify_skew_jets(preset.construction, max_word_len, order,
                                  command=preset.command, seed=seed)
     images = skewfrac.symmetric_images(*preset.construction)
     aut = images[0].aut
@@ -464,41 +463,39 @@ def run_certify_skew(preset: SkewPreset, max_word_len: int = 3, order: int = 32,
     return verdicts
 
 
-def certify_skew_jets(image_jets: Callable[[int], tuple], c, max_word_len: int, order: int,
-                      mode: str = "monoid", command: str = "certify", seed: int = DEFAULT_SEED):
-    """Freeness of words in the p-jets `image_jets(N)`, the generators of
-    K(p;sigma) with sigma(t) = t - c expanded exactly at p-order N (in group
-    mode each one followed by its exact inverse), read modulo MODULUS at W
-    points, from N = `order` and W = JET_POINTS.  While the rank is
-    deficient, which may be a limit of N or W, W doubles until it exceeds
-    the top power of one letter (L in monoid mode, 2L in group mode) and
-    W*N reaches twice the word count, then N doubles, up to
-    JET_ORDER_CEILING; the generators are expanded exactly again at each
-    new N.  W must exceed that power because a generator g in Q(t), such as
-    Sbar or xi, acts pointwise: prod_{k<W} (g - g(P_k)) vanishes at all W
-    points at every N.  The report's params record N, W, the modulus and
-    the t0 used."""
+def certify_skew_jets(construction, max_word_len: int, order: int, mode: str = "monoid",
+                      command: str = "certify", seed: int = DEFAULT_SEED):
+    """Freeness of words in the generators of `construction` = (c, alpha,
+    beta, k), sigma(t) = t - c (`skewfrac.residue_generators`: Sbar and Tbar
+    in monoid mode, xi and eta with their inverses in group mode), p-jets of
+    order N read modulo MODULUS at W points, from N = `order` and
+    W = JET_POINTS.  While the rank is deficient, which may be a limit of N
+    or W, W doubles until it exceeds the top power of one letter (L in
+    monoid mode, 2L in group mode) and W*N reaches twice the word count,
+    then N doubles, up to JET_ORDER_CEILING; the generators are read again
+    at each new (N, W).  An attempt with fewer columns N*W than words
+    cannot reach full rank, so W doubles at once without one.  W must
+    exceed that power because a generator g in Q(t), such as Sbar or xi,
+    acts pointwise: prod_{k<W} (g - g(P_k)) vanishes at all W points at
+    every N.  The report's params record N, W, the modulus and the t0
+    used."""
     n, w, t0 = order, JET_POINTS, skewfrac.RESIDUE_T0
     top_power = max_word_len * (2 if mode == "group" else 1)
-    exact = None
+    word_count = len(enumerate_words(2, max_word_len, mode == "group"))
     while True:
-        if exact is None:
-            exact = list(image_jets(n))
-        # a word of L letters is 1 times its letters: L - 1 of the products
-        # have a right factor that moves ranges
-        gens, t0 = skewfrac.residue_pjets(exact, c, w, max(max_word_len - 1, 0), t0)
-        letters, inverses = (gens[::2], gens[1::2]) if mode == "group" else (gens, None)
-        rep = certify_freeness(letters, skewfrac.residue_pjet_ring(n).ops(),
-                               skew_residue_coordinatizer(n, w), max_word_len, mode,
-                               command=command, seed=seed, inverses=inverses)
-        rep.params.update(order=n, points=w, t0=t0, modulus=MODULUS)
-        if rep.verdict == "certified":
-            return rep
-        if w <= top_power or w * n < 2 * rep.word_count:
+        if n * w >= word_count:
+            gens, t0 = skewfrac.residue_generators(construction, mode, n, w, t0)
+            letters, inverses = (gens[::2], gens[1::2]) if mode == "group" else (gens, None)
+            rep = certify_freeness(letters, skewfrac.residue_pjet_ring(n).ops(),
+                                   skew_residue_coordinatizer(n, w), max_word_len, mode,
+                                   command=command, seed=seed, inverses=inverses)
+            rep.params.update(order=n, points=w, t0=t0, modulus=MODULUS)
+            if rep.verdict == "certified":
+                return rep
+        if w <= top_power or w * n < 2 * word_count:
             w *= 2
         elif 2 * n <= JET_ORDER_CEILING:
             n *= 2
-            exact = None
         else:
             return rep
 
@@ -534,8 +531,8 @@ def run_certify_cauchon(alpha, beta, shift=2, max_word_len: int = 2,
     # evaluated p-jets of xi, eta and their exact inverses; the exact fraction
     # path decides on a deficiency, or on a content denominator divisible by MODULUS
     try:
-        rep = certify_skew_jets(lambda n: skewfrac.cauchon_image_jets(n, alpha, beta, shift), shift,
-                                max_word_len, CAUCHON_JET_ORDER, "group", "certify cauchon", seed)
+        rep = certify_skew_jets((shift, alpha, beta, 1), max_word_len, CAUCHON_JET_ORDER, "group",
+                                "certify cauchon", seed)
     except ZeroDenominator:
         rep = None
     if rep is None or rep.verdict != "certified":

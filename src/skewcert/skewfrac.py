@@ -14,7 +14,9 @@ series kernel in `series`:
   `series.Jet`.  They are an independent arithmetic cross-oracle, and
   `residue_pjets` reads them modulo a prime at the sigma-orbit points of
   t0, a ring of residues (`residue_pjet_ring`) on which freeness runs
-  evaluate their words.
+  evaluate their words.  The freeness runs read their generators there
+  directly (`residue_generators`), from one Q(t) element and the rational
+  coefficients of the conjugator; the exact p-jets are their oracle.
 * `weyl_jet_ring`/`sf_to_weyl_jet` — the differential-operator model: p maps
   to the inverse series variable and t to (that) * X over the coefficient
   field Q(X) with derivation -d/dX, giving an expansion inside the
@@ -429,7 +431,8 @@ def residue_pjets(jets, c, width: int, products: int, t0: int):
     that up to `products` right multiplications by them need to keep the
     `width` points 0..width-1: a right factor of p-order j moves its left
     factor's range by -j.  A pole at any needed point moves t0 to the next
-    integer; no point is skipped.  Returns the residue jets and the t0 used."""
+    integer; no point is skipped.  Returns the residue jets and the t0 used;
+    on the exact p-jets, the oracle of `residue_generators`."""
     cq = _residue_of(c)
     orders = [i for j in jets for i in j.coeffs] or [0]
     lo = -products * max(0, -min(orders))
@@ -448,6 +451,34 @@ def _residues(a: RatFun, points, lo: int):
     if a.is_const():
         return a.eval_mod([0], MODULUS)[0]
     return lo, tuple(a.eval_mod(points, MODULUS))
+
+
+def residue_generators(construction, mode: str, order: int, width: int, t0: int):
+    """The generators of `construction` = (c, alpha, beta, k) of
+    `cauchon_pair` as p-jets of order `order` read modulo MODULUS at
+    P_j = t0 - j*c, j < width + order - 1, with no exact p-jet: Sbar and
+    Tbar in monoid mode, xi, xi^-1, eta and eta^-1 in group mode.  Only
+    s + s^-1 (or s and s^-1) is read at the points; u and u^-1 have the
+    sigma-fixed coefficients 1, -2, 2, -2, ... and 1, 2, 2, ... at the
+    multiples of k, and the conjugates u*g*u^-1 are sums of sigma-shifts of
+    g, so g's pole check covers them.  A pole moves t0 to the next integer.
+    A letter in front of a suffix of p-order j < `order` moves by j only,
+    so the words keep the points 0..width-1.  Returns the jets and t0."""
+    c, alpha, beta, k = construction
+    t = RatFun.t()
+    s = (t - RatFun.const(alpha)) / (t - RatFun.const(beta))
+    reads = [s + s.inv()] if mode == "monoid" else [s, s.inv()]
+    ring = residue_pjet_ring(order)
+    u, u_inv = (ring.make({i: 2 * sign ** (i // k) % MODULUS if i else 1 for i in range(0, order, k)},
+                          order) for sign in (-1, 1))
+    cq = _residue_of(c)
+    while True:
+        points = [(t0 - j * cq) % MODULUS for j in range(width + order - 1)]
+        try:
+            gens = [ring.make({0: (0, tuple(g.eval_mod(points, MODULUS)))}, order) for g in reads]
+            return gens + [u * g * u_inv for g in gens], t0
+        except PoleAtPoint:
+            t0 += 1
 
 
 def residue_row(jet: PJet, window: int, width: int) -> dict:

@@ -13,9 +13,11 @@ from skewcert.freecert import (
     MODULUS,
     CertReport,
     Coordinatizer,
+    _eliminate,
     certify_freeness,
     enumerate_words,
     evaluate_words,
+    rank_mod_p_packed,
     rank_over_Q,
     word_str,
 )
@@ -23,6 +25,7 @@ from skewcert.harness import (
     groupring_coordinatizer,
     skew_exact_coordinatizer,
     skew_pjet_coordinatizer,
+    skew_residue_coordinatizer,
 )
 from skewcert.skewfrac import ShiftAut, build_heisenberg_images, heisenberg_image_jets, pjet_ring_ops
 from skewcert import skewfrac
@@ -141,6 +144,58 @@ def test_rank_full_over_Q_but_deficient_mod_p():
     assert rank_over_Q([{0: F(1, MODULUS), 1: F(1)}, {0: F(1)}]) == (2, None)
     rank, rel = rank_over_Q([{0: F(1, MODULUS)}, {0: F(1)}])
     assert (rank, rel) == (1, [F(MODULUS), F(-1)])
+
+
+residues = st.one_of(st.integers(-3, 3), st.integers(-4 * MODULUS, 4 * MODULUS),
+                     st.sampled_from([MODULUS, 2 * MODULUS, -MODULUS, MODULUS - 1, 2**60, 2**64]))
+
+
+@st.composite
+def residue_matrices(draw):
+    """Integer rows for the modulo-MODULUS rank, dense or sparse over a few
+    columns with gaps; some rows repeat earlier rows or are scaled
+    combinations of them, so deficient ranks occur often."""
+    width, dense = draw(st.integers(1, 8)), draw(st.booleans())
+    rows = []
+    for _ in range(draw(st.integers(0, 9))):
+        if rows and draw(st.booleans()):
+            row = {}
+            for i in draw(st.lists(st.integers(0, len(rows) - 1), min_size=1, max_size=3)):
+                f = draw(residues)
+                for c, x in rows[i].items():
+                    row[c] = row.get(c, 0) + f * x
+        else:
+            cols = range(width) if dense else draw(st.sets(st.integers(0, width - 1)))
+            row = {3 * c: draw(residues) for c in cols}
+        rows.append(row)
+    return rows
+
+
+@given(residue_matrices())
+def test_packed_rank_matches_the_dict_elimination(rows):
+    assert rank_mod_p_packed(rows) == _eliminate(rows, MODULUS)[0]
+
+
+@pytest.mark.parametrize("scale, rank", [(1, 1), (2**60, 1), (3, 2)])
+def test_packed_rank_reads_q_and_2q_slots_as_zero(scale, rank):
+    # after the row operation on pivot (1, 1), the second slot of (1, 1) is
+    # 4q folded to q, and that of (2^60, 2^60) is folded to 2q; (3, 4) is
+    # independent of (1, 1)
+    rows = [{0: 1, 1: 1}, {0: scale, 1: scale + (rank - 1)}]
+    assert rank_mod_p_packed(rows) == _eliminate(rows, MODULUS)[0] == rank
+
+
+def test_packed_rank_of_zero_rows():
+    assert rank_mod_p_packed([]) == rank_mod_p_packed([{}, {5: MODULUS}]) == 0
+
+
+def test_packed_rank_folds_before_a_slot_overflows():
+    # every pivot e_i has zeros where 4q - e_i is 4q, so each elimination of
+    # the last row adds 4q(q - 1), just below 2^124, to all its later slots:
+    # 40 operations in a row, and a slot that reached 2^128 would carry into
+    # the next column and leave a spurious residue behind the last pivot
+    rows = [{i: 1} for i in range(40)] + [{i: MODULUS - 1 for i in range(40)}]
+    assert rank_mod_p_packed(rows) == _eliminate(rows, MODULUS)[0] == 40
 
 
 def test_groupring_certified_l3():
@@ -301,8 +356,7 @@ def test_modular_rows_are_ranked_modulo_the_prime_only():
 
 
 def preset_jets(preset, length, order):
-    return harness.certify_skew_jets(lambda n: skewfrac.symmetric_image_jets(n, *preset.construction),
-                                     preset.construction[0], length, order)
+    return harness.certify_skew_jets(preset.construction, length, order)
 
 
 def test_deficient_residue_rank_never_reaches_bareiss(monkeypatch):
@@ -351,8 +405,31 @@ CAUCHON = (F(5, 6), F(1, 6), F(2))  # alpha, beta, shift
 
 def cauchon_jets(length, order=16):
     alpha, beta, c = CAUCHON
-    return harness.certify_skew_jets(lambda n: skewfrac.cauchon_image_jets(n, alpha, beta, c), c,
-                                     length, order, "group")
+    return harness.certify_skew_jets((c, alpha, beta, 1), length, order, "group")
+
+
+@pytest.mark.parametrize("construction, mode, length, order, final", [
+    ((CAUCHON[2], *CAUCHON[:2], 1), "group", 2, 2, (4, 32)),
+    ((CAUCHON[2], *CAUCHON[:2], 1), "group", 3, 4, (8, 32)),
+    (harness.HEISENBERG.construction, "monoid", 4, 2, (16, 32)),
+])
+def test_attempts_with_fewer_columns_than_words_are_skipped(monkeypatch, construction, mode,
+                                                           length, order, final):
+    # from one point, W doubles past the attempts whose N*W columns cannot
+    # hold a full rank; the final (N, W) is the one the attempts would reach
+    steps = []
+
+    def recording(order, points):
+        steps.append((order, points))
+        return skew_residue_coordinatizer(order, points)
+
+    monkeypatch.setattr(harness, "JET_POINTS", 1)
+    monkeypatch.setattr(harness, "skew_residue_coordinatizer", recording)
+    rep = harness.certify_skew_jets(construction, length, order, mode)
+    assert (rep.verdict, rep.rank) == ("certified", rep.word_count)
+    assert all(n * w >= rep.word_count for n, w in steps)
+    assert steps[0] == (order, 16) and steps[-1] == final
+    assert (rep.params["order"], rep.params["points"]) == final
 
 
 @pytest.mark.parametrize("length", [2, 3])

@@ -1,6 +1,7 @@
 """Canonical left fractions in K(p;sigma), the orbit test, the explicit
 generators and the two series expansions."""
 
+import functools
 from fractions import Fraction as F
 
 import pytest
@@ -32,6 +33,7 @@ from skewcert.skewfrac import (
     orbit_distinct,
     pjet_ring,
     residue_ops,
+    residue_generators,
     residue_pjet_ring,
     residue_pjets,
     residue_row,
@@ -369,3 +371,64 @@ def test_cauchon_image_jets_expand_the_generators_and_their_inverses():
     assert series.jets_agree(jets[0] * jets[1], one, order)
     assert series.jets_agree(jets[2] * jets[3], one, order)
     assert series.jets_agree(jets[3] * jets[2], one, order)
+
+
+# -- the generators read modulo the prime directly -----------------------------
+
+CAUCHON_CONSTRUCTION = (F(2), F(5, 6), F(1, 6), 1)  # (c, alpha, beta, k) of `certify cauchon`
+GENERATOR_CASES = [(HEISENBERG_CONSTRUCTION, "monoid"), (TWODIM_CONSTRUCTION, "monoid"),
+                   (CAUCHON_CONSTRUCTION, "group")]
+
+
+@functools.lru_cache(maxsize=None)
+def exact_generator_jets(construction, mode, order):
+    """The oracle's exact Q(t) p-jets: Sbar, Tbar or xi, xi^-1, eta, eta^-1."""
+    if mode == "monoid":
+        return list(symmetric_image_jets(order, *construction))
+    c, alpha, beta, _ = construction
+    return list(cauchon_image_jets(order, alpha, beta, c))
+
+
+@pytest.mark.parametrize("order", [16, 32, 64])
+@pytest.mark.parametrize("construction, mode", GENERATOR_CASES)
+def test_generators_read_directly_match_the_exact_jets(construction, mode, order):
+    # oracle: the exact p-jets read at the points one product needs.  Every
+    # coefficient agrees, with its trunc, on the points a letter's p^i
+    # coefficient needs in front of a suffix of p-orders up to the top one
+    width = 16
+    gens, t0 = residue_generators(construction, mode, order, width, RESIDUE_T0)
+    oracle, t0_oracle = residue_pjets(exact_generator_jets(construction, mode, order),
+                                      construction[0], width, 1, RESIDUE_T0)
+    assert t0 == t0_oracle == RESIDUE_T0
+    assert len(gens) == len(oracle) == (2 if mode == "monoid" else 4)
+    top = max(i for g in oracle for i in g.coeffs)
+    for g, o in zip(gens, oracle):
+        assert g.trunc == o.trunc == order
+        assert sorted(g.coeffs) == sorted(o.coeffs)
+        for i, a in g.coeffs.items():
+            need = width + top - i
+            assert a[0] == o.coeffs[i][0] == 0
+            assert a[1][:need] == o.coeffs[i][1][:need] and len(a[1]) >= need
+
+
+@pytest.mark.parametrize("length", [1, 2, 3])
+@pytest.mark.parametrize("construction, mode", GENERATOR_CASES)
+def test_suffix_shared_words_match_the_prefix_products(construction, mode, length):
+    # oracle: the exact p-jets read at the points L - 1 right factors need,
+    # and each word formed as its prefix times its last letter; the rows of
+    # every word, and their trunc, agree with the evaluated path's
+    width, order = 16, 16
+    gens, _ = residue_generators(construction, mode, order, width, RESIDUE_T0)
+    oracle, _ = residue_pjets(exact_generator_jets(construction, mode, order),
+                              construction[0], width, length - 1, RESIDUE_T0)
+    words = enumerate_words(2, length, mode == "group")
+    ring = residue_pjet_ring(order)
+    # group mode: the letters 1, -1, 2, -2 are the jets of xi, xi^-1, eta, eta^-1
+    index = (lambda a: a) if mode == "monoid" else (lambda a: 2 * abs(a) - (a > 0))
+    values = evaluate_words(gens, ring.ops(), [tuple(map(index, w)) for w in words], "monoid")
+    prefix = {(): ring.one_jet()}
+    for w in words[1:]:
+        prefix[w] = prefix[w[:-1]] * oracle[index(w[-1]) - 1]
+    for w, v in zip(words, values):
+        assert v.trunc == prefix[w].trunc
+        assert residue_row(v, order, width) == residue_row(prefix[w], order, width)

@@ -1,8 +1,13 @@
 """Rules that hold for the source tree as a whole."""
 
 import ast
+import importlib
+import importlib.util
+import inspect
 import pathlib
 import sys
+
+from skewcert import freecert, groupring, harness
 
 PACKAGE = pathlib.Path(__file__).resolve().parents[1] / "src" / "skewcert"
 
@@ -46,3 +51,40 @@ def test_src_imports_only_stdlib():
                       if n.split(".")[0] not in allowed]
     assert list(PACKAGE.rglob("*.py"))
     assert not found, f"imports outside the standard library in src: {found}"
+
+
+def _load_spans():
+    """perfbench/spans.py as it is, loaded from its file."""
+    path = PACKAGE.parents[1] / "perfbench" / "spans.py"
+    spec = importlib.util.spec_from_file_location("perfbench_spans", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_benchmark_span_hooks_still_bind(monkeypatch):
+    # the benchmark wraps the functions of its LAYERS table from outside and
+    # calls its input-size hooks with each call's own arguments: a renamed
+    # function or a changed call signature fails every traced run
+    spans = _load_spans()
+    for module, attr, _ in spans.LAYERS:
+        owner = importlib.import_module(f"skewcert.{module}")
+        for part in attr.split("."):
+            owner = getattr(owner, part)
+        assert callable(owner), f"{module}.{attr}"
+    inspect.signature(freecert.evaluate_words).bind("generators", "ops", "words", "mode")
+    inspect.signature(freecert.rank_over_Q).bind("vectors")
+    # the certification call sites bind to the hooks as the tracer calls them
+    tracer = spans.Tracer()
+    for name, hook in (("evaluate_words", tracer._count_words), ("rank_over_Q", tracer._rank_shape)):
+        original = getattr(freecert, name)
+
+        def hooked(*args, _hook=hook, _original=original, **kwargs):
+            _hook(*args, **kwargs)
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(freecert, name, hooked)
+    x, y = groupring.symmetric_generators()
+    freecert.certify_freeness([x, y], groupring.ring_ops(), harness.groupring_coordinatizer(), 2)
+    harness.run_certify_cauchon("5/6", "1/6", 2, 1)
+    assert tracer.words == 7 + 5 and [rows for rows, _, _ in tracer.rank_inputs] == [7]
