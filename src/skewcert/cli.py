@@ -198,6 +198,10 @@ def run(argv=None) -> int:
     try:
         if getattr(args, "order", 1) < 1:
             raise ValueError("--order must be at least 1")
+        if getattr(args, "target", None) in ("nilpotent", "scaling") and args.order < 2:
+            # at order 1 every jet the class-3 cross-checks compare has trunc
+            # 0, so they would pass without comparing a single coefficient
+            raise ValueError("--order must be at least 2 for the class-3 jet cross-checks")
         if getattr(args, "max_word_len", 1) < 1:
             raise ValueError("--max-word-len must be at least 1")
         if args.command == "certify" and f"certify {args.target}" in harness.SKEW_PRESETS:

@@ -710,9 +710,12 @@ RF_ONE = RatFun.const(1)
 # Fraction otherwise (normalized where a sum or product is formed; Fraction
 # inputs that are not normalized are accepted), zero entries are skipped, a
 # product of two single-term operands is one scalar product, and results are
-# wrapped without being stripped again.  Values stay comparable with generically built ones, since
-# 2 == Fraction(2) and both hash alike.  Division never happens on ints:
-# bipoly_eps returns a Fraction and inv divides through Fraction.
+# wrapped without being stripped again.  A sum of several products (the ops'
+# dot) adds every term product into one dense list over n1 per n2-degree
+# and normalizes, strips and wraps each list once.  Values stay comparable
+# with generically built ones, since 2 == Fraction(2) and both hash alike.
+# Division never happens on ints: bipoly_eps returns a Fraction and inv
+# divides through Fraction.
 
 _new_poly = Poly.__new__
 _ZERO = Poly()
@@ -843,6 +846,53 @@ def _bp_mul(a: Poly, b: Poly) -> Poly:
     return _wrap(tuple([_wrap(c) if c else _ZERO for c in out]))
 
 
+def _bp_support(a: Poly) -> list:
+    """The nonzero terms (n2-degree, n1-degree, scalar) of a nonzero a; a
+    single term is found from the leading entries alone."""
+    A = a.coeffs
+    i = len(A) - 1
+    x = A[i].coeffs
+    j = len(x) - 1
+    if (not i or A[:i].count(_ZERO) == i) and (not j or x.count(0) == j):
+        return [(i, j, x[j])]
+    return [(i, j, c) for i, p in enumerate(A) for j, c in enumerate(p.coeffs) if c]
+
+
+def _bp_dot(terms) -> Poly:
+    """sum kappa*x*y over (kappa, x, y) in one pass: the product of each
+    nonzero term of x with each of y is added into a dense list over n1 kept
+    per n2-degree, and each list is normalized and wrapped once at the end."""
+    if len(terms) == 1:
+        kap, x, y = terms[0]
+        p = _bp_mul(x, y)
+        return p if kap == 1 else _bp_scale(kap, p)
+    rows: dict = {}
+    for kap, x, y in terms:
+        if not x.coeffs or not y.coeffs:
+            continue
+        ys = _bp_support(y)
+        for i, j, u in _bp_support(x):
+            u *= kap
+            for k, m, v in ys:
+                d = j + m
+                row = rows.get(i + k)
+                if row is None:
+                    rows[i + k] = row = [0] * (d + 1)
+                elif len(row) <= d:
+                    row += [0] * (d + 1 - len(row))
+                row[d] += u * v
+    out = [_ZERO] * (max(rows) + 1 if rows else 0)
+    for k, row in rows.items():
+        row = [c if type(c) is int or c.denominator != 1 else c.numerator for c in row]
+        while row and not row[-1]:
+            row.pop()
+        if row:
+            out[k] = _wrap(tuple(row))
+    while out and out[-1] is _ZERO:
+        out.pop()
+    return _wrap(tuple(out))
+
+
 def bipoly_const(q) -> Poly:
     """Constant of Q[n1, n2] realized as Poly-over-Poly (outer = n2), its
     scalar an int when integral."""
@@ -896,4 +946,5 @@ def bipoly_ops() -> RingOps:
         is_zero=lambda a: not a.coeffs,
         inv=inv,
         is_unit=is_unit,
+        dot=_bp_dot,
     )

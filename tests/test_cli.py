@@ -354,3 +354,16 @@ def test_cauchon_certifies_at_length_three(capsys):
     assert v["verdict"] == v["data"]["verdict"] == "certified"
     assert (v["data"]["rank"], v["data"]["word_count"]) == (53, 53)
     assert v["data"]["params"]["coordinatizer"] == "pjet-residues"
+
+
+@pytest.mark.parametrize("argv", [["certify", "nilpotent", "--order", "1"],
+                                  ["verify", "scaling", "--order", "1"]])
+def test_order_one_class3_cross_check_is_a_one_line_error(argv, capsys, tmp_path, monkeypatch):
+    # at order 1 the S/T jets and A*A^-1 all have trunc 0, so the class-3
+    # cross-checks would pass without comparing a coefficient
+    monkeypatch.chdir(tmp_path)
+    code = cli.run(argv)
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.err == "error: --order must be at least 2 for the class-3 jet cross-checks\n"
+    assert captured.out == ""

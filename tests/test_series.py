@@ -394,6 +394,48 @@ def test_bipoly_eps_and_inverse_are_exact(q):
     assert ops.inv(bipoly_from_terms({(0, 0): F(3)})) == bipoly_const(F(1, 3))
 
 
+def lead_term(terms: dict) -> dict:
+    """The nonzero monomial of highest n2-degree, then highest n1-degree."""
+    nonzero = [t for t in terms.items() if t[1]]
+    return dict([max(nonzero)]) if nonzero else {}
+
+
+dot_kappas = st.sampled_from([1, -1, 2, -3])
+
+
+@settings(max_examples=300)
+@given(st.lists(st.tuples(dot_kappas, elements, elements), min_size=1, max_size=5),
+       st.sampled_from(["none", "all", "lead"]))
+@example([(1, {(0, 0): F(1, 2)}, {(0, 0): 1}), (1, {(0, 0): F(1, 2)}, {(0, 0): 1})], "none")
+@example([(2, {(0, 0): F(3)}, {(1, 1): F(5)}), (1, {}, {(0, 0): 1})], "none")
+@example([(1, {(0, 1): 1}, {(0, 0): 1}), (1, {(0, 0): 1}, {(0, 0): 1})], "lead")
+@example([(1, {(1, 0): 1}, {(0, 0): 1}), (1, {(0, 0): 1}, {(0, 0): 1})], "lead")
+@example([(-3, {(0, 0): 2, (1, 2): F(1, 3)}, {(2, 1): 4})], "all")
+@example([(2, {(0, 1): F(1, 3)}, {(1, 0): 3})], "none")
+def test_bipoly_dot_matches_fallback_and_monomial_oracle(raw, cancel):
+    """The fused Q[n1, n2] sum of products against the mul/neg/smul/add
+    fallback and the monomial oracle.  "all" appends (-k, x, y) for every
+    term, an exact zero; "lead" appends minus the product of the first
+    term's leading monomials, which cancels the top n1 entry of the top n2
+    row of that product (the whole row when it is a single entry)."""
+    ops = bipoly_ops()
+    assert ops.dot is scalar._bp_dot
+    if cancel == "all":
+        raw = raw + [(-k, a, b) for k, a, b in raw]
+    elif cancel == "lead":
+        k, a, b = raw[0]
+        raw = raw + [(-k, lead_term(a), lead_term(b))]
+    terms = [(k, bipoly_from_terms(a), bipoly_from_terms(b)) for k, a, b in raw]
+    want: dict = {}
+    for k, a, b in terms:
+        want = ref_add(want, {m: k * c for m, c in ref_mul(terms_of(a), terms_of(b)).items()})
+    got = ops.sum_products(terms)
+    assert_kernel_value(got, want, normalized=True)
+    assert got == replace(ops, dot=None).sum_products(terms)
+    if cancel == "all":
+        assert not got.coeffs
+
+
 # -- int-first scalar products and clean jets ------------------------------------
 
 rationals = st.one_of(
@@ -535,6 +577,16 @@ def plain(ring: JetRing) -> JetRing:
     """The same ring over its coefficient ring without the fused dot."""
     return JetRing(replace(ring.coeff, dot=None), ring.delta, ring.var, ring.order,
                    ring.floor, ring.sigma)
+
+
+def test_class3_scalars_sum_through_the_fused_dot():
+    """The class-3 tower's bottom ring sums through the Q[n1, n2] dot and
+    plain() removes it, so check_fused_matches_fallback compares the fused
+    and the fallback sums at level 0."""
+    for tower in (class3_tower(), TOWERS["class3"]):
+        lw = tower.levels[0]
+        assert lw.coeff.dot is scalar._bp_dot
+        assert plain(lw).coeff.dot is None
 
 
 def outcome(f, *args):
