@@ -17,12 +17,14 @@ that varies between runs.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
 import time
 from fractions import Fraction
 
 from . import harness
+from .forkjoin import forked
 from .errors import KernelError
 from .pbw import LieAlg, jacobi_check
 from .scalar import rat
@@ -209,8 +211,8 @@ def run(argv=None) -> int:
             if args.order > harness.JET_ORDER_CEILING:
                 raise ValueError(f"--order must be at most {harness.JET_ORDER_CEILING}")
             params.update(max_word_len=args.max_word_len, order=args.order)
-            verdicts = harness.run_certify_skew(harness.SKEW_PRESETS[command],
-                                                args.max_word_len, args.order, seed)
+            preset = dataclasses.replace(harness.SKEW_PRESETS[command], beside=forked)
+            verdicts = harness.run_certify_skew(preset, args.max_word_len, args.order, seed)
         elif args.command == "certify" and args.target == "groupring":
             params.update(max_word_len=args.max_word_len)
             verdicts = harness.run_certify_groupring(args.max_word_len, seed)
@@ -223,12 +225,13 @@ def run(argv=None) -> int:
             command = "certify cauchon"
         elif args.command == "certify" and args.target == "nilpotent":
             params.update(order=args.order)
-            verdicts = harness.run_certify_nilpotent(args.order, seed)
+            verdicts = harness.run_certify_nilpotent(args.order, seed, beside=forked)
             command = "certify nilpotent"
         elif args.command == "verify" and args.target == "scaling":
             lams = [rat(x) for x in (args.lams or ["2", "3"])]
             params.update(lams=[str(x) for x in lams], order=args.order)
-            verdicts = harness.run_verify_scaling(tuple(lams), seed, class3_order=args.order)
+            verdicts = harness.run_verify_scaling(tuple(lams), seed, class3_order=args.order,
+                                                  beside=forked)
             command = "verify scaling"
         elif args.command == "verify" and args.target == "valuation":
             verdicts = harness.run_verify_valuation(seed)

@@ -3,6 +3,13 @@
 Each pipeline returns a list of verdict dicts {claim, paper_label, verdict,
 data}; the CLI serializes them and maps the worst verdict to an exit code.
 The heavy objects (towers, atom inverses) are built once per pipeline run.
+
+`certify nilpotent`, `verify scaling`, `certify heisenberg` and `certify
+twodim` each end in two groups of verdicts that share no work.  Their
+pipelines take a `beside` runner for the first group (`forkjoin`): `inline`
+(the default, one process, as the tests and `run_selftest` use it) or
+`forked` (the CLI), which runs it in a child made with os.fork while this
+process runs the other group, then joins the verdicts in their usual order.
 """
 
 from __future__ import annotations
@@ -14,6 +21,7 @@ from typing import Callable
 
 from . import groupring, pbw, series, skewfrac
 from .errors import KernelError, ZeroDenominator
+from .forkjoin import beside_each_other, inline
 from .freecert import MODULUS, Coordinatizer, certify_freeness, enumerate_words
 from .pbw import (
     LieHom,
@@ -389,6 +397,7 @@ class SkewPreset:
     symmetry_claims: tuple[str, str]
     cross_check: Callable  # (values, cross_order) -> (starred, expr) -> data
     pair_name: str
+    beside: Callable = inline  # runs the symmetry verdicts (`forked` from the CLI)
 
 
 HEISENBERG = SkewPreset(
@@ -433,34 +442,40 @@ def equality_verdict(claim: str, label: str, lhs, rhs, table: FactTable, cross_c
 
 def run_certify_skew(preset: SkewPreset, max_word_len: int = 3, order: int = 32,
                      seed: int = DEFAULT_SEED, cross_order: int = 16) -> list[dict]:
+    """The opening and facts verdicts, then the two symmetry verdicts, run by
+    `preset.beside` while this process runs the freeness paths."""
     facts = preset.fact_table()
     table, _, values = facts
     verdicts = [verdict(preset.opening_claim, preset.label, preset.opening(facts))]
     witnesses = verify_facts(table)
     verdicts.append(verdict(preset.facts_claim, preset.label, True, {"witnesses": witnesses}))
-    check = preset.cross_check(values, cross_order)
-    for claim, expr in zip(preset.symmetry_claims, preset.expressions()):
-        verdicts.append(equality_verdict(claim, preset.label, star(expr, table), expr, table, check))
 
-    # freeness of the images: evaluated p-jets, then the authoritative exact
-    # fraction path
-    rep_jets = certify_skew_jets(preset.construction, max_word_len, order,
-                                 command=preset.command, seed=seed)
-    images = skewfrac.symmetric_images(*preset.construction)
-    aut = images[0].aut
-    rep_exact = certify_freeness(list(images), skewfrac.ring_ops(aut), skew_exact_coordinatizer(aut),
-                                 max_word_len, "monoid", command=preset.command, seed=seed)
-    # truncation and evaluation are linear, so the jet rank never exceeds
-    # the exact rank; a lower jet rank is a limit of the jets path, and the
-    # exact path decides the verdict
-    if rep_jets.rank > rep_exact.rank:
-        raise KernelError(f"jet rank {rep_jets.rank} exceeds the exact rank {rep_exact.rank}")
-    verdicts.append(verdict(
-        f"freeness of {preset.pair_name} to word length {max_word_len}", preset.freeness_label,
-        rep_exact.verdict,
-        {"jets": rep_jets.to_dict(), "exact": rep_exact.to_dict(),
-         "paths_agree": rep_jets.rank == rep_exact.rank}))
-    return verdicts
+    def symmetry() -> list[dict]:
+        check = preset.cross_check(values, cross_order)
+        return [equality_verdict(claim, preset.label, star(expr, table), expr, table, check)
+                for claim, expr in zip(preset.symmetry_claims, preset.expressions())]
+
+    def freeness() -> dict:
+        # evaluated p-jets, then the authoritative exact fraction path
+        rep_jets = certify_skew_jets(preset.construction, max_word_len, order,
+                                     command=preset.command, seed=seed)
+        images = skewfrac.symmetric_images(*preset.construction)
+        aut = images[0].aut
+        rep_exact = certify_freeness(list(images), skewfrac.ring_ops(aut), skew_exact_coordinatizer(aut),
+                                     max_word_len, "monoid", command=preset.command, seed=seed)
+        # truncation and evaluation are linear, so the jet rank never exceeds
+        # the exact rank; a lower jet rank is a limit of the jets path, and the
+        # exact path decides the verdict
+        if rep_jets.rank > rep_exact.rank:
+            raise KernelError(f"jet rank {rep_jets.rank} exceeds the exact rank {rep_exact.rank}")
+        return verdict(
+            f"freeness of {preset.pair_name} to word length {max_word_len}", preset.freeness_label,
+            rep_exact.verdict,
+            {"jets": rep_jets.to_dict(), "exact": rep_exact.to_dict(),
+             "paths_agree": rep_jets.rank == rep_exact.rank})
+
+    symmetric, free = beside_each_other(preset.beside, symmetry, freeness)
+    return verdicts + symmetric + [free]
 
 
 def certify_skew_jets(construction, max_word_len: int, order: int, mode: str = "monoid",
@@ -545,29 +560,20 @@ def run_certify_cauchon(alpha, beta, shift=2, max_word_len: int = 2,
     return verdicts
 
 
-def run_certify_nilpotent(order: int = 12, seed: int = DEFAULT_SEED) -> list[dict]:
+def run_certify_nilpotent(order: int = 12, seed: int = DEFAULT_SEED, beside=inline) -> list[dict]:
+    """The morphisms of series, the commutative square and w+-v^2 (verdicts
+    1-5) run by `beside` while this process checks the facts, inverts A and B
+    and proves S and T."""
     rnd = random.Random(seed)
-    verdicts = []
     src = class3_tower(order)
     dst = heisenberg_tower(order)
     lw, lv, lu = src.levels
-    lz, _, lx = dst.levels
-
-    # morphisms of series: spot identities
-    phi_w = hom_phi_w(src, dst)
-    phi_u = hom_phi_u(src, dst)
-    n1 = series.bipoly_n1()
-    ok = jets_agree(phi_w(lw.make({1: n1})), lz.zero_jet())
-    three_plus_n1 = series.bipoly_const(3) + n1
-    ok &= jets_agree(phi_w(lw.make({2: three_plus_n1})), lz.make({2: Fraction(3)}))
     table, _, jets = class3_fact_table(order, src)
     L3 = table.algebra
     embed_L = LieHom(L3, [src.gens[k] for k in ("u", "v", "w", "n1", "n2")], src.ops())
-    ok &= jets_agree(phi_u(embed_L(L3.gen("u"))), lx.monomial(-1))
-    verdicts.append(verdict("coefficient maps kill the augmentation ideal and send t_u^-1 to t_x^-1",
-                            "morphismsofseries", ok))
 
-    # homomorphism property on random sparse tower elements
+    # random sparse tower elements and products of generators, all drawn
+    # before either half runs
     def rnd_elem():
         out = {}
         for _ in range(2):
@@ -577,119 +583,151 @@ def run_certify_nilpotent(order: int = 12, seed: int = DEFAULT_SEED) -> list[dic
             out[i] = lv.make(inner)
         return lu.make(out)
 
-    hom_ok = True
-    for _ in range(20):
-        a, b = rnd_elem(), rnd_elem()
-        if not jets_agree(phi_u(jet_mul(a, b)), jet_mul(phi_u(a), phi_u(b))):
-            hom_ok = False
-            break
-    verdicts.append(verdict("Phi_u is multiplicative on random tower elements",
-                            "morphismsofseries", hom_ok, {"samples": 20}))
-
-    # compatibility square with the rho-induced map on U(L3)
-    H = heisenberg()
-    embed_H = LieHom(H, [dst.gens[k] for k in ("x", "y", "z")], dst.ops())
-    rho = rho_class3_to_heisenberg(L3, H)
+    pairs = [(rnd_elem(), rnd_elem()) for _ in range(20)]
     gens = [L3.gen("u"), L3.gen("v"), L3.gen("w"),
             u_mul(L3.gen("u"), L3.gen("v")), u_mul(L3.gen("v"), L3.gen("w"))]
-    sq_ok = all(jets_agree(phi_u(embed_L(g)), embed_H(rho(g))) for g in gens)
-    for _ in range(20):
-        g = u_mul(rnd.choice(gens), rnd.choice(gens))
-        if not jets_agree(phi_u(embed_L(g)), embed_H(rho(g))):
-            sq_ok = False
-            break
-    verdicts.append(verdict("Phi_u . embed = embed . psi on generators and random products",
-                            "commutativediagram", sq_ok))
+    products = [u_mul(rnd.choice(gens), rnd.choice(gens)) for _ in range(20)]
 
-    # invertibility claims with audit trails
-    v_gen, w_gen = L3.gen("v"), L3.gen("w")
-    for name, el, sign in (("w+v^2", w_gen + u_mul(v_gen, v_gen), 1),
-                           ("w-v^2", w_gen - u_mul(v_gen, v_gen), -1)):
-        j = embed_L(el)
-        okc, trail = unit_criterion_audit(j)
-        inv = jet_inv(j)
-        two_sided = jets_agree(jet_mul(j, inv), lu.one_jet()) and jets_agree(jet_mul(inv, j), lu.one_jet())
-        tv_level = j.coeffs[0]  # the t_u^0 coefficient: +-t_v^-2 + t_w^-1
-        low = tv_level.coeffs[tv_level.nonzero_min_ord()]
-        want = lw.one_jet() if sign == 1 else jet_neg(lw.one_jet())
-        low_ok = tv_level.nonzero_min_ord() == -2 and jets_agree(low, want)
-        verdicts.append(verdict(
-            f"{name} invertible; lowest t_v-coefficient is {sign}",
-            "freesymmetricresiduallynilpotent", okc and two_sided and low_ok,
-            {"audit": trail, "overhead": order - min(inv.trunc, order)}))
-    # the fact checks embed the atoms in `src`; seeded into the memo, the
-    # inverses of A and B checked here serve the S/T cross-check below
-    witnesses = verify_facts(table)
-    ops = lu.ops()
-    memo: dict = {}
-    for name in ("A", "B"):
-        j = jets[name]
-        okc, trail = unit_criterion_audit(j)
-        inv = memo[Inv(Atom(name))] = jet_inv(j)
-        two_sided = jets_agree(jet_mul(j, inv), lu.one_jet()) and jets_agree(jet_mul(inv, j), lu.one_jet())
-        label = "V-w^3/3" if name == "A" else "V+w^3/3"
-        verdicts.append(verdict(
-            f"{label} invertible via the recursive unit criterion",
-            "freesymmetricresiduallynilpotent", okc and two_sided,
-            {"audit": trail, "overhead": order - min(inv.trunc, order)}))
+    def morphisms() -> list[dict]:
+        verdicts = []
+        lz, _, lx = dst.levels
+        # morphisms of series: spot identities
+        phi_w = hom_phi_w(src, dst)
+        phi_u = hom_phi_u(src, dst)
+        n1 = series.bipoly_n1()
+        ok = jets_agree(phi_w(lw.make({1: n1})), lz.zero_jet())
+        three_plus_n1 = series.bipoly_const(3) + n1
+        ok &= jets_agree(phi_w(lw.make({2: three_plus_n1})), lz.make({2: Fraction(3)}))
+        ok &= jets_agree(phi_u(embed_L(L3.gen("u"))), lx.monomial(-1))
+        verdicts.append(verdict("coefficient maps kill the augmentation ideal and send t_u^-1 to t_x^-1",
+                                "morphismsofseries", ok))
 
-    # symmetry of S and T built on u, v, w, with jet substitution cross-check
-    def cross_check(lhs, rhs) -> dict:
-        agree = jets_agree(substitute(lhs, jets, ops, memo), substitute(rhs, jets, ops, memo))
-        return {"jet_cross_check": agree, "witnesses_count": len(witnesses)}
+        # homomorphism property on random sparse tower elements
+        hom_ok = all(jets_agree(phi_u(jet_mul(a, b)), jet_mul(phi_u(a), phi_u(b))) for a, b in pairs)
+        verdicts.append(verdict("Phi_u is multiplicative on random tower elements",
+                                "morphismsofseries", hom_ok, {"samples": 20}))
 
-    S, T = st_expressions()
-    for name, expr in (("S", S), ("T", T)):
-        verdicts.append(equality_verdict(f"{name}* = {name} (class-3 atoms)",
-                                         "freesymmetricresiduallynilpotent",
-                                         star(expr, table), expr, table, cross_check))
-    return verdicts
+        # compatibility square with the rho-induced map on U(L3)
+        H = heisenberg()
+        embed_H = LieHom(H, [dst.gens[k] for k in ("x", "y", "z")], dst.ops())
+        rho = rho_class3_to_heisenberg(L3, H)
+        sq_ok = all(jets_agree(phi_u(embed_L(g)), embed_H(rho(g))) for g in gens + products)
+        verdicts.append(verdict("Phi_u . embed = embed . psi on generators and random products",
+                                "commutativediagram", sq_ok))
+
+        # invertibility claims with audit trails
+        v_gen, w_gen = L3.gen("v"), L3.gen("w")
+        for name, el, sign in (("w+v^2", w_gen + u_mul(v_gen, v_gen), 1),
+                               ("w-v^2", w_gen - u_mul(v_gen, v_gen), -1)):
+            j = embed_L(el)
+            okc, trail = unit_criterion_audit(j)
+            inv = jet_inv(j)
+            two_sided = jets_agree(jet_mul(j, inv), lu.one_jet()) and jets_agree(jet_mul(inv, j), lu.one_jet())
+            tv_level = j.coeffs[0]  # the t_u^0 coefficient: +-t_v^-2 + t_w^-1
+            low = tv_level.coeffs[tv_level.nonzero_min_ord()]
+            want = lw.one_jet() if sign == 1 else jet_neg(lw.one_jet())
+            low_ok = tv_level.nonzero_min_ord() == -2 and jets_agree(low, want)
+            verdicts.append(verdict(
+                f"{name} invertible; lowest t_v-coefficient is {sign}",
+                "freesymmetricresiduallynilpotent", okc and two_sided and low_ok,
+                {"audit": trail, "overhead": order - min(inv.trunc, order)}))
+        return verdicts
+
+    def symmetry() -> list[dict]:
+        # the fact checks embed the atoms in `src`; seeded into the memo, the
+        # inverses of A and B checked here serve the S/T cross-check below
+        verdicts = []
+        witnesses = verify_facts(table)
+        ops = lu.ops()
+        memo: dict = {}
+        for name in ("A", "B"):
+            j = jets[name]
+            okc, trail = unit_criterion_audit(j)
+            inv = memo[Inv(Atom(name))] = jet_inv(j)
+            two_sided = jets_agree(jet_mul(j, inv), lu.one_jet()) and jets_agree(jet_mul(inv, j), lu.one_jet())
+            label = "V-w^3/3" if name == "A" else "V+w^3/3"
+            verdicts.append(verdict(
+                f"{label} invertible via the recursive unit criterion",
+                "freesymmetricresiduallynilpotent", okc and two_sided,
+                {"audit": trail, "overhead": order - min(inv.trunc, order)}))
+
+        # symmetry of S and T built on u, v, w, with jet substitution cross-check
+        def cross_check(lhs, rhs) -> dict:
+            agree = jets_agree(substitute(lhs, jets, ops, memo), substitute(rhs, jets, ops, memo))
+            return {"jet_cross_check": agree, "witnesses_count": len(witnesses)}
+
+        S, T = st_expressions()
+        for name, expr in (("S", S), ("T", T)):
+            verdicts.append(equality_verdict(f"{name}* = {name} (class-3 atoms)",
+                                             "freesymmetricresiduallynilpotent",
+                                             star(expr, table), expr, table, cross_check))
+        return verdicts
+
+    first, rest = beside_each_other(beside, morphisms, symmetry)
+    return first + rest
 
 
 def run_verify_scaling(lams=(2, 3), seed: int = DEFAULT_SEED, cross_order: int = 16,
-                       class3_order: int = 12, presets=("heisenberg", "class3")) -> list[dict]:
-    verdicts = []
+                       class3_order: int = 12, presets=("heisenberg", "class3"),
+                       beside=inline) -> list[dict]:
+    """S and T against their images under each scaling lambda, on the
+    Heisenberg and class-3 atoms; with both presets the Heisenberg half runs
+    by `beside` while this process runs the class-3 half."""
     S, T = st_expressions()
-    setups = []
-    if "heisenberg" in presets:
-        h_table, _, h_atoms = heisenberg_fact_table()
-        verify_facts(h_table)
-        h_tower, h_jets = heisenberg_atom_jets(cross_order + 4)
-        setups.append(("Heisenberg", h_table.algebra, h_table, h_atoms, h_jets, h_tower.ops(), cross_order))
-    if "class3" in presets:
+
+    def heisenberg_half() -> list[dict]:
+        table, _, atoms = heisenberg_fact_table()
+        verify_facts(table)
+        tower, jets = heisenberg_atom_jets(cross_order + 4)
+        return scaling_verdicts("Heisenberg", table, atoms, jets, tower.ops(), cross_order, lams, S, T)
+
+    def class3_half() -> list[dict]:
         # the jets were built inside the fact table's own tower, so its ops
         # come from there
-        c_table, c_atoms, c_jets = class3_fact_table(class3_order)
-        verify_facts(c_table)
-        setups.append(("class-3", c_table.algebra, c_table, c_atoms, c_jets, c_jets["A"].ring.ops(), class3_order))
+        table, atoms, jets = class3_fact_table(class3_order)
+        verify_facts(table)
+        return scaling_verdicts("class-3", table, atoms, jets, jets["A"].ring.ops(), class3_order, lams, S, T)
 
-    for label, L, table, atoms, jets, ops, xo in setups:
-        memo: dict = {}  # the unscaled S and T with their atoms' inverses
-        for expr in (S, T):
-            substitute(expr, jets, ops, memo)
-        for lam in lams:
-            lam = rat(lam)
-            scaled_memo = dict(memo)  # released before the next lambda
-            sc = scaling_automorphism(L, lam)
-            factors = {}
-            homogeneous = True
-            for name, el in atoms.items():
-                img = sc(el)
-                w = chi_valuation(el)
-                f = lam ** int(-w)
-                homogeneous &= img == el.smul(f)
-                factors[name] = f
+    halves = [half for name, half in (("heisenberg", heisenberg_half), ("class3", class3_half))
+              if name in presets]
+    if len(halves) < 2:
+        return [v for half in halves for v in half()]
+    first, rest = beside_each_other(beside, *halves)
+    return first + rest
 
-            def cross_check(lhs, rhs) -> dict:
-                return {"atom_factors": {k: str(v) for k, v in factors.items()},
-                        "atoms_homogeneous": homogeneous,
-                        "jet_cross_check": jets_agree(substitute(lhs, jets, ops, scaled_memo),
-                                                      memo[rhs], upto=xo)}
 
-            for ename, expr in (("S", S), ("T", T)):
-                verdicts.append(equality_verdict(
-                    f"{ename}' = {ename} under lambda = {lam} ({label} atoms)", "freesymmetricOre",
-                    scale_atoms(expr, factors), expr, table, cross_check))
+def scaling_verdicts(label: str, table: FactTable, atoms: dict, jets: dict, ops, xo: int,
+                     lams, S, T) -> list[dict]:
+    """S' = S and T' = T under each lambda of `lams` on one preset's atoms,
+    cross-checked on their jets up to order `xo`."""
+    verdicts = []
+    L = table.algebra
+    memo: dict = {}  # the unscaled S and T with their atoms' inverses
+    for expr in (S, T):
+        substitute(expr, jets, ops, memo)
+    for lam in lams:
+        lam = rat(lam)
+        scaled_memo = dict(memo)  # released before the next lambda
+        sc = scaling_automorphism(L, lam)
+        factors = {}
+        homogeneous = True
+        for name, el in atoms.items():
+            img = sc(el)
+            w = chi_valuation(el)
+            f = lam ** int(-w)
+            homogeneous &= img == el.smul(f)
+            factors[name] = f
+
+        def cross_check(lhs, rhs) -> dict:
+            return {"atom_factors": {k: str(v) for k, v in factors.items()},
+                    "atoms_homogeneous": homogeneous,
+                    "jet_cross_check": jets_agree(substitute(lhs, jets, ops, scaled_memo),
+                                                  memo[rhs], upto=xo)}
+
+        for ename, expr in (("S", S), ("T", T)):
+            verdicts.append(equality_verdict(
+                f"{ename}' = {ename} under lambda = {lam} ({label} atoms)", "freesymmetricOre",
+                scale_atoms(expr, factors), expr, table, cross_check))
     return verdicts
 
 

@@ -88,3 +88,25 @@ def test_benchmark_span_hooks_still_bind(monkeypatch):
     freecert.certify_freeness([x, y], groupring.ring_ops(), harness.groupring_coordinatizer(), 2)
     harness.run_certify_cauchon("5/6", "1/6", 2, 1)
     assert tracer.words == 7 + 5 and [rows for rows, _, _ in tracer.rank_inputs] == [7]
+
+
+
+def _is_os_fork(node) -> bool:
+    if isinstance(node, ast.ImportFrom):
+        return node.module == "os" and any(a.name == "fork" for a in node.names)
+    return (isinstance(node, ast.Attribute) and node.attr == "fork"
+            and isinstance(node.value, ast.Name) and node.value.id == "os")
+
+
+def test_os_fork_appears_only_in_forked():
+    # one fork path, whose child always leaves through os._exit and whose
+    # parent always reaps it: a second one would have to repeat both
+    found = []
+    for path in sorted(PACKAGE.rglob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        owner = {}  # node -> name of the innermost function holding it
+        for func in ast.walk(tree):  # breadth first: inner functions come later
+            if isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                owner.update((node, func.name) for node in ast.walk(func))
+        found += [(path.name, owner.get(node)) for node in ast.walk(tree) if _is_os_fork(node)]
+    assert found == [("forkjoin.py", "forked")], found
