@@ -192,8 +192,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def run(argv=None) -> int:
-    ap = build_parser()
-    args = ap.parse_args(argv)
+    try:
+        args = build_parser().parse_args(argv)
+    except SystemExit as ex:  # argparse exits 0 after --help, 2 on a usage error
+        return 1 if ex.code else 0
     seed = args.seed
     t0 = time.monotonic()
     params: dict = {}
@@ -251,8 +253,7 @@ def run(argv=None) -> int:
             params.update(path=args.path)
             command = "check-algebra"
         else:  # pragma: no cover
-            ap.error("unknown command")
-            return 1
+            raise ValueError("unknown command")
         elapsed_ms = int((time.monotonic() - t0) * 1000)
         emit_report(command, params, verdicts, seed, elapsed_ms, args.output)
     except (KernelError, ValueError, OSError) as ex:

@@ -4,12 +4,12 @@ reduced rational function field Q(t).
 Rational numbers are `fractions.Fraction` (already reduced, positive
 denominator).  `Poly` stores coefficients lowest degree first and works over
 any coefficient object supporting +, -, * and truthiness, so a two-variable
-polynomial ring is obtained by nesting Poly inside Poly.  The class-3 tower
-keeps its Q[n1, n2] values in that nested form but does their arithmetic in
-its own kernel (`bipoly_ops` at the end of this module, with
-int-or-Fraction scalars); Poly's ring operations stay generic.  The
-field-level helpers (divmod, monic, poly_gcd) assume Fraction coefficients,
-since int / int would give a float.
+polynomial ring is obtained by nesting Poly inside Poly.  The class-3
+tower's Q[n1, n2] is the Poly subclass BiPoly instead: int numerators over
+one int denominator, with its own kernel (`bipoly_ops` at the end of this
+module) and the nested form only as a view.  The field-level helpers
+(divmod, monic, poly_gcd) assume Fraction coefficients, since int / int
+would give a float.
 
 `RatFun` stores no Polys.  An element of Q(t) is c * N / D with N and D
 primitive integer coefficient lists (lowest degree first, positive leading
@@ -28,7 +28,7 @@ the same value with Fraction coefficients and a monic denominator.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd, isqrt
+from math import gcd, isqrt, lcm
 
 from .errors import DivisionByZero, LowestCoeffNotUnit, PoleAtPoint, ZeroDenominator
 from .rings import RingOps
@@ -703,22 +703,59 @@ RF_ONE = RatFun.const(1)
 
 # -- Q[n1, n2] -----------------------------------------------------------------
 #
-# An element of Q[n1, n2] is a Poly in n2 whose coefficients are Polys in n1
-# with rational coefficients, so generic Poly arithmetic and repr apply to
-# it unchanged.  The ring operations of bipoly_ops work on the coefficient
-# tuples instead: a scalar is stored as an int when it is integral and as a
-# Fraction otherwise (normalized where a sum or product is formed; Fraction
-# inputs that are not normalized are accepted), zero entries are skipped, a
-# product of two single-term operands is one scalar product, and results are
-# wrapped without being stripped again.  A sum of several products (the ops'
-# dot) adds every term product into one dense list over n1 per n2-degree
-# and normalizes, strips and wraps each list once.  Values stay comparable
-# with generically built ones, since 2 == Fraction(2) and both hash alike.
-# Division never happens on ints: bipoly_eps returns a Fraction and inv
-# divides through Fraction.
+# An element of Q[n1, n2] is a BiPoly: a positive int denominator `den` and
+# `terms`, the nonzero monomials as ((n2-degree, n1-degree), numerator)
+# pairs in increasing degree order, with int numerators whose gcd with den,
+# taken over all of them, is 1; zero is den 1 with no terms.  The form is
+# unique, and as with RatFun's content (von zur Gathen and Gerhard, Modern
+# Computer Algebra, 6.2) the ring operations of bipoly_ops compute on
+# integers alone.  A sum of products (the ops' dot) adds the numerator
+# products into one dict keyed by degree (Monagan and Pearce, ISSAC 2009)
+# over one running denominator, raised to the lcm whenever a term's
+# den_x * den_y does not divide it, and divides by the gcd once at the end,
+# skipped when the denominator is 1; a single term times a single term is
+# one int product.  To every other reader a BiPoly is a Poly in n2 over
+# Polys in n1: `.coeffs` builds that nested view on each read, with int
+# scalars when integral and Fractions otherwise, so repr, == and hash agree
+# with a nested Poly built generically.  A nested Poly given to the kernel
+# is read into the form at its edge, and +, - and * on a BiPoly are the
+# kernel's.
+
+
+class BiPoly(Poly):
+    """An element of Q[n1, n2] in the integer form above."""
+
+    __slots__ = ("den", "terms")
+
+    @property
+    def coeffs(self) -> tuple:
+        """The nested view, built on each read."""
+        rows: list = []
+        den = self.den
+        for (i, j), c in self.terms:
+            rows += [[] for _ in range(i + 1 - len(rows))]
+            row = rows[i]
+            row += [0] * (j - len(row))
+            q = Fraction(c, den)
+            row.append(q if q.denominator != 1 else q.numerator)
+        return tuple([_wrap(tuple(r)) for r in rows])
+
+    def __bool__(self) -> bool:
+        return bool(self.terms)
+
+    def __add__(self, other):
+        return _bp_add(self, other)
+
+    def __neg__(self):
+        return _bp_neg(self)
+
+    def __mul__(self, other):
+        return _bp_mul(self, other) if isinstance(other, Poly) else _bp_scale(other, self)
+
+    __radd__, __rmul__ = __add__, __mul__
+
 
 _new_poly = Poly.__new__
-_ZERO = Poly()
 
 
 def _wrap(cs: tuple) -> Poly:
@@ -728,212 +765,146 @@ def _wrap(cs: tuple) -> Poly:
     return p
 
 
-def _q(c):
-    """A rational as an int when it is integral."""
-    return c if type(c) is int or c.denominator != 1 else c.numerator
+def _bipoly(den: int, terms: tuple) -> BiPoly:
+    p = _new_poly(BiPoly)
+    p.den = den
+    p.terms = terms
+    return p
 
 
-def _qmul(x, y):
-    """x * y for rationals stored int-first, as an int when integral.  An
-    int times a Fraction takes one gcd instead of Fraction's general
-    product."""
-    if type(x) is int:
-        if type(y) is int:
-            return x * y
-        x, y = y, x
-    elif type(y) is not int:
-        r = x * y
-        return r if r.denominator != 1 else r.numerator
-    # x is a Fraction, y an int
-    d = x.denominator
-    g = gcd(y, d)
-    if g == d:
-        return x.numerator * (y // d)
-    return Fraction(x.numerator * (y // g), d // g)
+_ZERO = _bipoly(1, ())
+_FRACTION_ZERO = Fraction(0)
 
 
-def _u_add(a: tuple, b: tuple) -> tuple:
-    """Sum of two elements of Q[n1] (stripped scalar tuples)."""
-    if len(a) < len(b):
-        a, b = b, a
-    out = list(a)
-    for i, y in enumerate(b):
-        s = out[i] + y
-        out[i] = s if type(s) is int or s.denominator != 1 else s.numerator
-    if len(a) == len(b):
-        while out and not out[-1]:
-            out.pop()
-    return tuple(out)
+def _bp(p) -> BiPoly:
+    """p in the integer form; a nested Poly is read into it.  The lcm of
+    reduced denominators is coprime to the numerators as a whole."""
+    if type(p) is BiPoly:
+        return p
+    cs = [((i, j), c) for i, row in enumerate(p.coeffs) for j, c in enumerate(row.coeffs) if c]
+    den = lcm(*[c.denominator for _, c in cs])
+    return _bipoly(den, tuple([(k, c.numerator * (den // c.denominator)) for k, c in cs]))
 
 
-def _u_scale(a: tuple, q) -> tuple:
-    """a * q for a nonzero scalar q."""
-    return tuple([_qmul(x, q) for x in a])
+def _normal(den: int, acc: dict) -> BiPoly:
+    """The BiPoly with numerators acc (keyed by degree) over den > 0."""
+    if len(acc) == 1:
+        (key, c), = acc.items()
+        g = gcd(c, den)
+        return _bipoly(den // g, ((key, c // g),)) if c else _ZERO
+    g = gcd(den, *acc.values()) if den != 1 else 1
+    if g != 1:
+        den //= g
+        items = [(k, c // g) for k, c in acc.items() if c]
+    else:
+        items = [kc for kc in acc.items() if kc[1]]
+    items.sort()
+    return _bipoly(den, tuple(items))
 
 
-def _u_mul(a: tuple, b: tuple) -> tuple:
-    """Product of two nonzero elements of Q[n1]."""
-    if len(a) == 1:
-        return _u_scale(b, a[0])
-    if len(b) == 1:
-        return _u_scale(a, b[0])
-    out = [0] * (len(a) + len(b) - 1)
-    for j, y in enumerate(b):
-        if y:
-            for i, x in enumerate(a, j):
-                if x:
-                    out[i] += x * y
-    return tuple([c if type(c) is int or c.denominator != 1 else c.numerator for c in out])
-
-
-def _bp_add(a: Poly, b: Poly) -> Poly:
-    A, B = a.coeffs, b.coeffs
-    if not B:
+def _bp_add(a, b) -> BiPoly:
+    a, b = _bp(a), _bp(b)
+    if not b.terms:
         return a
-    if not A:
+    if not a.terms:
         return b
-    if len(A) < len(B):
-        A, B = B, A
-    out = list(A)
-    for i, y in enumerate(B):
-        yc = y.coeffs
-        if yc:
-            s = _u_add(out[i].coeffs, yc)
-            out[i] = _wrap(s) if s else _ZERO
-    if len(A) == len(B):
-        while out and not out[-1].coeffs:
-            out.pop()
-    return _wrap(tuple(out))
+    da, db = a.den, b.den
+    den = lcm(da, db)
+    fa, fb = den // da, den // db
+    acc = dict(a.terms) if fa == 1 else {k: c * fa for k, c in a.terms}
+    get = acc.get
+    for k, c in b.terms:
+        acc[k] = get(k, 0) + c * fb
+    return _normal(den, acc)
 
 
-def _bp_neg(a: Poly) -> Poly:
-    return _wrap(tuple([_wrap(tuple([-x for x in p.coeffs])) if p.coeffs else _ZERO
-                        for p in a.coeffs]))
+def _bp_neg(a) -> BiPoly:
+    a = _bp(a)
+    return _bipoly(a.den, tuple([(k, -c) for k, c in a.terms]))
 
 
-def _bp_scale(q, a: Poly) -> Poly:
-    q = _q(q)
-    if not q or not a.coeffs:
-        return _ZERO
-    if q == 1:
-        return a
-    return _wrap(tuple([_wrap(_u_scale(p.coeffs, q)) if p.coeffs else _ZERO
-                        for p in a.coeffs]))
+def _bp_scale(q, a) -> BiPoly:
+    """q * a for an int or Fraction q."""
+    a = _bp(a)
+    n = q.numerator
+    return _normal(q.denominator * a.den, {k: n * c for k, c in a.terms})
 
 
-def _bp_mul(a: Poly, b: Poly) -> Poly:
-    A, B = a.coeffs, b.coeffs
-    if not A or not B:
-        return _ZERO
-    i, k = len(A) - 1, len(B) - 1
-    x, y = A[i].coeffs, B[k].coeffs
-    j, m = len(x) - 1, len(y) - 1
-    # zero entries are usually the shared _ZERO, so count() seldom calls __eq__
-    if ((not i or A[:i].count(_ZERO) == i) and (not j or x.count(0) == j)
-            and (not k or B[:k].count(_ZERO) == k) and (not m or y.count(0) == m)):
-        # single term times single term: c n2^i n1^j * d n2^k n1^m
-        r = _qmul(x[j], y[m])
-        return _wrap((_ZERO,) * (i + k) + (_wrap((0,) * (j + m) + (r,)),))
-    out: list = [None] * (len(A) + len(B) - 1)
-    for j, y in enumerate(B):
-        yc = y.coeffs
-        if yc:
-            for i, x in enumerate(A, j):
-                xc = x.coeffs
-                if xc:
-                    p = _u_mul(xc, yc)
-                    out[i] = p if out[i] is None else _u_add(out[i], p)
-    return _wrap(tuple([_wrap(c) if c else _ZERO for c in out]))
-
-
-def _bp_support(a: Poly) -> list:
-    """The nonzero terms (n2-degree, n1-degree, scalar) of a nonzero a; a
-    single term is found from the leading entries alone."""
-    A = a.coeffs
-    i = len(A) - 1
-    x = A[i].coeffs
-    j = len(x) - 1
-    if (not i or A[:i].count(_ZERO) == i) and (not j or x.count(0) == j):
-        return [(i, j, x[j])]
-    return [(i, j, c) for i, p in enumerate(A) for j, c in enumerate(p.coeffs) if c]
-
-
-def _bp_dot(terms) -> Poly:
-    """sum kappa*x*y over (kappa, x, y) in one pass: the product of each
-    nonzero term of x with each of y is added into a dense list over n1 kept
-    per n2-degree, and each list is normalized and wrapped once at the end."""
-    if len(terms) == 1:
-        kap, x, y = terms[0]
-        p = _bp_mul(x, y)
-        return p if kap == 1 else _bp_scale(kap, p)
-    rows: dict = {}
+def _bp_dot(terms) -> BiPoly:
+    """sum kappa*x*y over (kappa, x, y) in one pass: the numerators are kept
+    over one denominator, raised to the lcm when a term's den_x * den_y
+    does not divide it."""
+    acc: dict = {}
+    get = acc.get
+    den = 1
     for kap, x, y in terms:
-        if not x.coeffs or not y.coeffs:
+        x, y = _bp(x), _bp(y)
+        X, Y = x.terms, y.terms
+        if not X or not Y:
             continue
-        ys = _bp_support(y)
-        for i, j, u in _bp_support(x):
-            u *= kap
-            for k, m, v in ys:
-                d = j + m
-                row = rows.get(i + k)
-                if row is None:
-                    rows[i + k] = row = [0] * (d + 1)
-                elif len(row) <= d:
-                    row += [0] * (d + 1 - len(row))
-                row[d] += u * v
-    out = [_ZERO] * (max(rows) + 1 if rows else 0)
-    for k, row in rows.items():
-        row = [c if type(c) is int or c.denominator != 1 else c.numerator for c in row]
-        while row and not row[-1]:
-            row.pop()
-        if row:
-            out[k] = _wrap(tuple(row))
-    while out and out[-1] is _ZERO:
-        out.pop()
-    return _wrap(tuple(out))
+        d = x.den * y.den
+        if den % d:
+            r = d // gcd(den, d)
+            den *= r
+            for key in acc:
+                acc[key] *= r
+        if d != den:
+            kap *= den // d
+        if len(X) == 1 and len(Y) == 1:
+            ((i, j), a), ((k, m), b) = X[0], Y[0]
+            key = (i + k, j + m)
+            acc[key] = get(key, 0) + kap * a * b
+            continue
+        for (i, j), a in X:
+            a *= kap
+            for (k, m), b in Y:
+                key = (i + k, j + m)
+                acc[key] = get(key, 0) + a * b
+    return _normal(den, acc)
 
 
-def bipoly_const(q) -> Poly:
-    """Constant of Q[n1, n2] realized as Poly-over-Poly (outer = n2), its
-    scalar an int when integral."""
-    q = _q(Fraction(q))
-    if not q:
-        return _ZERO
-    return _wrap((_wrap((q,)),))
+def _bp_mul(a, b) -> BiPoly:
+    return _bp_dot(((1, a, b),))
 
 
-def bipoly_n1() -> Poly:
-    """The generator n1, the inner variable."""
-    return _wrap((_wrap((0, 1)),))
+def bipoly_const(q) -> BiPoly:
+    """Constant of Q[n1, n2]."""
+    q = Fraction(q)
+    return _bipoly(q.denominator, (((0, 0), q.numerator),)) if q else _ZERO
 
 
-def bipoly_n2() -> Poly:
-    """The generator n2, the outer variable."""
-    return _wrap((_ZERO, _wrap((1,))))
+def bipoly_n1() -> BiPoly:
+    """The generator n1, the inner variable of the nested view."""
+    return _bipoly(1, (((0, 1), 1),))
 
 
-def bipoly_eps(f: Poly) -> Fraction:
+def bipoly_n2() -> BiPoly:
+    """The generator n2, the outer variable of the nested view."""
+    return _bipoly(1, (((1, 0), 1),))
+
+
+def bipoly_eps(f) -> Fraction:
     """Augmentation of Q[n1, n2]: the constant-constant coefficient, always
     a Fraction (it feeds Q((t_z)), whose inverse divides)."""
-    if not f:
-        return Fraction(0)
-    inner = f.coeffs[0]
-    if not inner:
-        return Fraction(0)
-    return Fraction(inner.coeffs[0])
+    f = _bp(f)
+    T = f.terms
+    return Fraction(T[0][1], f.den) if T and T[0][0] == (0, 0) else _FRACTION_ZERO
 
 
 def bipoly_ops() -> RingOps:
     """Q[n1, n2] through the kernel above; the units are the nonzero
     constants."""
 
-    def is_unit(f: Poly) -> bool:
-        return f.degree == 0 and f.coeffs[0].degree == 0
+    def is_unit(f) -> bool:
+        T = _bp(f).terms
+        return len(T) == 1 and T[0][0] == (0, 0)
 
-    def inv(f: Poly) -> Poly:
+    def inv(f) -> BiPoly:
         if not is_unit(f):
             raise LowestCoeffNotUnit("nonconstant polynomial is not a unit", f)
-        return bipoly_const(1 / Fraction(f.coeffs[0].coeffs[0]))
+        f = _bp(f)
+        c = f.terms[0][1]
+        return _bipoly(abs(c), (((0, 0), f.den if c > 0 else -f.den),))
 
     return RingOps(
         name="Q[n1,n2]",
@@ -943,7 +914,7 @@ def bipoly_ops() -> RingOps:
         neg=_bp_neg,
         mul=_bp_mul,
         smul=_bp_scale,
-        is_zero=lambda a: not a.coeffs,
+        is_zero=lambda a: not a,
         inv=inv,
         is_unit=is_unit,
         dot=_bp_dot,

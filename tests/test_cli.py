@@ -367,3 +367,20 @@ def test_order_one_class3_cross_check_is_a_one_line_error(argv, capsys, tmp_path
     assert code == 1
     assert captured.err == "error: --order must be at least 2 for the class-3 jet cross-checks\n"
     assert captured.out == ""
+
+
+@pytest.mark.parametrize("argv", [["certify", "nilpotent", "--seed", "x"],
+                                  ["certify", "nilpotent", "--no-such-flag"],
+                                  []])
+def test_usage_error_exits_one(argv, capsys):
+    # exit 2 means a relation or counterexample was found; argparse's own
+    # usage errors must not claim it
+    assert cli.run(argv) == 1
+    captured = capsys.readouterr()
+    assert "usage:" in captured.err
+    assert captured.out == ""
+
+
+def test_help_exits_zero(capsys):
+    assert cli.run(["certify", "nilpotent", "--help"]) == 0
+    assert "usage:" in capsys.readouterr().out

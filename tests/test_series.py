@@ -1,5 +1,6 @@
 """Derivation-twisted jets, derivation lifting, coefficient maps, towers."""
 
+import math
 import sys
 from collections import defaultdict
 from dataclasses import replace
@@ -16,10 +17,10 @@ from skewcert.errors import (
     LowestCoeffNotUnit,
     PrecisionExhausted,
 )
-from skewcert.harness import run_verify_scaling
+from skewcert.harness import class3_fact_table, run_verify_scaling
 from skewcert.pbw import LieHom, free_nilpotent_class3, heisenberg, u_mul
 from skewcert.rings import RingOps
-from skewcert.scalar import Poly, RatFun
+from skewcert.scalar import BiPoly, Poly, RatFun
 from skewcert.series import (
     Derivation,
     Jet,
@@ -52,6 +53,7 @@ from skewcert.series import (
     unit_criterion_audit,
 )
 from skewcert.skewfrac import ShiftAut, pjet_ring
+from skewcert.symcert import verify_facts
 
 
 @pytest.fixture(scope="module")
@@ -332,20 +334,27 @@ def ref_mul(a: dict, b: dict) -> dict:
     return {k: F(c) for k, c in out.items() if c}
 
 
-def assert_kernel_value(got: Poly, want: dict, normalized: bool = True):
-    """Exact value, hash, and scalar types of a kernel result.  A result of
-    normalized operands stores an int when integral and a Fraction
-    otherwise; coefficients passed through from raw operands may still be
-    integral Fractions.  No float ever appears."""
+def assert_kernel_value(got, want: dict):
+    """got is in the integer form (positive den, nonzero numerators coprime
+    to den as a whole, strictly increasing (n2, n1) keys) and reads exactly
+    as the nested Poly built generically from the monomials `want`: the
+    same view, ==, hash and repr, each view scalar an int when integral and
+    a Fraction otherwise.  No float ever appears."""
+    assert type(got) is BiPoly
+    den, terms = got.den, got.terms
+    assert type(den) is int and den >= 1
+    assert all(type(c) is int and c for _, c in terms)
+    assert math.gcd(den, *[c for _, c in terms]) == 1
+    keys = [k for k, _ in terms]
+    assert all(k1 < k2 for k1, k2 in zip(keys, keys[1:]))
     assert terms_of(got) == want
     reference = bipoly_from_terms(want)
-    assert got == reference and hash(got) == hash(reference)
+    assert got.coeffs == reference.coeffs and got == reference and reference == got
+    assert hash(got) == hash(reference) and repr(got) == repr(reference)
     for inner in got.coeffs:
         assert type(inner) is Poly
         for c in inner.coeffs:
-            assert type(c) is int or type(c) is F, repr(c)
-            if normalized:
-                assert type(c) is int or c.denominator != 1, repr(c)
+            assert type(c) is int or (type(c) is F and c.denominator != 1), repr(c)
 
 
 @settings(max_examples=300)
@@ -355,12 +364,11 @@ def test_bipoly_kernel_matches_monomial_oracle(ta, tb):
     a, b = bipoly_from_terms(ta), bipoly_from_terms(tb)
     da, db = terms_of(a), terms_of(b)
     neg_b = {k: -c for k, c in db.items()}
-    assert_kernel_value(ops.add(a, b), ref_add(da, db), normalized=False)
-    assert_kernel_value(ops.neg(a), {k: -c for k, c in da.items()}, normalized=False)
+    assert_kernel_value(ops.add(a, b), ref_add(da, db))
+    assert_kernel_value(ops.neg(a), {k: -c for k, c in da.items()})
     assert_kernel_value(ops.add(a, ops.neg(a)), {})
     assert_kernel_value(ops.mul(a, b), ref_mul(da, db))
-    # a product with one normalizes every coefficient; kernel outputs also
-    # share their zero entries, which the single-term test looks for
+    # the same sums and products with kernel outputs as operands
     a1, b1 = ops.mul(a, ops.one), ops.mul(ops.one, b)
     assert_kernel_value(a1, da)
     assert_kernel_value(ops.mul(a1, b1), ref_mul(da, db))
@@ -376,7 +384,7 @@ def test_bipoly_smul_matches_monomial_oracle(ta, q):
     ops = bipoly_ops()
     a = bipoly_from_terms(ta)
     want = {k: F(c * q) for k, c in terms_of(a).items() if c * q}
-    assert_kernel_value(ops.smul(q, a), want, normalized=False)
+    assert_kernel_value(ops.smul(q, a), want)
     assert_kernel_value(ops.smul(q, ops.mul(a, ops.one)), want)
 
 
@@ -430,38 +438,80 @@ def test_bipoly_dot_matches_fallback_and_monomial_oracle(raw, cancel):
     for k, a, b in terms:
         want = ref_add(want, {m: k * c for m, c in ref_mul(terms_of(a), terms_of(b)).items()})
     got = ops.sum_products(terms)
-    assert_kernel_value(got, want, normalized=True)
+    assert_kernel_value(got, want)
     assert got == replace(ops, dot=None).sum_products(terms)
     if cancel == "all":
         assert not got.coeffs
 
 
-# -- int-first scalar products and clean jets ------------------------------------
+# -- the integer form of Q[n1, n2] and clean jets --------------------------------
+
+
+def both_forms(terms: dict) -> tuple:
+    """The nested Poly a caller builds and the kernel's own value of it."""
+    plain = bipoly_from_terms(terms)
+    return plain, bipoly_ops().mul(plain, bipoly_const(1))
+
+
+dot_terms = st.lists(st.tuples(dot_kappas, elements, elements, st.booleans(), st.booleans()),
+                     min_size=1, max_size=4)
+
+
+@settings(max_examples=200)
+@given(elements, elements, scalars.filter(bool), dot_terms)
+@example({(0, 0): F(1, 2)}, {(0, 0): F(1, 2)}, F(2), [(1, {(0, 1): F(1, 6)}, {(0, 0): 3}, True, False)])
+@example({(0, 1): F(1, 2)}, {(0, 1): F(-1, 2)}, 6,
+         [(1, {(0, 0): F(1, 2)}, {(1, 0): 1}, False, False),
+          (1, {(0, 0): F(1, 3)}, {(1, 0): 1}, False, True),
+          (-1, {(0, 0): F(5, 6)}, {(1, 0): 1}, True, False)])
+def test_bipoly_kernel_outputs_are_canonical(ta, tb, q, raw):
+    """Every kernel output, with a plain nested Poly in each operand
+    position: add, neg, smul, mul, dot, inv and const."""
+    ops = bipoly_ops()
+    da, db = terms_of(bipoly_from_terms(ta)), terms_of(bipoly_from_terms(tb))
+    for a in both_forms(ta):
+        assert_kernel_value(ops.neg(a), {k: -c for k, c in da.items()})
+        assert_kernel_value(ops.smul(q, a), {k: c * q for k, c in da.items()})
+        for b in both_forms(tb):
+            assert_kernel_value(ops.add(a, b), ref_add(da, db))
+            assert_kernel_value(ops.mul(a, b), ref_mul(da, db))
+    for c in both_forms({(0, 0): q}):
+        assert_kernel_value(ops.inv(c), {(0, 0): 1 / F(q)})
+    assert_kernel_value(bipoly_const(q), {(0, 0): F(q)})
+    assert_kernel_value(bipoly_const(0), {})
+    terms, want = [], {}
+    for k, x, y, plain_x, plain_y in raw:
+        terms.append((k, both_forms(x)[not plain_x], both_forms(y)[not plain_y]))
+        prod = ref_mul(terms_of(bipoly_from_terms(x)), terms_of(bipoly_from_terms(y)))
+        want = ref_add(want, {m: k * c for m, c in prod.items()})
+    assert_kernel_value(ops.dot(terms), want)
+
+
+def test_class3_tower_holds_only_the_integer_form():
+    """No nested Poly enters the class-3 tower: the facts, the inverse of A
+    and the harness's `bipoly_const(3) + n1` all stay in the integer form."""
+    table, _, jets = class3_fact_table(12)
+    verify_facts(table)
+    leaves = []
+
+    def walk(x):
+        if isinstance(x, Jet):
+            for c in x.coeffs.values():
+                walk(c)
+        else:
+            leaves.append(x)
+
+    walk(jet_inv(jets["A"]))
+    assert leaves and all(type(c) is BiPoly for c in leaves)
+    assert type(bipoly_const(3) + bipoly_n1()) is BiPoly
+    assert type(Poly((Poly((F(1),)),)) * bipoly_n2()) is BiPoly
+
 
 rationals = st.one_of(
     st.integers(-60, 60),
     st.builds(F, st.integers(-60, 60), st.integers(1, 12)),
     st.builds(F, st.integers(-60, 60)),  # integral but not normalized
 )
-
-
-@settings(max_examples=300)
-@given(rationals, rationals)
-@example(0, F(5, 7))
-@example(F(-5, 7), 0)
-@example(F(2, 3), F(3, 2))
-@example(F(-4, 3), 3)
-@example(-6, F(5, 3))
-@example(F(-1, 2), -2)
-@example(F(-7, 6), F(-12, 7))
-def test_qmul_matches_fraction_arithmetic(x, y):
-    got = scalar._qmul(x, y)
-    want = F(x) * F(y)
-    assert got == want
-    if want.denominator == 1:
-        assert type(got) is int
-    else:
-        assert type(got) is F and got.denominator == want.denominator
 
 
 def assert_clean(x):
