@@ -1,5 +1,7 @@
 """The rational group ring Q[F2] of the free group on {x, y}, with reduced
-words as the canonical basis."""
+words as the canonical basis.  Coefficients are ints while integral (a
+`Fraction` enters only with a non-integral rational), and a product of reduced
+words is reduced only where they meet (`join`), never again as a whole."""
 
 from __future__ import annotations
 
@@ -28,6 +30,23 @@ def reduce_word(letters) -> tuple:
     return tuple(out)
 
 
+def join(a: tuple, b: tuple) -> tuple:
+    """Product of reduced syllable tuples: cancel or merge where they meet."""
+    i, j = len(a), 0
+    while i and j < len(b) and a[i - 1][0] == b[j][0]:
+        g, e = a[i - 1][0], a[i - 1][1] + b[j][1]
+        if e:
+            return a[:i - 1] + ((g, e),) + b[j + 1:]
+        i, j = i - 1, j + 1
+    return a[:i] + b[j:]
+
+
+def _coef(c):
+    """A rational as an int when it is integral, else as a Fraction."""
+    q = rat(c)
+    return q.numerator if q.denominator == 1 else q
+
+
 class FWord:
     """Reduced word in F2: syllables (gen, nonzero exponent), alternating gens."""
 
@@ -37,7 +56,7 @@ class FWord:
         self.letters = tuple(letters) if _reduced else reduce_word(letters)
 
     def __mul__(self, other: "FWord") -> "FWord":
-        return FWord(self.letters + other.letters)
+        return FWord(join(self.letters, other.letters), _reduced=True)
 
     def inv(self) -> "FWord":
         return FWord(tuple((g, -e) for g, e in reversed(self.letters)), _reduced=True)
@@ -67,11 +86,11 @@ class GrpRingElem:
 
     @classmethod
     def word(cls, w: FWord, c=1) -> "GrpRingElem":
-        return cls({w: rat(c)})
+        return cls({w: _coef(c)})
 
     @classmethod
     def one(cls) -> "GrpRingElem":
-        return cls({FWord(): Fraction(1)})
+        return cls({FWord(): 1})
 
     @classmethod
     def zero(cls) -> "GrpRingElem":
@@ -86,7 +105,7 @@ class GrpRingElem:
     def __add__(self, other):
         out = dict(self.terms)
         for w, c in other.terms.items():
-            out[w] = out.get(w, Fraction(0)) + c
+            out[w] = out.get(w, 0) + c
         return GrpRingElem(out)
 
     def __neg__(self):
@@ -99,7 +118,7 @@ class GrpRingElem:
         return gr_mul(self, other)
 
     def smul(self, q):
-        q = rat(q)
+        q = _coef(q)
         return GrpRingElem({w: q * c for w, c in self.terms.items()})
 
     def __repr__(self):
@@ -112,12 +131,15 @@ class GrpRingElem:
 
 
 def gr_mul(a: GrpRingElem, b: GrpRingElem) -> GrpRingElem:
-    out: dict = {}
+    out: dict = {}  # keyed by syllable tuples: each word becomes an FWord once
+    right = [(wb.letters, cb) for wb, cb in b.terms.items()]
     for wa, ca in a.terms.items():
-        for wb, cb in b.terms.items():
-            w = wa * wb
-            out[w] = out.get(w, Fraction(0)) + ca * cb
-    return GrpRingElem(out)
+        for lb, cb in right:
+            w = join(wa.letters, lb)
+            out[w] = out.get(w, 0) + ca * cb
+    prod = GrpRingElem.__new__(GrpRingElem)
+    prod.terms = {FWord(w, True): c for w, c in out.items() if c}
+    return prod
 
 
 def gr_involution(a: GrpRingElem) -> GrpRingElem:
@@ -128,11 +150,8 @@ def gr_involution(a: GrpRingElem) -> GrpRingElem:
 def symmetric_generators() -> tuple[GrpRingElem, GrpRingElem]:
     """X = x + x^{-1} and Y = y + y^{-1}; both fixed by the canonical
     involution."""
-    x = FWord((("x", 1),))
-    y = FWord((("y", 1),))
-    X = GrpRingElem({x: Fraction(1), x.inv(): Fraction(1)})
-    Y = GrpRingElem({y: Fraction(1), y.inv(): Fraction(1)})
-    return X, Y
+    x, y = FWord((("x", 1),)), FWord((("y", 1),))
+    return GrpRingElem({x: 1, x.inv(): 1}), GrpRingElem({y: 1, y.inv(): 1})
 
 
 def _gr_inv(a: GrpRingElem) -> GrpRingElem:
@@ -140,7 +159,7 @@ def _gr_inv(a: GrpRingElem) -> GrpRingElem:
     if len(a.terms) != 1:
         raise AdapterFailure("group-ring element is not a unit")
     (w, c), = a.terms.items()
-    return GrpRingElem({w.inv(): 1 / c})
+    return GrpRingElem({w.inv(): _coef(Fraction(1, c))})
 
 
 def ring_ops() -> RingOps:
