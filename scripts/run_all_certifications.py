@@ -10,7 +10,7 @@ import time
 
 sys.path.insert(0, str(pathlib.Path(__file__).resolve().parents[1] / "src"))
 
-from skewcert import cli  # noqa: E402
+from skewcert import cli, harness  # noqa: E402
 
 OUT = pathlib.Path(__file__).resolve().parents[1] / "reports"
 
@@ -37,8 +37,7 @@ def main():
         dt = time.monotonic() - t0
         report = json.loads(path.read_text())
         n = len(report["verdicts"])
-        bad = sum(1 for v in report["verdicts"]
-                  if v["verdict"] not in ("certified", "equal"))
+        bad = sum(1 for v in report["verdicts"] if harness.worst_exit([v]) != 0)
         print(f"{' '.join(argv):60s} exit={code} verdicts={n} failing={bad} {dt:6.1f}s")
         worst = max(worst, code)
     return worst

@@ -9,9 +9,9 @@ Report schema (version 1):
 
 Rational parameters and report values are serialized as "num/den" strings.
 Exit codes: 0 all certified, 2 relation or counterexample found, 3
-inconclusive (truncation ceiling), 1 usage or internal error.  Reports are
-deterministic given (command, flags, seed); elapsed_ms is the only field
-that varies between runs.
+inconclusive (truncation ceiling), 4 unable (outside the prover's fragment),
+1 usage or internal error.  Reports are deterministic given (command, flags,
+seed); elapsed_ms is the only field that varies between runs.
 """
 
 from __future__ import annotations

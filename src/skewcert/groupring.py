@@ -11,8 +11,6 @@ from .errors import AdapterFailure
 from .rings import RingOps
 from .scalar import rat
 
-GENS = ("x", "y")
-
 
 def reduce_word(letters) -> tuple:
     """Free reduction of a list of (generator, exponent) syllables."""
@@ -167,11 +165,8 @@ def ring_ops() -> RingOps:
         name="Q[F2]",
         zero=GrpRingElem.zero(),
         one=GrpRingElem.one(),
-        add=lambda a, b: a + b,
-        neg=lambda a: -a,
         mul=gr_mul,
         smul=lambda q, a: a.smul(q),
-        is_zero=lambda a: not a,
         inv=_gr_inv,
         is_unit=lambda a: len(a.terms) == 1,
     )

@@ -14,6 +14,7 @@ process runs the other group, then joins the verdicts in their usual order.
 
 from __future__ import annotations
 
+import functools
 import random
 from dataclasses import dataclass
 from fractions import Fraction
@@ -89,7 +90,7 @@ def verdict(claim: str, paper_label: str, ok, data=None) -> dict:
 
 
 def _passing(v: dict) -> bool:
-    return v["verdict"] in ("certified", "equal", "pass", "verified", "true")
+    return v["verdict"] in ("certified", "equal")
 
 
 def worst_exit(verdicts) -> int:
@@ -128,27 +129,31 @@ def st_expressions():
     return S, T
 
 
+def pair_fact_table(L, invert_via: str, image, judge) -> tuple[FactTable, dict, dict]:
+    """A* = B, B* = A, C* = -E and E* = -C on `symmetric_pair_atoms(L)`.  The
+    invertibility check of an atom maps it by `image`, keeps the image in the
+    returned dict and returns `judge(name, image)`."""
+    atoms = symmetric_pair_atoms(L)
+    table = FactTable(L)
+    images = {}
+
+    def check(name):
+        images[name] = img = image(atoms[name])
+        return judge(name, img)
+
+    for name, sign, target in (("A", 1, "B"), ("B", 1, "A"), ("C", -1, "E"), ("E", -1, "C")):
+        table.add_atom(AtomFacts(name, atoms[name], StarFact(sign, target, 1), invert_via,
+                                 functools.partial(check, name)))
+    return table, atoms, images
+
+
 def heisenberg_fact_table() -> tuple[FactTable, LieHom, dict]:
     """Facts for the Heisenberg atoms, with invertibility justified by a
     nonzero image in the skew field."""
     H = heisenberg()
-    atoms = symmetric_pair_atoms(H)
     phi = phi_heisenberg_to_skewfield(H)
-    table = FactTable(H)
-    images = {}
-
-    def mk_check(name):
-        def check():
-            img = phi(atoms[name])
-            images[name] = img
-            return bool(img), f"Phi({name}) = {img!r} != 0"
-
-        return check
-
-    table.add_atom(AtomFacts("A", atoms["A"], StarFact(1, "B", 1), "skewfield-image", mk_check("A")))
-    table.add_atom(AtomFacts("B", atoms["B"], StarFact(1, "A", 1), "skewfield-image", mk_check("B")))
-    table.add_atom(AtomFacts("C", atoms["C"], StarFact(-1, "E", 1), "skewfield-image", mk_check("C")))
-    table.add_atom(AtomFacts("E", atoms["E"], StarFact(-1, "C", 1), "skewfield-image", mk_check("E")))
+    table, atoms, _ = pair_fact_table(H, "skewfield-image", phi,
+                                      lambda name, img: (bool(img), f"Phi({name}) = {img!r} != 0"))
     table.declare_commuting("A", "B")
     table.declare_commuting("C", "E")
     return table, phi, atoms
@@ -159,26 +164,14 @@ def class3_fact_table(order: int = 12, tower: Tower | None = None) -> tuple[Fact
     criterion (A and B do not commute here, and no commutation is needed).
     The atom jets live in `tower`, a fresh class3_tower(order) by default."""
     L3 = free_nilpotent_class3()
-    atoms = symmetric_pair_atoms(L3)
     tower = tower or class3_tower(order)
     embed = LieHom(L3, [tower.gens[k] for k in ("u", "v", "w", "n1", "n2")], tower.ops())
-    jets = {}
 
-    def mk_check(name):
-        def check():
-            j = embed(atoms[name])
-            jets[name] = j
-            ok, trail = unit_criterion_audit(j)
-            return ok, f"unit criterion trail {[(e['var'], e['min_ord']) for e in trail]}"
+    def unit(name, j):
+        ok, trail = unit_criterion_audit(j)
+        return ok, f"unit criterion trail {[(e['var'], e['min_ord']) for e in trail]}"
 
-        return check
-
-    table = FactTable(L3)
-    table.add_atom(AtomFacts("A", atoms["A"], StarFact(1, "B", 1), "jet-unit", mk_check("A")))
-    table.add_atom(AtomFacts("B", atoms["B"], StarFact(1, "A", 1), "jet-unit", mk_check("B")))
-    table.add_atom(AtomFacts("C", atoms["C"], StarFact(-1, "E", 1), "jet-unit", mk_check("C")))
-    table.add_atom(AtomFacts("E", atoms["E"], StarFact(-1, "C", 1), "jet-unit", mk_check("E")))
-    return table, atoms, jets
+    return pair_fact_table(L3, "jet-unit", embed, unit)
 
 
 def twodim_fact_table() -> tuple[FactTable, LieHom, dict]:
@@ -215,6 +208,19 @@ def twodim_expressions():
 
 
 # -- tower evaluation of the atoms --------------------------------------------
+
+
+def unit_verdict(claim: str, j, holds: bool = True):
+    """`claim` with its jet `j`: certified when `j` passes the recursive unit
+    criterion, its inverse is two-sided and `holds` is true.  The data carry
+    the criterion's audit trail and the orders the inverse lost below the
+    ring's working order.  Returns the verdict and the inverse."""
+    ok, trail = unit_criterion_audit(j)
+    inv = jet_inv(j)
+    one, order = j.ring.one_jet(), j.ring.order
+    two_sided = jets_agree(jet_mul(j, inv), one) and jets_agree(jet_mul(inv, j), one)
+    return verdict(claim, "freesymmetricresiduallynilpotent", ok and two_sided and holds,
+                   {"audit": trail, "overhead": order - min(inv.trunc, order)}), inv
 
 
 def heisenberg_atom_jets(order: int):
@@ -620,17 +626,11 @@ def run_certify_nilpotent(order: int = 12, seed: int = DEFAULT_SEED, beside=inli
         for name, el, sign in (("w+v^2", w_gen + u_mul(v_gen, v_gen), 1),
                                ("w-v^2", w_gen - u_mul(v_gen, v_gen), -1)):
             j = embed_L(el)
-            okc, trail = unit_criterion_audit(j)
-            inv = jet_inv(j)
-            two_sided = jets_agree(jet_mul(j, inv), lu.one_jet()) and jets_agree(jet_mul(inv, j), lu.one_jet())
             tv_level = j.coeffs[0]  # the t_u^0 coefficient: +-t_v^-2 + t_w^-1
             low = tv_level.coeffs[tv_level.nonzero_min_ord()]
             want = lw.one_jet() if sign == 1 else jet_neg(lw.one_jet())
             low_ok = tv_level.nonzero_min_ord() == -2 and jets_agree(low, want)
-            verdicts.append(verdict(
-                f"{name} invertible; lowest t_v-coefficient is {sign}",
-                "freesymmetricresiduallynilpotent", okc and two_sided and low_ok,
-                {"audit": trail, "overhead": order - min(inv.trunc, order)}))
+            verdicts.append(unit_verdict(f"{name} invertible; lowest t_v-coefficient is {sign}", j, low_ok)[0])
         return verdicts
 
     def symmetry() -> list[dict]:
@@ -640,16 +640,10 @@ def run_certify_nilpotent(order: int = 12, seed: int = DEFAULT_SEED, beside=inli
         witnesses = verify_facts(table)
         ops = lu.ops()
         memo: dict = {}
-        for name in ("A", "B"):
-            j = jets[name]
-            okc, trail = unit_criterion_audit(j)
-            inv = memo[Inv(Atom(name))] = jet_inv(j)
-            two_sided = jets_agree(jet_mul(j, inv), lu.one_jet()) and jets_agree(jet_mul(inv, j), lu.one_jet())
-            label = "V-w^3/3" if name == "A" else "V+w^3/3"
-            verdicts.append(verdict(
-                f"{label} invertible via the recursive unit criterion",
-                "freesymmetricresiduallynilpotent", okc and two_sided,
-                {"audit": trail, "overhead": order - min(inv.trunc, order)}))
+        for name, label in (("A", "V-w^3/3"), ("B", "V+w^3/3")):
+            v, memo[Inv(Atom(name))] = unit_verdict(
+                f"{label} invertible via the recursive unit criterion", jets[name])
+            verdicts.append(v)
 
         # symmetry of S and T built on u, v, w, with jet substitution cross-check
         def cross_check(lhs, rhs) -> dict:
@@ -677,16 +671,12 @@ def run_verify_scaling(lams=(2, 3), seed: int = DEFAULT_SEED, cross_order: int =
 
     def heisenberg_half() -> list[dict]:
         table, _, atoms = heisenberg_fact_table()
-        verify_facts(table)
-        tower, jets = heisenberg_atom_jets(cross_order + 4)
-        return scaling_verdicts("Heisenberg", table, atoms, jets, tower.ops(), cross_order, lams, S, T)
+        return scaling_verdicts("Heisenberg", table, atoms, heisenberg_atom_jets(cross_order + 4)[1],
+                                cross_order, lams, S, T)
 
     def class3_half() -> list[dict]:
-        # the jets were built inside the fact table's own tower, so its ops
-        # come from there
         table, atoms, jets = class3_fact_table(class3_order)
-        verify_facts(table)
-        return scaling_verdicts("class-3", table, atoms, jets, jets["A"].ring.ops(), class3_order, lams, S, T)
+        return scaling_verdicts("class-3", table, atoms, jets, class3_order, lams, S, T)
 
     halves = [half for name, half in (("heisenberg", heisenberg_half), ("class3", class3_half))
               if name in presets]
@@ -696,10 +686,14 @@ def run_verify_scaling(lams=(2, 3), seed: int = DEFAULT_SEED, cross_order: int =
     return first + rest
 
 
-def scaling_verdicts(label: str, table: FactTable, atoms: dict, jets: dict, ops, xo: int,
+def scaling_verdicts(label: str, table: FactTable, atoms: dict, jets: dict, xo: int,
                      lams, S, T) -> list[dict]:
     """S' = S and T' = T under each lambda of `lams` on one preset's atoms,
-    cross-checked on their jets up to order `xo`."""
+    after verifying `table`, cross-checked on their jets up to order `xo`.
+    The jets' ring supplies the ops: the class-3 fact checks build the atom
+    jets inside the table's own tower."""
+    verify_facts(table)
+    ops = jets["A"].ring.ops()
     verdicts = []
     L = table.algebra
     memo: dict = {}  # the unscaled S and T with their atoms' inverses
@@ -764,16 +758,18 @@ def _rand_uelem(rnd, L, max_deg=2, terms=2):
     return out
 
 
-def _rand_ratfun(rnd, deg=2) -> RatFun:
-    num = Poly([_rand_frac(rnd) for _ in range(rnd.randint(1, deg + 1))])
+def _rand_ratfun(rnd, coeff=_rand_frac) -> RatFun:
+    """Numerator and denominator of t-degree at most 1, each coefficient
+    drawn by `coeff(rnd)`."""
+    num = Poly([coeff(rnd) for _ in range(rnd.randint(1, 2))])
     while True:
-        den = Poly([_rand_frac(rnd) for _ in range(rnd.randint(1, deg + 1))])
+        den = Poly([coeff(rnd) for _ in range(rnd.randint(1, 2))])
         if den:
             return RatFun(num, den)
 
 
 def _rand_skewpoly(rnd, aut, deg=2) -> SkewPoly:
-    return SkewPoly(aut, [_rand_ratfun(rnd, 1) for _ in range(rnd.randint(1, deg + 1))])
+    return SkewPoly(aut, [_rand_ratfun(rnd) for _ in range(rnd.randint(1, deg + 1))])
 
 
 def prop_pbw_associativity(seed: int, n: int = 200) -> tuple[bool, str]:
@@ -842,22 +838,15 @@ def prop_skew_euclid(seed: int, n: int = 60) -> tuple[bool, str]:
     return True, f"{n} random pairs per shift"
 
 
-def _small_ratfun(rnd, deg=1) -> RatFun:
-    num = Poly([Fraction(rnd.randint(-2, 2)) for _ in range(rnd.randint(1, deg + 1))])
-    while True:
-        den = Poly([Fraction(rnd.randint(-2, 2)) for _ in range(rnd.randint(1, deg + 1))])
-        if den:
-            return RatFun(num, den)
-
-
 def _small_skewfrac(rnd, aut, pdeg=2) -> SkewFrac:
     """Height-controlled sample: the sigma-shift products in a degree-32
     expansion multiply coefficient sizes, so cross-oracle samples keep small
     integer coefficients and low t-degree."""
+    small = functools.partial(_rand_ratfun, rnd, lambda r: Fraction(r.randint(-2, 2)))
     while True:
-        den = SkewPoly(aut, [_small_ratfun(rnd) for _ in range(pdeg + 1)])
+        den = SkewPoly(aut, [small() for _ in range(pdeg + 1)])
         if den:
-            return SkewFrac(den, SkewPoly(aut, [_small_ratfun(rnd) for _ in range(rnd.randint(1, pdeg + 1))]))
+            return SkewFrac(den, SkewPoly(aut, [small() for _ in range(rnd.randint(1, pdeg + 1))]))
 
 
 def prop_fraction_jet_cross(seed: int, n: int = 8, order: int = 32,

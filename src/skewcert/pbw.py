@@ -330,11 +330,8 @@ def uelem_ring_ops(L: LieAlg) -> RingOps:
         name=f"U({L.name})",
         zero=L.zero(),
         one=L.one(),
-        add=lambda a, b: a + b,
-        neg=lambda a: -a,
         mul=u_mul,
         smul=lambda q, a: a.smul(q),
-        is_zero=lambda a: not a,
     )
 
 

@@ -3,8 +3,9 @@ freeness engine and the series towers.
 
 A RingOps bundles the operations a generic algorithm needs; elements stay
 whatever the host module uses.  `smul` is scalar multiplication by an int
-or a Fraction.  `inv`/`is_unit` are optional (None where the ring cannot
-invert).
+or a Fraction.  `add`, `neg`, `mul` and `is_zero` default to the element's
+own `+`, unary `-`, `*` and `not`; a table names them only to supply another
+kernel.  `inv`/`is_unit` are optional (None where the ring cannot invert).
 
 `sum_products(terms)` returns sum kappa*x*y over (kappa, x, y) triples, each
 kappa a nonzero int.  A ring that can fuse the sum supplies `dot`, called
@@ -15,6 +16,7 @@ add.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from typing import Any, Callable, Optional
 
@@ -24,11 +26,11 @@ class RingOps:
     name: str
     zero: Any
     one: Any
-    add: Callable[[Any, Any], Any]
-    neg: Callable[[Any], Any]
-    mul: Callable[[Any, Any], Any]
     smul: Callable[[Any, Any], Any]
-    is_zero: Callable[[Any], bool]
+    add: Callable[[Any, Any], Any] = operator.add
+    neg: Callable[[Any], Any] = operator.neg
+    mul: Callable[[Any, Any], Any] = operator.mul
+    is_zero: Callable[[Any], bool] = operator.not_
     inv: Optional[Callable[[Any], Any]] = None
     is_unit: Optional[Callable[[Any], bool]] = None
     # None means every element is exactly known (no hidden truncation);

@@ -914,7 +914,6 @@ def bipoly_ops() -> RingOps:
         neg=_bp_neg,
         mul=_bp_mul,
         smul=_bp_scale,
-        is_zero=lambda a: not a,
         inv=inv,
         is_unit=is_unit,
         dot=_bp_dot,

@@ -49,6 +49,7 @@ level via delta_s(t_w) = -t_w * delta_s(w) * t_w.
 from __future__ import annotations
 
 import math
+import operator
 from collections import defaultdict
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -585,13 +586,9 @@ def fraction_ops() -> RingOps:
         name="Q",
         zero=Fraction(0),
         one=Fraction(1),
-        add=lambda a, b: a + b,
-        neg=lambda a: -a,
-        mul=lambda a, b: a * b,
-        smul=lambda q, a: q * a,
-        is_zero=lambda a: a == 0,
+        smul=operator.mul,
         inv=lambda a: 1 / Fraction(a),
-        is_unit=lambda a: a != 0,
+        is_unit=bool,
     )
 
 

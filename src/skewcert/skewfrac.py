@@ -181,13 +181,9 @@ def ring_ops(aut: ShiftAut) -> RingOps:
         name=f"K(p;sigma), sigma(t)=t-{aut.c}",
         zero=SkewFrac.zero(aut),
         one=SkewFrac.one(aut),
-        add=lambda a, b: a + b,
-        neg=lambda a: -a,
-        mul=lambda a, b: a * b,
         smul=lambda q, a: SkewFrac.scalar(aut, q) * a,
-        is_zero=lambda a: not a,
         inv=lambda a: a.inv(),
-        is_unit=lambda a: bool(a),
+        is_unit=bool,
     )
 
 
@@ -263,13 +259,9 @@ def ratfun_ops() -> RingOps:
         name="Q(t)",
         zero=RF_ZERO,
         one=RF_ONE,
-        add=lambda a, b: a + b,
-        neg=lambda a: -a,
-        mul=lambda a, b: a * b,
         smul=lambda q, a: a * q,
-        is_zero=lambda a: not a,
         inv=lambda a: a.inv(),
-        is_unit=lambda a: bool(a),
+        is_unit=bool,
     )
 
 

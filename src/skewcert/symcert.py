@@ -27,20 +27,10 @@ from typing import Callable, Optional, Union
 from .errors import FactFailure, UnknownAtomStar
 from .pbw import LieAlg, UElem, u_involution, u_mul
 from .rings import RingOps
-from .scalar import rat
 
 
 class Expr:
     __slots__ = ()
-
-    def __add__(self, other):
-        return Add((self, other))
-
-    def __mul__(self, other):
-        return Mul((self, other))
-
-    def __neg__(self):
-        return Neg(self)
 
 
 @dataclass(frozen=True)
@@ -71,18 +61,6 @@ class Inv(Expr):
 @dataclass(frozen=True)
 class Neg(Expr):
     arg: Expr
-
-
-def const(q) -> ConstQ:
-    return ConstQ(rat(q))
-
-
-def mul(*factors) -> Mul:
-    return Mul(tuple(factors))
-
-
-def add(*terms) -> Add:
-    return Add(tuple(terms))
 
 
 @dataclass

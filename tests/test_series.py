@@ -17,7 +17,7 @@ from skewcert.errors import (
     LowestCoeffNotUnit,
     PrecisionExhausted,
 )
-from skewcert.harness import class3_fact_table, run_verify_scaling
+from skewcert.harness import class3_fact_table, run_verify_scaling, unit_verdict
 from skewcert.pbw import LieHom, free_nilpotent_class3, heisenberg, u_mul
 from skewcert.rings import RingOps
 from skewcert.scalar import BiPoly, Poly, RatFun
@@ -224,6 +224,23 @@ def test_unit_criterion_w_plus_v2():
     inv = jet_inv(el)
     assert jets_agree(jet_mul(el, inv), lu.one_jet())
     assert jets_agree(jet_mul(inv, el), lu.one_jet())
+
+
+def test_unit_verdict_fails_on_its_extra_condition():
+    c3 = class3_tower(12)
+    v, w = c3.gens["v"], c3.gens["w"]
+    el = jet_add(w, jet_mul(v, v))
+    passed, inv = unit_verdict("w+v^2 invertible", el)
+    failed, _ = unit_verdict("w+v^2 invertible", el, holds=False)
+    assert passed["verdict"] == "certified" and failed["verdict"] == "failed"
+    assert failed["data"] == passed["data"]
+    assert passed["data"]["audit"] == unit_criterion_audit(el)[1]
+    assert passed["data"]["overhead"] == 12 - min(inv.trunc, 12)
+    again = jet_inv(el)
+    assert jets_agree(inv, again) and inv.trunc == again.trunc
+    # a lowest coefficient that is not a unit stops the verdict in jet_inv
+    with pytest.raises(LowestCoeffNotUnit):
+        unit_verdict("n1 invertible", c3.gens["n1"])
 
 
 def test_series_hom_examples():

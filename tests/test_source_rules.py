@@ -53,6 +53,37 @@ def test_src_imports_only_stdlib():
     assert not found, f"imports outside the standard library in src: {found}"
 
 
+def _restates_an_operator(node) -> bool:
+    """A lambda whose whole body is `a + b`, `-a`, `a * b` or `not a` over
+    its own parameters, in their order: `operator.add` and the rest say that
+    already.  A reversed product, such as `lambda q, a: a * q`, is another
+    operation."""
+    if not isinstance(node, ast.Lambda):
+        return False
+    params = [a.arg for a in node.args.args]
+    body = node.body
+    if isinstance(body, ast.BinOp) and isinstance(body.op, (ast.Add, ast.Mult)):
+        operands = [body.left, body.right]
+    elif isinstance(body, ast.UnaryOp) and isinstance(body.op, (ast.USub, ast.Not)):
+        operands = [body.operand]
+    else:
+        return False
+    return [e.id if isinstance(e, ast.Name) else None for e in operands] == params
+
+
+def test_no_lambda_restates_an_operator():
+    # RingOps defaults add, neg, mul and is_zero to +, unary -, * and not, so
+    # a ring table names an operation only to supply another kernel; a lambda
+    # restating an operator would keep that decision in two places
+    found = []
+    for path in sorted(PACKAGE.rglob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        found += [f"{path.name}:{node.lineno}: {ast.unparse(node)}" for node in ast.walk(tree)
+                  if _restates_an_operator(node)]
+    assert list(PACKAGE.rglob("*.py"))
+    assert not found, f"lambdas restating an operator in src: {found}"
+
+
 def _load_spans():
     """perfbench/spans.py as it is, loaded from its file."""
     path = PACKAGE.parents[1] / "perfbench" / "spans.py"

@@ -136,6 +136,11 @@ def test_unable_has_its_own_exit_code():
     assert exit_of("inconclusive", "inconclusive") == 3
     assert exit_of("unable", "failed") == exit_of("unequal") == exit_of("relation_found") == 2
     assert exit_of("certified", "equal") == 0
+    # the whole vocabulary, one verdict at a time; any other string fails
+    for name, code in (("certified", 0), ("equal", 0), ("failed", 2), ("unequal", 2),
+                       ("relation_found", 2), ("inconclusive", 3), ("unable", 4),
+                       ("pass", 2), ("verified", 2), ("true", 2), ("", 2)):
+        assert exit_of(name) == code, name
 
 
 def test_equality_verdict_needs_proof_and_cross_check(h_setup):
