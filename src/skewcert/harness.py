@@ -260,7 +260,8 @@ def _clear_denominators(rows) -> list[dict]:
 def skew_exact_coordinatizer(aut: ShiftAut) -> Coordinatizer:
     """Common left denominator across the family, Q(t)-coefficient
     extraction per p-degree, then denominator clearing to Q-vectors keyed by
-    (p degree, t degree)."""
+    (p degree, t degree): `certify cauchon`'s fallback, and the tests'
+    reference for the evaluated paths."""
 
     def build(values):
         nonzero = [v for v in values if v]
@@ -449,7 +450,8 @@ def equality_verdict(claim: str, label: str, lhs, rhs, table: FactTable, cross_c
 def run_certify_skew(preset: SkewPreset, max_word_len: int = 3, order: int = 32,
                      seed: int = DEFAULT_SEED, cross_order: int = 16) -> list[dict]:
     """The opening and facts verdicts, then the two symmetry verdicts, run by
-    `preset.beside` while this process runs the freeness paths."""
+    `preset.beside` while this process runs the two freeness proofs: the
+    evaluated p-jets, which decide, and `composition_proof`."""
     facts = preset.fact_table()
     table, _, values = facts
     verdicts = [verdict(preset.opening_claim, preset.label, preset.opening(facts))]
@@ -462,26 +464,40 @@ def run_certify_skew(preset: SkewPreset, max_word_len: int = 3, order: int = 32,
                 for claim, expr in zip(preset.symmetry_claims, preset.expressions())]
 
     def freeness() -> dict:
-        # evaluated p-jets, then the authoritative exact fraction path
+        # the evaluated p-jets decide; the composition through Q[F2] is the second proof
         rep_jets = certify_skew_jets(preset.construction, max_word_len, order,
                                      command=preset.command, seed=seed)
-        images = skewfrac.symmetric_images(*preset.construction)
-        aut = images[0].aut
-        rep_exact = certify_freeness(list(images), skewfrac.ring_ops(aut), skew_exact_coordinatizer(aut),
-                                     max_word_len, "monoid", command=preset.command, seed=seed)
-        # truncation and evaluation are linear, so the jet rank never exceeds
-        # the exact rank; a lower jet rank is a limit of the jets path, and the
-        # exact path decides the verdict
-        if rep_jets.rank > rep_exact.rank:
-            raise KernelError(f"jet rank {rep_jets.rank} exceeds the exact rank {rep_exact.rank}")
+        halves = composition_proof(preset.construction, max_word_len, preset.command, seed)
+        second = next((r.verdict for r in halves if r.verdict != "certified"), "certified")
         return verdict(
             f"freeness of {preset.pair_name} to word length {max_word_len}", preset.freeness_label,
-            rep_exact.verdict,
-            {"jets": rep_jets.to_dict(), "exact": rep_exact.to_dict(),
-             "paths_agree": rep_jets.rank == rep_exact.rank})
+            rep_jets.verdict,
+            {"jets": rep_jets.to_dict(), "group": halves[0].to_dict(),
+             "groupring": halves[1].to_dict(), "paths_agree": rep_jets.verdict == second})
 
     symmetric, free = beside_each_other(preset.beside, symmetry, freeness)
     return verdicts + symmetric + [free]
+
+
+def composition_proof(construction, max_word_len: int, command: str, seed: int):
+    """The second freeness proof of (Sbar, Tbar) = (xi + xi^-1, eta + eta^-1),
+    (xi, eta) = (s, u s u^-1): x -> xi, y -> eta maps Q[F2] onto them, and is
+    injective on reduced words to length L when group mode certifies, so
+    with the monoid words in x + x^-1, y + y^-1 independent in Q[F2], the
+    words in Sbar, Tbar are (README, Soundness notes).  The wiring check
+    reads xi + xi^-1 and eta + eta^-1 at the group half's (N, W, t0): they
+    must be Sbar and Tbar read there.  Returns both halves' reports."""
+    group = certify_skew_jets(construction, max_word_len, CAUCHON_JET_ORDER, "group", command, seed)
+    n, w, t0 = (group.params[k] for k in ("order", "points", "t0"))
+    add = skewfrac.residue_pjet_ring(n).ops().add
+    xi, xi_inv, eta, eta_inv = skewfrac.residue_generators(construction, "group", n, w, t0)[0]
+    images = skewfrac.residue_generators(construction, "monoid", n, w, t0)[0]
+    for sym, image in zip((add(xi, xi_inv), add(eta, eta_inv)), images):
+        if skewfrac.residue_row(sym, n, w) != skewfrac.residue_row(image, n, w):
+            raise KernelError("the group-mode generators do not sum to Sbar and Tbar")
+    X, Y = groupring.symmetric_generators()
+    return group, certify_freeness([X, Y], groupring.ring_ops(), groupring_coordinatizer(),
+                                   max_word_len, "monoid", command=command, seed=seed)
 
 
 def certify_skew_jets(construction, max_word_len: int, order: int, mode: str = "monoid",

@@ -27,6 +27,7 @@ from typing import Callable, Optional, Union
 from .errors import FactFailure, UnknownAtomStar
 from .pbw import LieAlg, UElem, u_involution, u_mul
 from .rings import RingOps
+from .series import Jet
 
 
 class Expr:
@@ -316,9 +317,10 @@ def substitute(e: Expr, values: dict, ops: RingOps, memo: Optional[dict] = None)
     Mul node, and the inverse of a scalar-free argument under its own Inv
     node, so rescaled and starred expressions reuse the products and
     inverses of their unscaled atoms; a caller may seed the memo with
-    inverses it has already checked.  Factors are multiplied in their given
-    order and sums added in their given order, so every value is the one a
-    plain left-to-right evaluation gives."""
+    inverses it has already checked.  A sum stored like an earlier one
+    (`_value_key`) stands for it in product prefixes.  Factors are multiplied
+    in their given order and sums added in their given order, so every
+    value is the one a plain left-to-right evaluation gives."""
     if memo is None:
         memo = {}
     if e in memo:
@@ -331,6 +333,9 @@ def substitute(e: Expr, values: dict, ops: RingOps, memo: Optional[dict] = None)
         val = ops.neg(substitute(e.arg, values, ops, memo))
     elif isinstance(e, Add):
         val = ops.total(substitute(t, values, ops, memo) for t in e.terms)
+        key = _value_key(val)
+        if key is not None and (first := memo.setdefault(("value", key), e)) != e:
+            memo["same", e], val = first, memo[first]
     elif isinstance(e, Mul):
         scalar, rest = _split_scalars(e.factors)
         val = _product(rest, values, ops, memo)
@@ -357,12 +362,30 @@ def _product(factors, values, ops, memo):
     if not factors:
         return ops.one
     val = substitute(factors[0], values, ops, memo)
-    for i in range(2, len(factors) + 1):
-        prefix = Mul(tuple(factors[:i]))
+    done = (memo.get(("same", factors[0]), factors[0]),)
+    for f in factors[1:]:
+        prefix = Mul(done + (memo.get(("same", f), f),))
         if prefix not in memo:
-            memo[prefix] = ops.mul(val, substitute(factors[i - 1], values, ops, memo))
-        val = memo[prefix]
+            x = substitute(f, values, ops, memo)  # may find f the same as an earlier sum
+            prefix = Mul(done + (memo.get(("same", f), f),))
+            if prefix not in memo:
+                memo[prefix] = ops.mul(val, x)
+        done, val = prefix.factors, memo[prefix]
     return val
+
+
+def _value_key(v):
+    """Equal for two values stored alike: a jet's ring, trunc and every
+    stored coefficient, inexact zeros included, down to base coefficients
+    of one type and value; None when some part is unhashable."""
+    if isinstance(v, Jet):
+        parts = tuple((i, _value_key(c)) for i, c in sorted(v.coeffs.items()))
+        return None if any(k is None for _, k in parts) else (v.ring, v.trunc, parts)
+    try:
+        hash(v)
+    except TypeError:
+        return None
+    return type(v), v
 
 
 def _join(factors) -> Expr:

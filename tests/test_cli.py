@@ -328,22 +328,46 @@ def test_jet_escalation_reexpands_generators(capsys):
     assert v["data"]["paths_agree"]
 
 
-def test_deficient_jets_never_fail_the_exact_verdict(capsys, monkeypatch):
-    # a pre-filter whose order may not rise stays rank-deficient; that is a
-    # truncation limit, so the exact path's certificate stands (exit 0)
+def test_deficient_jets_are_inconclusive_never_exit_2(capsys, monkeypatch):
+    # jets whose order may not rise stay rank-deficient; that is a truncation
+    # limit, so the verdict is inconclusive with exit 3, never exit 2, even
+    # though the second proof certifies
     from skewcert import harness
 
     monkeypatch.setattr(harness, "JET_ORDER_CEILING", 4)
     code, report = run_cli(["certify", "heisenberg", "--order", "4", "--max-word-len", "2"], capsys)
-    assert code == 0
+    assert code == 3
     v = _freeness(report)
-    assert v["verdict"] == "certified"
+    assert v["verdict"] == "inconclusive"
     jets = v["data"]["jets"]
     assert jets["verdict"] == "inconclusive" and jets["rank"] < 7
     assert jets["truncation_order"] == 4
     assert (jets["params"]["order"], jets["params"]["points"]) == (4, 16)
-    assert v["data"]["exact"]["verdict"] == "certified"
+    assert v["data"]["group"]["verdict"] == v["data"]["groupring"]["verdict"] == "certified"
     assert not v["data"]["paths_agree"]
+
+
+def test_too_few_points_escalate_instead_of_exit_2(capsys, monkeypatch):
+    # at W = 4 points Sbar^4 is a combination of lower powers of Sbar at
+    # every point, so the first attempt at L = 4 is deficient; W doubles and
+    # the run certifies
+    from skewcert import harness
+
+    steps = []
+    real = harness.skew_residue_coordinatizer
+
+    def recording(order, points):
+        steps.append((order, points))
+        return real(order, points)
+
+    monkeypatch.setattr(harness, "JET_POINTS", 4)
+    monkeypatch.setattr(harness, "skew_residue_coordinatizer", recording)
+    code, report = run_cli(["certify", "twodim", "--max-word-len", "4"], capsys)
+    assert code == 0
+    v = _freeness(report)
+    assert v["verdict"] == "certified" and v["data"]["paths_agree"]
+    assert steps[:2] == [(16, 4), (16, 8)]
+    assert (v["data"]["jets"]["params"]["points"], v["data"]["jets"]["rank"]) == (8, 31)
 
 
 def test_cauchon_certifies_at_length_three(capsys):

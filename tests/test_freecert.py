@@ -321,8 +321,10 @@ def test_truncated_deficiency_is_inconclusive_after_one_build():
 
 def test_skew_pipeline_escalates_jets_to_ceiling(monkeypatch):
     # a blind evaluated-jet path stays deficient at every (order, points):
-    # the points double until they exceed the word length, then the order
-    # doubles up to the ceiling, and the exact path still decides
+    # the points double until they exceed the top power of one letter, then
+    # the order doubles up to the ceiling, in the monoid jets and again in
+    # the group half of the second proof; the verdict is inconclusive, with
+    # exit 3 and never 2
     steps = []
 
     def blind(order, points):
@@ -333,16 +335,51 @@ def test_skew_pipeline_escalates_jets_to_ceiling(monkeypatch):
     monkeypatch.setattr(harness, "skew_residue_coordinatizer", blind)
     monkeypatch.setattr(harness, "JET_ORDER_CEILING", 64)
     monkeypatch.setattr(harness, "JET_POINTS", 1)
-    v = harness.run_certify_skew(harness.HEISENBERG, 1, 16)[-1]
-    assert steps == [(16, 1), (16, 2), (32, 2), (64, 2)]
-    assert v["verdict"] == "certified"
+    verdicts = harness.run_certify_skew(harness.HEISENBERG, 1, 16)
+    assert steps == [(16, 1), (16, 2), (32, 2), (64, 2), (16, 1), (16, 2), (16, 4), (32, 4), (64, 4)]
+    v = verdicts[-1]
+    assert v["verdict"] == "inconclusive" and harness.worst_exit(verdicts) == 3
     jets = v["data"]["jets"]
     assert jets["verdict"] == "inconclusive" and jets["relation"] is None
     assert jets["params"]["coordinatizer"] == "pjet-residues"
     assert (jets["params"]["order"], jets["params"]["points"]) == (64, 2)
     assert jets["truncation_order"] == 64
-    assert v["data"]["exact"]["verdict"] == "certified"
-    assert not v["data"]["paths_agree"]
+    assert v["data"]["group"]["verdict"] == "inconclusive"
+    assert v["data"]["groupring"]["verdict"] == "certified"
+    assert v["data"]["paths_agree"]
+
+
+@pytest.mark.parametrize("length", [2, 3])
+@pytest.mark.parametrize("preset, order", [(harness.HEISENBERG, 32), (harness.TWODIM, 16)],
+                         ids=["heisenberg", "twodim"])
+def test_exact_rank_equals_the_jets_rank(preset, order, length):
+    # the exact Ore coordinatizer no longer runs in the CLI; it stays the
+    # reference of the evaluated path that decides
+    images = skewfrac.symmetric_images(*preset.construction)
+    aut = images[0].aut
+    exact = certify_freeness(list(images), skewfrac.ring_ops(aut), skew_exact_coordinatizer(aut), length)
+    jets = harness.certify_skew_jets(preset.construction, length, order)
+    assert (exact.verdict, jets.verdict) == ("certified", "certified")
+    assert exact.rank == jets.rank == exact.word_count
+
+
+@pytest.mark.parametrize("preset", [harness.HEISENBERG, harness.TWODIM], ids=["heisenberg", "twodim"])
+def test_perturbed_conjugator_trips_the_wiring_check(preset, monkeypatch):
+    # group mode read with u = (1 - p^k')(1 + p^k')^-1 for the wrong k' still
+    # certifies its own words, but its eta + eta^-1 is no longer Tbar
+    real = skewfrac.residue_generators
+
+    def perturbed(construction, mode, *args):
+        if mode == "group":
+            c, alpha, beta, k = construction
+            construction = (c, alpha, beta, 3 - k)
+        return real(construction, mode, *args)
+
+    assert harness.composition_proof(preset.construction, 2, "certify", 0)[0].verdict == "certified"
+    monkeypatch.setattr(skewfrac, "residue_generators", perturbed)
+    assert harness.certify_skew_jets(preset.construction, 2, 16, "group").verdict == "certified"
+    with pytest.raises(KernelError, match="do not sum to Sbar and Tbar"):
+        harness.composition_proof(preset.construction, 2, "certify", 0)
 
 
 def test_modular_rows_are_ranked_modulo_the_prime_only():

@@ -837,7 +837,7 @@ def test_verify_scaling_delta_applications(monkeypatch):
 
     monkeypatch.setattr(Derivation, "__call__", counted)
     run_verify_scaling()
-    assert len(calls) == 5645  # 15,448 with the chains run to trunc - i - b_min - 1
+    assert len(calls) == 3739  # 15,448 with the chains run to trunc - i - b_min - 1
 
 
 def test_series_hom_checks_only_when_a_derivation_is_present(monkeypatch):

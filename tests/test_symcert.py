@@ -366,20 +366,42 @@ def _count_products(monkeypatch):
 
 
 def test_verify_scaling_shares_products(monkeypatch):
-    # per tower: S costs 2 products and T 4; per lambda S' reuses both of S's
-    # and T' reuses C^-1 E, so 2 * (6 + 2 * 3) = 24
+    # per tower: S costs 2 products and T 4; per lambda S' reuses both of S's,
+    # and its value is stored like S's, so T' reuses all of T's: 2 * 6 = 12
     harness, count = _count_products(monkeypatch)
     verdicts = harness.run_verify_scaling()
     assert [v["verdict"] for v in verdicts] == ["equal"] * 8
-    assert count[0] == 24
+    assert count[0] == 12
 
 
 def test_nilpotent_cross_check_shares_products(monkeypatch):
-    # S and T cost 6 products; S* reuses both of S's and T* reuses C^-1 E
+    # S and T cost 6 products; S* reuses both of S's, and T* all of T's
     harness, count = _count_products(monkeypatch)
     verdicts = harness.run_certify_nilpotent()
     assert [v["verdict"] for v in verdicts][-2:] == ["equal"] * 2
-    assert count[0] == 9
+    assert count[0] == 6
+
+
+def test_sums_stored_differently_keep_their_own_products():
+    # a sum stands for an earlier one in product prefixes only when its value
+    # is stored alike: non-cancelling scale factors, a lower trunc or an
+    # extra inexact zero each give products of their own
+    table, _, jets, ops = _tower_setup("heisenberg")
+    S, T = st_expressions()
+    C, E = Atom("C"), Atom("E")
+    lx, ly = jets["A"].ring, jets["A"].ring.coeff.zero.ring
+    x = jets["C"]
+    values = dict(jets, x=x, x_low=lx.make(x.coeffs, 8),
+                  x_zero=lx.make({**x.coeffs, 6: ly.zero_jet(3)}, 8))
+    memo = {}
+    exprs = [T, star(T, table)]
+    for s in (scale_atoms(S, {"A": F(2), "B": F(3)}), Add((Atom("x"),)),
+              Add((Atom("x_low"),)), Add((Atom("x_zero"),))):
+        exprs += [s, Mul((Inv(C), E, s, C, Inv(E)))]
+    for e in exprs:
+        assert _same(substitute(e, values, ops, memo), _plain(e, values, ops)), e
+    same = {k[1]: v for k, v in memo.items() if type(k) is tuple and k[0] == "same"}
+    assert same == {star(S, table): S}
 
 
 def test_inverse_of_scalars_keeps_its_value():
