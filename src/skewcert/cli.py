@@ -17,7 +17,6 @@ seed); elapsed_ms is the only field that varies between runs.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import json
 import sys
 import time
@@ -213,8 +212,8 @@ def run(argv=None) -> int:
             if args.order > harness.JET_ORDER_CEILING:
                 raise ValueError(f"--order must be at most {harness.JET_ORDER_CEILING}")
             params.update(max_word_len=args.max_word_len, order=args.order)
-            preset = dataclasses.replace(harness.SKEW_PRESETS[command], beside=forked)
-            verdicts = harness.run_certify_skew(preset, args.max_word_len, args.order, seed)
+            verdicts = harness.run_certify_skew(harness.SKEW_PRESETS[command], args.max_word_len,
+                                                args.order, seed, beside=forked)
         elif args.command == "certify" and args.target == "groupring":
             params.update(max_word_len=args.max_word_len)
             verdicts = harness.run_certify_groupring(args.max_word_len, seed)

@@ -29,8 +29,7 @@ def forked(fn):
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
     if not hasattr(os, "fork") or cpus < 2:
         return inline(fn)
-    import pickle  # only forking runs pay for these modules
-    import traceback
+    import pickle  # only forking runs pay for this module
 
     r, w = os.pipe()
     pid = os.fork()
@@ -43,6 +42,8 @@ def forked(fn):
             except (KernelError, ValueError) as ex:
                 payload = pickle.dumps((False, (type(ex), str(ex))))
             except BaseException:
+                import traceback  # with its linecache and tokenize, only when the child fails
+
                 payload = pickle.dumps((False, (RuntimeError, "the forked worker failed:\n"
                                                              + traceback.format_exc())))
             with os.fdopen(w, "wb") as fh:

@@ -23,7 +23,6 @@ from __future__ import annotations
 import sys
 import time
 from array import array
-from dataclasses import asdict, dataclass
 from fractions import Fraction
 from math import gcd, inf, lcm
 from typing import Callable, Optional, Sequence
@@ -56,12 +55,6 @@ def enumerate_words(m: int, length: int, with_inverses: bool) -> list[Word]:
         words.extend(nxt)
         frontier = nxt
     return words
-
-
-def word_str(w: Word, names: Sequence[str]) -> str:
-    if not w:
-        return "1"
-    return ".".join(names[abs(a) - 1] + ("'" if a < 0 else "") for a in w)
 
 
 # fixed 61-bit Mersenne prime for the modular independence check
@@ -183,7 +176,6 @@ def rank_over_Q(vectors: Sequence[dict]) -> tuple[int, Optional[list[Fraction]]]
     return rank, [Fraction(c // g) for c in lam]
 
 
-@dataclass
 class Coordinatizer:
     """Family-level coordinatization: `build` maps the evaluated words to
     exact sparse Q-vectors at once (the exact fraction path needs a common
@@ -196,27 +188,30 @@ class Coordinatizer:
     counted modulo MODULUS alone, since the rank over Q of residues proves
     nothing, and a deficiency there is `inconclusive` as well."""
 
-    name: str
-    build: Callable[[list], list[dict]]
-    precision: Optional[Callable[[list], int]] = None
-    modular: bool = False
+    __slots__ = ("name", "build", "precision", "modular")
+
+    def __init__(self, name: str, build: Callable[[list], list[dict]],
+                 precision: Optional[Callable[[list], int]] = None, modular: bool = False):
+        self.name, self.build, self.precision, self.modular = name, build, precision, modular
 
 
-@dataclass
 class CertReport:
-    command: str
-    params: dict
-    verdict: str
-    rank: int
-    expected: int
-    word_count: int
-    relation: Optional[list[Fraction]] = None
-    truncation_order: Optional[int] = None
-    elapsed_ms: int = 0
-    seed: int = 0
+    __slots__ = ("command", "params", "verdict", "rank", "expected", "word_count",
+                 "relation", "truncation_order", "elapsed_ms", "seed")
+
+    def __init__(self, command: str, params: dict, verdict: str, rank: int, expected: int,
+                 word_count: int, relation: Optional[list[Fraction]] = None,
+                 truncation_order: Optional[int] = None, elapsed_ms: int = 0, seed: int = 0):
+        self.command, self.params, self.verdict = command, params, verdict
+        self.rank, self.expected, self.word_count = rank, expected, word_count
+        self.relation, self.truncation_order = relation, truncation_order
+        self.elapsed_ms, self.seed = elapsed_ms, seed
 
     def to_dict(self) -> dict:
-        d = asdict(self)
+        """The fields as a new dict: `params` is a copy and the relation a new
+        list of "n/d" strings, so changing the dict leaves the report as it is."""
+        d = {k: getattr(self, k) for k in self.__slots__}
+        d["params"] = dict(self.params)
         if self.relation is not None:
             d["relation"] = [f"{c.numerator}/{c.denominator}" for c in self.relation]
         return d

@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import functools
 import random
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable
 
@@ -387,24 +386,27 @@ def twodim_cross_check(values, cross_order: int):
     return check
 
 
-@dataclass(frozen=True)
 class SkewPreset:
     """A paper preset of the construction in K(p;sigma): `construction` is the
-    (c, alpha, beta, k) of `skewfrac.cauchon_pair`, the rest wires the run."""
+    (c, alpha, beta, k) of `skewfrac.cauchon_pair`, the rest wires the run.
+    `label` is the paper label of every verdict but the freeness one;
+    `opening` is given the fact-table triple that `fact_table()` returns,
+    (table, model, values); `expressions()` returns (S, T); and
+    `cross_check(values, cross_order)` returns the (starred, expr) -> data
+    check of the symmetry verdicts."""
 
-    command: str
-    construction: tuple
-    label: str  # paper label of every verdict but the freeness one
-    freeness_label: str
-    opening_claim: str
-    opening: Callable[[tuple], bool]  # given the fact-table triple
-    facts_claim: str
-    fact_table: Callable[[], tuple]  # () -> (table, model, values)
-    expressions: Callable[[], tuple]  # () -> (S, T)
-    symmetry_claims: tuple[str, str]
-    cross_check: Callable  # (values, cross_order) -> (starred, expr) -> data
-    pair_name: str
-    beside: Callable = inline  # runs the symmetry verdicts (`forked` from the CLI)
+    __slots__ = ("command", "construction", "label", "freeness_label", "opening_claim", "opening",
+                 "facts_claim", "fact_table", "expressions", "symmetry_claims", "cross_check",
+                 "pair_name")
+
+    def __init__(self, command: str, construction: tuple, label: str, freeness_label: str,
+                 opening_claim: str, opening: Callable[[tuple], bool], facts_claim: str,
+                 fact_table: Callable[[], tuple], expressions: Callable[[], tuple],
+                 symmetry_claims: tuple[str, str], cross_check: Callable, pair_name: str):
+        self.command, self.construction, self.label = command, construction, label
+        self.freeness_label, self.opening_claim, self.opening = freeness_label, opening_claim, opening
+        self.facts_claim, self.fact_table, self.expressions = facts_claim, fact_table, expressions
+        self.symmetry_claims, self.cross_check, self.pair_name = symmetry_claims, cross_check, pair_name
 
 
 HEISENBERG = SkewPreset(
@@ -448,9 +450,10 @@ def equality_verdict(claim: str, label: str, lhs, rhs, table: FactTable, cross_c
 
 
 def run_certify_skew(preset: SkewPreset, max_word_len: int = 3, order: int = 32,
-                     seed: int = DEFAULT_SEED, cross_order: int = 16) -> list[dict]:
+                     seed: int = DEFAULT_SEED, cross_order: int = 16,
+                     beside=inline) -> list[dict]:
     """The opening and facts verdicts, then the two symmetry verdicts, run by
-    `preset.beside` while this process runs the two freeness proofs: the
+    `beside` while this process runs the two freeness proofs: the
     evaluated p-jets, which decide, and `composition_proof`."""
     facts = preset.fact_table()
     table, _, values = facts
@@ -475,7 +478,7 @@ def run_certify_skew(preset: SkewPreset, max_word_len: int = 3, order: int = 32,
             {"jets": rep_jets.to_dict(), "group": halves[0].to_dict(),
              "groupring": halves[1].to_dict(), "paths_agree": rep_jets.verdict == second})
 
-    symmetric, free = beside_each_other(preset.beside, symmetry, freeness)
+    symmetric, free = beside_each_other(beside, symmetry, freeness)
     return verdicts + symmetric + [free]
 
 

@@ -7,6 +7,9 @@ or a Fraction.  `add`, `neg`, `mul` and `is_zero` default to the element's
 own `+`, unary `-`, `*` and `not`; a table names them only to supply another
 kernel.  `inv`/`is_unit` are optional (None where the ring cannot invert).
 
+RingOps is a plain class with slots.  `replace(**changes)` returns a copy
+with the named fields swapped; an unknown name is a TypeError.
+
 `sum_products(terms)` returns sum kappa*x*y over (kappa, x, y) triples, each
 kappa a nonzero int.  A ring that can fuse the sum supplies `dot`, called
 with a nonempty list and returning the same value as the generic method:
@@ -17,26 +20,30 @@ add.
 from __future__ import annotations
 
 import operator
-from dataclasses import dataclass
 from typing import Any, Callable, Optional
 
 
-@dataclass(frozen=True)
 class RingOps:
-    name: str
-    zero: Any
-    one: Any
-    smul: Callable[[Any, Any], Any]
-    add: Callable[[Any, Any], Any] = operator.add
-    neg: Callable[[Any], Any] = operator.neg
-    mul: Callable[[Any, Any], Any] = operator.mul
-    is_zero: Callable[[Any], bool] = operator.not_
-    inv: Optional[Callable[[Any], Any]] = None
-    is_unit: Optional[Callable[[Any], bool]] = None
-    # None means every element is exactly known (no hidden truncation);
-    # rings of truncated jets override this for precision bookkeeping.
-    fully_exact: Optional[Callable[[Any], bool]] = None
-    dot: Optional[Callable[[list], Any]] = None
+    __slots__ = ("name", "zero", "one", "smul", "add", "neg", "mul", "is_zero",
+                 "inv", "is_unit", "fully_exact", "dot")
+
+    def __init__(self, name: str, zero: Any, one: Any, smul: Callable[[Any, Any], Any],
+                 add: Callable[[Any, Any], Any] = operator.add,
+                 neg: Callable[[Any], Any] = operator.neg,
+                 mul: Callable[[Any, Any], Any] = operator.mul,
+                 is_zero: Callable[[Any], bool] = operator.not_,
+                 inv: Optional[Callable[[Any], Any]] = None,
+                 is_unit: Optional[Callable[[Any], bool]] = None,
+                 # None means every element is exactly known (no hidden truncation);
+                 # rings of truncated jets override this for precision bookkeeping.
+                 fully_exact: Optional[Callable[[Any], bool]] = None,
+                 dot: Optional[Callable[[list], Any]] = None):
+        self.name, self.zero, self.one, self.smul = name, zero, one, smul
+        self.add, self.neg, self.mul, self.is_zero = add, neg, mul, is_zero
+        self.inv, self.is_unit, self.fully_exact, self.dot = inv, is_unit, fully_exact, dot
+
+    def replace(self, **changes) -> "RingOps":
+        return RingOps(**{**{k: getattr(self, k) for k in self.__slots__}, **changes})
 
     def sub(self, a, b):
         return self.add(a, self.neg(b))

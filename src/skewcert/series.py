@@ -51,7 +51,6 @@ from __future__ import annotations
 import math
 import operator
 from collections import defaultdict
-from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Any, Callable, Optional
 
@@ -76,26 +75,17 @@ def _exact(ops: RingOps, c) -> bool:
     return True if ops.fully_exact is None else ops.fully_exact(c)
 
 
-@dataclass(frozen=True)
 class Derivation:
     """A derivation on a coefficient ring, supplied as code; linearity and
-    the Leibniz law are the caller's contract (see check_leibniz)."""
+    the Leibniz law are the caller's contract."""
 
-    name: str
-    fn: Callable[[Any], Any]
+    __slots__ = ("name", "fn")
+
+    def __init__(self, name: str, fn: Callable[[Any], Any]):
+        self.name, self.fn = name, fn
 
     def __call__(self, a):
         return self.fn(a)
-
-
-def check_leibniz(delta: Derivation, ops: RingOps, pairs) -> tuple[bool, Any]:
-    """Sample the Leibniz law delta(ab) = delta(a) b + a delta(b)."""
-    for a, b in pairs:
-        lhs = delta(ops.mul(a, b))
-        rhs = ops.add(ops.mul(delta(a), b), ops.mul(a, delta(b)))
-        if not ops.eq(lhs, rhs):
-            return False, (a, b)
-    return True, None
 
 
 class JetRing:
@@ -264,10 +254,6 @@ def jet_neg(a: Jet) -> Jet:
     return _jet(a.ring, {i: neg(c) for i, c in a.coeffs.items()}, a.trunc)
 
 
-def jet_sub(a: Jet, b: Jet) -> Jet:
-    return jet_add(a, jet_neg(b))
-
-
 def jet_smul(q, a: Jet) -> Jet:
     smul = a.ring.coeff.smul
     # only q = 0 can make exact zeros, and then the public constructor drops them
@@ -279,10 +265,6 @@ def jet_shift(a: Jet, k: int) -> Jet:
     if k == 0:
         return a
     return Jet(a.ring, {i + k: c for i, c in a.coeffs.items()}, _tadd(a.trunc, k))
-
-
-def jet_truncate(a: Jet, order: int) -> Jet:
-    return Jet(a.ring, a.coeffs, min(a.trunc, order))
 
 
 def _kappa(j: int, m: int) -> int:
@@ -595,13 +577,13 @@ def fraction_ops() -> RingOps:
 # -- the two towers used by the certifications --------------------------------
 
 
-@dataclass
 class Tower:
     """An iterated series ring with named levels, innermost first."""
 
-    levels: list
-    top: JetRing
-    gens: dict = field(default_factory=dict)
+    __slots__ = ("levels", "top", "gens")
+
+    def __init__(self, levels: list, top: JetRing, gens: Optional[dict] = None):
+        self.levels, self.top, self.gens = levels, top, {} if gens is None else gens
 
     def ops(self) -> RingOps:
         return self.top.ops()

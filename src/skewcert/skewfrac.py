@@ -11,12 +11,12 @@ series kernel in `series`:
 * `pjet_ring`/`sf_to_pjet` — truncated Laurent series in p with Q(t)
   coefficients and the automorphism crossing a*p = p*sigma(a), a
   `series.JetRing` twisted by sigma.  `PJet` is another name for
-  `series.Jet`.  They are an independent arithmetic cross-oracle, and
-  `residue_pjets` reads them modulo a prime at the sigma-orbit points of
-  t0, a ring of residues (`residue_pjet_ring`) on which freeness runs
-  evaluate their words.  The freeness runs read their generators there
-  directly (`residue_generators`), from one Q(t) element and the rational
-  coefficients of the conjugator; the exact p-jets are their oracle.
+  `series.Jet`.  They are an independent arithmetic cross-oracle.  Freeness
+  runs evaluate their words on the same jets read modulo a prime at the
+  sigma-orbit points of t0, a ring of residues (`residue_pjet_ring`), and
+  read their generators there directly (`residue_generators`), from one
+  Q(t) element and the rational coefficients of the conjugator; the exact
+  p-jets read at the points (`tests/oracles.py`) are their oracle.
 * `weyl_jet_ring`/`sf_to_weyl_jet` — the differential-operator model: p maps
   to the inverse series variable and t to (that) * X over the coefficient
   field Q(X) with derivation -d/dX, giving an expansion inside the
@@ -167,15 +167,6 @@ def _canonicalize(den: SkewPoly, num: SkewPoly) -> tuple[SkewPoly, SkewPoly]:
     return den, num
 
 
-def sf_eq_cross(a: SkewFrac, b: SkewFrac) -> bool:
-    """Cross-llcm equality test, independent of canonical forms (oracle)."""
-    a._check(b)
-    if not a or not b:
-        return (not a) and (not b)
-    _, _, c1, c2 = sp_gcrd_llcm(a.den, b.den)
-    return sp_mul(c1, a.num) == sp_mul(c2, b.num)
-
-
 def ring_ops(aut: ShiftAut) -> RingOps:
     return RingOps(
         name=f"K(p;sigma), sigma(t)=t-{aut.c}",
@@ -309,14 +300,6 @@ def symmetric_image_jets(order: int, c, alpha, beta, k: int = 1) -> tuple[PJet, 
     return s_jet, u_jet * s_jet * u_inv
 
 
-def cauchon_image_jets(order: int, alpha, beta, c) -> tuple[PJet, PJet, PJet, PJet]:
-    """xi = s, xi^{-1}, eta = u s u^{-1} and eta^{-1} = u s^{-1} u^{-1} of
-    `cauchon_generators` as p-jets, each inverse taken exactly in Q(t)."""
-    ring, s, u_jet, u_inv = _conjugator_jets(order, c, alpha, beta, 1)
-    xi, xi_inv = ring.make({0: s}, order), ring.make({0: s.inv()}, order)
-    return xi, xi_inv, u_jet * xi * u_inv, u_jet * xi_inv * u_inv
-
-
 def _conjugator_jets(order: int, c, alpha, beta, k: int):
     """The p-jet ring, s as an element of Q(t), and the p-jets of u and u^{-1}
     for `cauchon_pair`."""
@@ -416,33 +399,6 @@ def _residue_sigma(a, j: int):
 def residue_pjet_ring(order: int) -> series.JetRing:
     """Laurent series in p over the residues, twisted by sigma."""
     return series.JetRing(residue_ops(), None, "p", order, floor=-series.EXACT, sigma=_residue_sigma)
-
-
-def residue_pjets(jets, c, width: int, products: int, t0: int):
-    """The p-jets `jets` read modulo MODULUS at P_k = t0 - k*c, for the k
-    that up to `products` right multiplications by them need to keep the
-    `width` points 0..width-1: a right factor of p-order j moves its left
-    factor's range by -j.  A pole at any needed point moves t0 to the next
-    integer; no point is skipped.  Returns the residue jets and the t0 used;
-    on the exact p-jets, the oracle of `residue_generators`."""
-    cq = _residue_of(c)
-    orders = [i for j in jets for i in j.coeffs] or [0]
-    lo = -products * max(0, -min(orders))
-    hi = width + products * max(0, max(orders))
-    ring = residue_pjet_ring(jets[0].ring.order)
-    while True:
-        points = [(t0 - k * cq) % MODULUS for k in range(lo, hi)]
-        try:
-            return [ring.make({i: _residues(a, points, lo) for i, a in j.coeffs.items()}, j.trunc)
-                    for j in jets], t0
-        except PoleAtPoint:
-            t0 += 1
-
-
-def _residues(a: RatFun, points, lo: int):
-    if a.is_const():
-        return a.eval_mod([0], MODULUS)[0]
-    return lo, tuple(a.eval_mod(points, MODULUS))
 
 
 def residue_generators(construction, mode: str, order: int, width: int, t0: int):

@@ -10,18 +10,26 @@ condition concretely and back the fraction field in `skewfrac`.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import AutMismatch, DivisorZero, ZeroArgument
 from .scalar import RF_ONE, RF_ZERO, RatFun
 
 
-@dataclass(frozen=True)
 class ShiftAut:
-    """sigma(t) = t - c.  c = 0 gives the commutative case."""
+    """sigma(t) = t - c.  c = 0 gives the commutative case.  Equal shifts
+    compare and hash equal, so a ShiftAut keys caches such as `pjet_ring`."""
 
-    c: Fraction
+    __slots__ = ("c",)
+
+    def __init__(self, c: Fraction):
+        self.c = c
+
+    def __eq__(self, other):
+        return self is other or (other.__class__ is ShiftAut and self.c == other.c)
+
+    def __hash__(self):
+        return hash(self.c)
 
     def apply(self, f: RatFun, power: int = 1) -> RatFun:
         if power == 0 or not self.c:

@@ -20,8 +20,8 @@ exact substitution through `substitute`.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
+from operator import attrgetter
 from typing import Callable, Optional, Union
 
 from .errors import FactFailure, UnknownAtomStar
@@ -31,65 +31,105 @@ from .series import Jet
 
 
 class Expr:
+    """A node of the expression DAG.  Nodes are immutable and compare and
+    hash by (class, field), so they key memo tables and Inv(x) != Neg(x);
+    each node class names its one field in `__slots__` and `_field`."""
+
     __slots__ = ()
 
+    def __eq__(self, other):
+        return self is other or (other.__class__ is self.__class__
+                                 and self._field(self) == self._field(other))
 
-@dataclass(frozen=True)
+    def __hash__(self):
+        return hash((self.__class__, self._field(self)))
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    def __repr__(self):
+        return f"{type(self).__name__}({self._field(self)!r})"
+
+
 class Atom(Expr):
-    name: str
+    __slots__ = ("name",)
+    _field = attrgetter("name")
+
+    def __init__(self, name: str):
+        object.__setattr__(self, "name", name)
 
 
-@dataclass(frozen=True)
 class ConstQ(Expr):
-    value: Fraction
+    __slots__ = ("value",)
+    _field = attrgetter("value")
+
+    def __init__(self, value: Fraction):
+        object.__setattr__(self, "value", value)
 
 
-@dataclass(frozen=True)
 class Add(Expr):
-    terms: tuple
+    __slots__ = ("terms",)
+    _field = attrgetter("terms")
+
+    def __init__(self, terms: tuple):
+        object.__setattr__(self, "terms", terms)
 
 
-@dataclass(frozen=True)
 class Mul(Expr):
-    factors: tuple
+    __slots__ = ("factors",)
+    _field = attrgetter("factors")
+
+    def __init__(self, factors: tuple):
+        object.__setattr__(self, "factors", factors)
 
 
-@dataclass(frozen=True)
 class Inv(Expr):
-    arg: Expr
+    __slots__ = ("arg",)
+    _field = attrgetter("arg")
+
+    def __init__(self, arg: Expr):
+        object.__setattr__(self, "arg", arg)
 
 
-@dataclass(frozen=True)
 class Neg(Expr):
-    arg: Expr
+    __slots__ = ("arg",)
+    _field = attrgetter("arg")
+
+    def __init__(self, arg: Expr):
+        object.__setattr__(self, "arg", arg)
 
 
-@dataclass
 class StarFact:
     """atom* = sign * target^exponent with sign in {1,-1}, exponent in {1,-1}."""
 
-    sign: int
-    target: str
-    exponent: int
+    __slots__ = ("sign", "target", "exponent")
+
+    def __init__(self, sign: int, target: str, exponent: int):
+        self.sign, self.target, self.exponent = sign, target, exponent
 
 
-@dataclass
 class AtomFacts:
-    name: str
-    # a UElem, or a (numerator, denominator) pair of commuting UElems
-    definition: Union[UElem, tuple]
-    star: StarFact
-    invert_via: str  # justification tag, e.g. "skewfield-image" / "jet-unit"
-    invert_check: Optional[Callable[[], tuple[bool, str]]] = None
+    """`definition` is a UElem, or a (numerator, denominator) pair of
+    commuting UElems; `invert_via` is the justification tag, e.g.
+    "skewfield-image" or "jet-unit"."""
+
+    __slots__ = ("name", "definition", "star", "invert_via", "invert_check")
+
+    def __init__(self, name: str, definition: Union[UElem, tuple], star: StarFact,
+                 invert_via: str, invert_check: Optional[Callable[[], tuple[bool, str]]] = None):
+        self.name, self.definition, self.star = name, definition, star
+        self.invert_via, self.invert_check = invert_via, invert_check
 
 
-@dataclass
 class FactTable:
-    algebra: LieAlg
-    atoms: dict = field(default_factory=dict)
-    commuting: set = field(default_factory=set)  # frozensets of atom names
-    verified: bool = False
-    witnesses: list = field(default_factory=list)
+    __slots__ = ("algebra", "atoms", "commuting", "verified", "witnesses")
+
+    def __init__(self, algebra: LieAlg):
+        self.algebra = algebra
+        self.atoms: dict = {}
+        self.commuting: set = set()  # frozensets of atom names
+        self.verified = False
+        self.witnesses: list = []
 
     def add_atom(self, facts: AtomFacts):
         self.atoms[facts.name] = facts

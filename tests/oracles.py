@@ -1,0 +1,83 @@
+"""Reference implementations that only the tests call: independent oracles
+for the kernels in `skewcert`, and small helpers the tests state laws with.
+They live here rather than in the package, so a command never compiles
+them."""
+
+from skewcert import skewfrac
+from skewcert.errors import PoleAtPoint
+from skewcert.freecert import MODULUS
+from skewcert.scalar import RatFun
+from skewcert.series import Jet, jet_add, jet_neg
+from skewcert.skewpoly import sp_gcrd_llcm, sp_mul
+
+
+def word_str(w, names) -> str:
+    """A word as its letters' names joined by dots, an inverse primed."""
+    if not w:
+        return "1"
+    return ".".join(names[abs(a) - 1] + ("'" if a < 0 else "") for a in w)
+
+
+def check_leibniz(delta, ops, pairs):
+    """Sample the Leibniz law delta(ab) = delta(a) b + a delta(b); returns
+    (True, None) or (False, the first failing pair)."""
+    for a, b in pairs:
+        lhs = delta(ops.mul(a, b))
+        rhs = ops.add(ops.mul(delta(a), b), ops.mul(a, delta(b)))
+        if not ops.eq(lhs, rhs):
+            return False, (a, b)
+    return True, None
+
+
+def jet_sub(a: Jet, b: Jet) -> Jet:
+    return jet_add(a, jet_neg(b))
+
+
+def jet_truncate(a: Jet, order: int) -> Jet:
+    return Jet(a.ring, a.coeffs, min(a.trunc, order))
+
+
+def sf_eq_cross(a, b) -> bool:
+    """Cross-llcm equality test of two skew fractions, independent of
+    canonical forms."""
+    a._check(b)
+    if not a or not b:
+        return (not a) and (not b)
+    _, _, c1, c2 = sp_gcrd_llcm(a.den, b.den)
+    return sp_mul(c1, a.num) == sp_mul(c2, b.num)
+
+
+def cauchon_image_jets(order: int, alpha, beta, c):
+    """xi = s, xi^{-1}, eta = u s u^{-1} and eta^{-1} = u s^{-1} u^{-1} of
+    `skewfrac.cauchon_generators` as exact p-jets, each inverse taken
+    exactly in Q(t)."""
+    ring, s, u_jet, u_inv = skewfrac._conjugator_jets(order, c, alpha, beta, 1)
+    xi, xi_inv = ring.make({0: s}, order), ring.make({0: s.inv()}, order)
+    return xi, xi_inv, u_jet * xi * u_inv, u_jet * xi_inv * u_inv
+
+
+def residue_pjets(jets, c, width: int, products: int, t0: int):
+    """The p-jets `jets` read modulo MODULUS at P_k = t0 - k*c, for the k
+    that up to `products` right multiplications by them need to keep the
+    `width` points 0..width-1: a right factor of p-order j moves its left
+    factor's range by -j.  A pole at any needed point moves t0 to the next
+    integer; no point is skipped.  Returns the residue jets and the t0 used;
+    on the exact p-jets, the oracle of `skewfrac.residue_generators`."""
+    cq = skewfrac._residue_of(c)
+    orders = [i for j in jets for i in j.coeffs] or [0]
+    lo = -products * max(0, -min(orders))
+    hi = width + products * max(0, max(orders))
+    ring = skewfrac.residue_pjet_ring(jets[0].ring.order)
+    while True:
+        points = [(t0 - k * cq) % MODULUS for k in range(lo, hi)]
+        try:
+            return [ring.make({i: _residues(a, points, lo) for i, a in j.coeffs.items()}, j.trunc)
+                    for j in jets], t0
+        except PoleAtPoint:
+            t0 += 1
+
+
+def _residues(a: RatFun, points, lo: int):
+    if a.is_const():
+        return a.eval_mod([0], MODULUS)[0]
+    return lo, tuple(a.eval_mod(points, MODULUS))

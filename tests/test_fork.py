@@ -1,7 +1,6 @@
 """One half of a pipeline in a forked worker: the same verdicts as in one
 process, errors as in program order, and no child left behind."""
 
-import dataclasses
 import os
 
 import pytest
@@ -25,7 +24,7 @@ def no_child_left():
 
 
 def _skew(preset):
-    return lambda beside: harness.run_certify_skew(dataclasses.replace(preset, beside=beside), 2)
+    return lambda beside: harness.run_certify_skew(preset, 2, beside=beside)
 
 
 @pytest.mark.parametrize("run", [

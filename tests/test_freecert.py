@@ -19,7 +19,6 @@ from skewcert.freecert import (
     evaluate_words,
     rank_mod_p_packed,
     rank_over_Q,
-    word_str,
 )
 from skewcert.harness import (
     groupring_coordinatizer,
@@ -29,6 +28,7 @@ from skewcert.harness import (
 )
 from skewcert.skewfrac import ShiftAut, build_heisenberg_images, heisenberg_image_jets, pjet_ring_ops
 from skewcert import skewfrac
+from oracles import cauchon_image_jets, residue_pjets, word_str
 
 
 def test_enumerate_counts():
@@ -301,6 +301,17 @@ def test_report_serialization():
     }
 
 
+def test_report_dict_is_a_copy():
+    rep = CertReport(command="c", params={"mode": "monoid"}, verdict="relation_found",
+                     rank=1, expected=2, word_count=2, relation=[F(1), F(-1, 2)])
+    d = rep.to_dict()
+    d["params"]["mode"] = "group"
+    d["relation"].append("0/1")
+    d["rank"] = 7
+    assert rep.params == {"mode": "monoid"} and rep.relation == [F(1), F(-1, 2)]
+    assert rep.rank == 1 and rep.to_dict()["relation"] == ["1/1", "-1/2"]
+
+
 def test_truncated_deficiency_is_inconclusive_after_one_build():
     # a coordinatizer of truncated values that reports the zero vector: the
     # deficiency may be a truncation artifact, so no relation is claimed
@@ -478,7 +489,7 @@ def test_cauchon_evaluated_rank_matches_the_exact_rank(length):
     if length == 2:
         gens, ops, coord = [xi, eta], skewfrac.ring_ops(s.aut), skew_exact_coordinatizer(s.aut)
     else:
-        gens = skewfrac.cauchon_image_jets(16, *CAUCHON)[::2]
+        gens = cauchon_image_jets(16, *CAUCHON)[::2]
         ops, coord = pjet_ring_ops(s.aut, 16), skew_pjet_coordinatizer(s.aut, 16)
     rep_exact = certify_freeness(gens, ops, coord, length, "group")
     rep = cauchon_jets(length)
@@ -490,8 +501,8 @@ def test_cauchon_evaluated_rank_matches_the_exact_rank(length):
 
 def test_evaluated_jets_are_never_inverted():
     # group mode over the residues needs the exact inverses handed in
-    xi, _, eta, _ = skewfrac.cauchon_image_jets(4, *CAUCHON)
-    gens, _ = skewfrac.residue_pjets([xi, eta], CAUCHON[2], 4, 0, skewfrac.RESIDUE_T0)
+    xi, _, eta, _ = cauchon_image_jets(4, *CAUCHON)
+    gens, _ = residue_pjets([xi, eta], CAUCHON[2], 4, 0, skewfrac.RESIDUE_T0)
     assert skewfrac.residue_ops().inv is None
     with pytest.raises(LowestCoeffNotUnit):
         evaluate_words(gens, skewfrac.residue_pjet_ring(4).ops(), [(-1,)], "group")
@@ -531,7 +542,7 @@ def test_cauchon_content_without_a_residue_falls_back_to_the_exact_path():
 
 def test_cauchon_pole_at_t0_moves_it(monkeypatch):
     beta = pow(6, -1, MODULUS)  # the pole of s = (t - 5/6)(t - 1/6)^-1
-    xi = skewfrac.cauchon_image_jets(1, *CAUCHON)[0]
+    xi = cauchon_image_jets(1, *CAUCHON)[0]
     with pytest.raises(PoleAtPoint):
         xi.coeffs[0].eval_mod([beta], MODULUS)
     monkeypatch.setattr(skewfrac, "RESIDUE_T0", beta)

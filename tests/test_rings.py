@@ -1,5 +1,6 @@
 """The RingOps contract: `add`, `neg`, `mul` and `is_zero` default to the
-elements' own operators, and every ring table keeps them."""
+elements' own operators, every ring table keeps them, and `replace` copies
+a table."""
 
 from fractions import Fraction as F
 
@@ -53,3 +54,20 @@ def test_skew_field_inverse_is_looked_up_at_call_time(monkeypatch):
     a = SkewFrac.p(AUT)
     assert ops.inv(a) == real(a)
     assert calls == [a]
+
+
+def test_replace_copies_the_table_with_the_named_fields_swapped():
+    ops = fraction_ops()
+    swapped = ops.replace(mul=lambda a, b: b * a, dot=len)
+    assert (swapped.mul(F(2), F(3)), swapped.dot([1, 2])) == (F(6), 2)
+    assert ops.dot is None and ops.mul is not swapped.mul
+    assert all(getattr(swapped, k) is getattr(ops, k)
+               for k in type(ops).__slots__ if k not in ("mul", "dot"))
+    with pytest.raises(TypeError):
+        ops.replace(div=None)
+
+
+def test_equal_shifts_are_one_cache_key():
+    assert ShiftAut(F(1)) == ShiftAut(F(2, 2)) and ShiftAut(F(1)) != ShiftAut(F(2))
+    assert len({ShiftAut(F(1)), ShiftAut(F(1)), ShiftAut(F(0))}) == 2
+    assert skewfrac.pjet_ring(ShiftAut(F(1)), 8) is skewfrac.pjet_ring(ShiftAut(F(1)), 8)

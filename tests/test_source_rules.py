@@ -5,6 +5,7 @@ import importlib
 import importlib.util
 import inspect
 import pathlib
+import subprocess
 import sys
 
 from skewcert import freecert, groupring, harness
@@ -32,13 +33,11 @@ def test_no_assert_statements_in_src():
     assert not found, f"assert statements or AssertionErrors in src: {found}"
 
 
-def test_src_imports_only_stdlib():
-    # the core package stays pure standard library: every absolute import
-    # names a standard module or skewcert itself, and relative imports stay
-    # inside the package
-    allowed = set(sys.stdlib_module_names) | {"skewcert"}
-    found = []
-    for path in sorted(PACKAGE.rglob("*.py")):
+def _absolute_imports():
+    """(file:line, top-level module) of every absolute import in src."""
+    paths = sorted(PACKAGE.rglob("*.py"))
+    assert paths
+    for path in paths:
         tree = ast.parse(path.read_text(), filename=str(path))
         for node in ast.walk(tree):
             if isinstance(node, ast.Import):
@@ -47,10 +46,34 @@ def test_src_imports_only_stdlib():
                 names = [node.module]
             else:
                 continue
-            found += [f"{path.name}:{node.lineno}: {n}" for n in names
-                      if n.split(".")[0] not in allowed]
-    assert list(PACKAGE.rglob("*.py"))
+            yield from ((f"{path.name}:{node.lineno}", n.split(".")[0]) for n in names)
+
+
+def test_src_imports_only_stdlib():
+    # the core package stays pure standard library: every absolute import
+    # names a standard module or skewcert itself, and relative imports stay
+    # inside the package
+    allowed = set(sys.stdlib_module_names) | {"skewcert"}
+    found = [f"{where}: {name}" for where, name in _absolute_imports() if name not in allowed]
     assert not found, f"imports outside the standard library in src: {found}"
+
+
+def test_src_never_imports_dataclasses():
+    # every command imports the whole package before it starts: the
+    # dataclasses module pulls in inspect, ast, dis and tokenize, and each
+    # decoration execs generated code, which is most of a short run's set-up
+    found = [where for where, name in _absolute_imports() if name == "dataclasses"]
+    assert not found, f"dataclasses imported in src: {found}"
+
+
+def test_cli_import_loads_no_dataclasses_or_inspect():
+    # a fresh interpreter without site hooks, as a command starts: importing
+    # the CLI must not load the modules that only dataclasses needed
+    code = (f"import sys; sys.path.insert(0, {str(PACKAGE.parent)!r}); import skewcert.cli; "
+            "print(sorted(m for m in ('dataclasses', 'inspect') if m in sys.modules))")
+    out = subprocess.run([sys.executable, "-S", "-c", code], capture_output=True, text=True,
+                         timeout=60, check=True)
+    assert out.stdout.strip() == "[]", out.stdout + out.stderr
 
 
 def _restates_an_operator(node) -> bool:

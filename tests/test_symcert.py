@@ -1,6 +1,5 @@
 """Symbolic star/equality certification over the fact tables."""
 
-import dataclasses
 from fractions import Fraction as F
 
 import pytest
@@ -42,6 +41,17 @@ def h_setup():
     table, phi, atoms = heisenberg_fact_table()
     verify_facts(table)
     return table, atoms
+
+
+def test_expression_nodes_compare_by_class_and_field():
+    x = Atom("x")
+    assert Atom("x") == x and hash(Atom("x")) == hash(x)
+    assert Inv(x) != Neg(x) and Mul((x,)) != Add((x,))
+    assert Mul((Inv(x), ConstQ(F(1, 2)))) == Mul((Inv(Atom("x")), ConstQ(F(2, 4))))
+    assert len({Inv(x), Neg(x), Inv(Atom("x"))}) == 2
+    assert x != "x"
+    with pytest.raises(AttributeError):
+        x.name = "y"
 
 
 def test_verify_facts_witnesses(h_setup):
@@ -359,7 +369,7 @@ def _count_products(monkeypatch):
             count[0] += 1
             return ops.mul(a, b)
 
-        return real(e, values, dataclasses.replace(ops, mul=mul), memo)
+        return real(e, values, ops.replace(mul=mul), memo)
 
     monkeypatch.setattr(harness, "substitute", counting)
     return harness, count
