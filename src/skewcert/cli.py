@@ -16,11 +16,11 @@ seed); elapsed_ms is the only field that varies between runs.
 
 from __future__ import annotations
 
-import argparse
 import json
 import sys
 import time
 from fractions import Fraction
+from types import SimpleNamespace
 
 from . import harness
 from .forkjoin import forked
@@ -144,57 +144,96 @@ def parse_lie_algebra(text: str) -> LieAlg:
     return LieAlg("user", basis, table, weights=weight_list)
 
 
-def build_parser() -> argparse.ArgumentParser:
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--seed", type=int, default=harness.DEFAULT_SEED)
-    common.add_argument("--output", help="also write the JSON report to this path")
-    ap = argparse.ArgumentParser(
-        prog="skewcert",
-        description="exact certifications for free symmetric subalgebras of "
-                    "division rings built from enveloping algebras",
-    )
-    sub = ap.add_subparsers(dest="command", required=True)
+REQUIRED = ...  # the default of a flag that must be given
 
-    cert = sub.add_parser("certify", help="run a certification").add_subparsers(
-        dest="target", required=True)
-    for name, order in (("heisenberg", 32), ("twodim", 16)):
-        sp = cert.add_parser(name, parents=[common])
-        sp.add_argument("--max-word-len", type=int, default=3)
-        sp.add_argument("--order", type=int, default=order)
-    g = cert.add_parser("groupring", parents=[common])
-    g.add_argument("--max-word-len", type=int, default=6)
-    c = cert.add_parser("cauchon", parents=[common])
-    c.add_argument("--alpha", required=True)
-    c.add_argument("--beta", required=True)
-    c.add_argument("--shift", default="2")
-    c.add_argument("--max-word-len", type=int, default=2)
-    n = cert.add_parser("nilpotent", parents=[common])
-    n.add_argument("--order", type=int, default=12)
+# Every command line: (command, target) -> {flag: (destination, default)}.  An
+# int default makes an int flag, False a switch and a tuple a repeatable flag;
+# the rest take a string.  A name without dashes is a positional argument.
+COMMANDS = {key: {**flags, "--seed": ("seed", harness.DEFAULT_SEED), "--output": ("output", None)}
+            for key, flags in {
+    ("certify", "heisenberg"): {"--max-word-len": ("max_word_len", 3), "--order": ("order", 32)},
+    ("certify", "twodim"): {"--max-word-len": ("max_word_len", 3), "--order": ("order", 16)},
+    ("certify", "groupring"): {"--max-word-len": ("max_word_len", 6)},
+    ("certify", "cauchon"): {"--alpha": ("alpha", REQUIRED), "--beta": ("beta", REQUIRED),
+                             "--shift": ("shift", "2"), "--max-word-len": ("max_word_len", 2)},
+    ("certify", "nilpotent"): {"--order": ("order", 12)},
+    ("verify", "scaling"): {"--lambda": ("lams", ()), "--order": ("order", 12)},
+    ("verify", "valuation"): {},
+    ("selftest",): {"--quick": ("quick", False)},
+    ("check-algebra",): {"PATH": ("path", REQUIRED)},
+}.items()}
 
-    ver = sub.add_parser("verify", help="verify a computed identity").add_subparsers(
-        dest="target", required=True)
-    s = ver.add_parser("scaling", parents=[common])
-    s.add_argument("--lambda", dest="lams", action="append", default=None,
-                   help="scaling factor; repeatable (default: 2 and 3)")
-    s.add_argument("--order", type=int, default=12,
-                   help="series order for the class-3 cross-check")
-    ver.add_parser("valuation", parents=[common])
 
-    st = sub.add_parser("selftest", parents=[common], help="full property suite")
-    st.add_argument("--quick", action="store_true",
-                    help="smaller sample counts (used by the test suite)")
+class UsageError(Exception):
+    """args: (the command words read, the message, or None for -h/--help)."""
 
-    ca = sub.add_parser("check-algebra", parents=[common],
-                        help="parse and validate a Lie algebra table")
-    ca.add_argument("path")
-    return ap
+
+def usage(words: tuple) -> str:
+    """The usage lines of every command line that starts with `words`;
+    an optional flag is bracketed and shows its default."""
+    lines = []
+    for key, flags in COMMANDS.items():
+        if key[:len(words)] != words:
+            continue
+        shapes = []
+        for flag, (_, default) in flags.items():
+            value = flag[2:].upper() if default in (None, (), REQUIRED) else default
+            shape = flag if flag[0] != "-" or default is False else f"{flag} {value}"
+            shapes.append(shape if default is REQUIRED else f"[{shape}]" + "..." * (default == ()))
+        lines.append(" ".join(("skewcert",) + key + tuple(shapes)))
+    return "usage: " + "\n       ".join(lines) + "\n"
+
+
+def parse_args(argv: list[str]) -> SimpleNamespace:
+    """Read argv against COMMANDS: the command words, then that command's
+    flags in any order, as `--flag VALUE` or `--flag=VALUE`."""
+    argv, words = list(argv), ()
+    while words not in COMMANDS and argv and any(
+            key[:len(words) + 1] == words + (argv[0],) for key in COMMANDS):
+        words += (argv.pop(0),)
+    if "-h" in argv or "--help" in argv:
+        raise UsageError(words, None)
+    if words not in COMMANDS:
+        what = "target" if words else "command"
+        raise UsageError(words, f"unknown {what} {argv[0]!r}" if argv else f"missing {what}")
+    flags = COMMANDS[words]
+    args = SimpleNamespace(command=words[0], target=words[1] if len(words) > 1 else None,
+                           **dict(flags.values()))
+    positionals = [flag for flag in flags if flag[0] != "-"]
+    while argv:
+        word = argv.pop(0)
+        flag, eq, value = (word.partition("=") if word[:1] == "-" else
+                           (positionals.pop(0) if positionals else "", "=", word))
+        dest, default = flags.get(flag, (None, None))
+        if dest is None or eq and default is False:
+            raise UsageError(words, f"unrecognized argument {word!r}")
+        if default is False:
+            value = True
+        elif not eq:  # the next word is the value, unless it is a flag
+            if not argv or argv[0][:1] == "-" and not argv[0][1:2].isdigit():
+                raise UsageError(words, f"{flag} expects a value")
+            value = argv.pop(0)
+        if type(default) is int:
+            if not value.removeprefix("-").isdecimal():
+                raise UsageError(words, f"{flag} expects an integer, not {value!r}")
+            value = int(value)
+        elif type(default) is tuple:
+            value = getattr(args, dest) + (value,)
+        setattr(args, dest, value)
+    missing = [flag for flag, (dest, _) in flags.items() if getattr(args, dest) is REQUIRED]
+    if missing:
+        raise UsageError(words, f"missing {', '.join(missing)}")
+    return args
 
 
 def run(argv=None) -> int:
     try:
-        args = build_parser().parse_args(argv)
-    except SystemExit as ex:  # argparse exits 0 after --help, 2 on a usage error
-        return 1 if ex.code else 0
+        args = parse_args(sys.argv[1:] if argv is None else argv)
+    except UsageError as ex:  # -h or --help exits 0, a usage error 1
+        words, message = ex.args
+        error = f"{' '.join(('skewcert',) + words)}: error: {message}\n" if message else ""
+        (sys.stderr if message else sys.stdout).write(usage(words) + error)
+        return 1 if message else 0
     seed = args.seed
     t0 = time.monotonic()
     params: dict = {}

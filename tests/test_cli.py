@@ -408,3 +408,67 @@ def test_usage_error_exits_one(argv, capsys):
 def test_help_exits_zero(capsys):
     assert cli.run(["certify", "nilpotent", "--help"]) == 0
     assert "usage:" in capsys.readouterr().out
+
+
+def test_flag_equals_value_is_the_same_as_two_words(capsys):
+    reports = [scrub(run_cli(["certify", "heisenberg", "--max-word-len", "1", *order], capsys)[1])
+               for order in (["--order=10"], ["--order", "10"])]
+    assert reports[0]["params"] == {"max_word_len": 1, "order": 10}
+    assert reports[0] == reports[1]
+
+
+@pytest.mark.parametrize("argv", [["certify", "heisenberg", "--order", "-2"],
+                                  ["certify", "heisenberg", "--order=-2"],
+                                  ["verify", "scaling", "--order", "-2"]])
+def test_negative_values_reach_the_range_checks(argv, capsys):
+    assert cli.run(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.err == "error: --order must be at least 1\n"
+    assert captured.out == ""
+
+
+def test_repeated_lambda_keeps_every_value(capsys):
+    code, report = run_cli(["verify", "scaling", "--lambda", "2", "--lambda=5", "--order", "2"],
+                           capsys)
+    assert code == 0
+    assert report["params"]["lams"] == ["2", "5"]
+
+
+@pytest.mark.parametrize("argv", [
+    ["certify", "cauchon", "--beta", "1/6"],  # --alpha is required
+    ["certify", "no-such-target"],
+    ["certify", "nilpotent", "--order"],  # a flag with no value
+    ["certify", "cauchon", "--alpha", "--beta", "1/6"],  # a flag where the value should be
+    ["verify", "valuation", "--seed", "x"],
+    ["selftest", "--bogus"],
+    ["selftest", "--quick=yes"],  # a switch takes no value
+    ["check-algebra"],
+    ["check-algebra", "a.txt", "b.txt"],
+])
+def test_malformed_command_line_is_a_usage_error(argv, capsys):
+    assert cli.run(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith("usage: skewcert ")
+    assert "error: " in captured.err.splitlines()[-1]
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize("words, count", [([], 9), (["certify"], 5), (["certify", "cauchon"], 1)])
+@pytest.mark.parametrize("flag", ["-h", "--help"])
+def test_help_at_every_level_prints_usage(words, count, flag, capsys):
+    assert cli.run(words + [flag]) == 0
+    captured = capsys.readouterr()
+    assert captured.out.startswith("usage: skewcert ")
+    # one line for each command line under the words given
+    lines = [line.removeprefix("usage:").split() for line in captured.out.splitlines()]
+    assert len(lines) == count
+    assert all(line[1:1 + len(words)] == words for line in lines)
+    assert captured.err == ""
+
+
+@pytest.mark.parametrize("argv, code, stream", [(["--help"], 0, "stdout"), ([], 1, "stderr")])
+def test_python_m_skewcert_reads_sys_argv(argv, code, stream):
+    proc = subprocess.run([sys.executable, "-m", "skewcert", *argv],
+                          capture_output=True, text=True, env=src_env())
+    assert proc.returncode == code, proc.stderr
+    assert getattr(proc, stream).startswith("usage: skewcert ")

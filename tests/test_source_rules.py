@@ -66,6 +66,25 @@ def test_src_never_imports_dataclasses():
     assert not found, f"dataclasses imported in src: {found}"
 
 
+def test_src_never_imports_argparse():
+    # building argparse parsers creates a formatter and makes gettext
+    # lookups for every flag, which loads gettext and locale: cli.COMMANDS
+    # is the one table the command line is read against
+    found = [where for where, name in _absolute_imports() if name == "argparse"]
+    assert not found, f"argparse imported in src: {found}"
+
+
+def test_a_command_loads_no_argparse_gettext_or_locale():
+    # a fresh interpreter without site hooks runs a whole command, and the
+    # report is followed by the modules it should not have loaded
+    code = (f"import sys; sys.path.insert(0, {str(PACKAGE.parent)!r}); from skewcert import cli; "
+            "cli.run(['verify', 'valuation']); "
+            "print(sorted(m for m in ('argparse', 'gettext', 'locale') if m in sys.modules))")
+    out = subprocess.run([sys.executable, "-S", "-c", code], capture_output=True, text=True,
+                         timeout=60, check=True)
+    assert out.stdout.splitlines()[-1] == "[]", out.stdout[-200:] + out.stderr
+
+
 def test_cli_import_loads_no_dataclasses_or_inspect():
     # a fresh interpreter without site hooks, as a command starts: importing
     # the CLI must not load the modules that only dataclasses needed
