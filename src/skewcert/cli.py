@@ -146,21 +146,51 @@ def parse_lie_algebra(text: str) -> LieAlg:
 
 REQUIRED = ...  # the default of a flag that must be given
 
-# Every command line: (command, target) -> {flag: (destination, default)}.  An
-# int default makes an int flag, False a switch and a tuple a repeatable flag;
+
+def certify_skew(preset, args) -> list:
+    # --order starts the jets' escalation, so it may not pass the ceiling
+    if args.order > harness.JET_ORDER_CEILING:
+        raise ValueError(f"--order must be at most {harness.JET_ORDER_CEILING}")
+    return harness.run_certify_skew(preset, args.max_word_len, args.order, args.seed, beside=forked)
+
+
+def verify_scaling(args) -> list:
+    args.lams = [str(rat(x)) for x in args.lams or ("2", "3")]  # the form the report shows
+    return harness.run_verify_scaling(tuple(map(rat, args.lams)), args.seed,
+                                      class3_order=args.order, beside=forked)
+
+
+def check_algebra(args) -> list:
+    with open(args.path) as fh:
+        L = parse_lie_algebra(fh.read())
+    return [harness.verdict("Jacobi identity holds on all basis triples", "PBW", jacobi_check(L),
+                            {"basis": list(L.basis), "graded": L.graded,
+                             "weights": list(L.weights)})]
+
+
+# Every command line: (command, target) -> (pipeline, {flag: (destination,
+# default)}).  The pipeline maps the parsed flags to the verdicts.  An int
+# default makes an int flag, False a switch and a tuple a repeatable flag;
 # the rest take a string.  A name without dashes is a positional argument.
-COMMANDS = {key: {**flags, "--seed": ("seed", harness.DEFAULT_SEED), "--output": ("output", None)}
-            for key, flags in {
-    ("certify", "heisenberg"): {"--max-word-len": ("max_word_len", 3), "--order": ("order", 32)},
-    ("certify", "twodim"): {"--max-word-len": ("max_word_len", 3), "--order": ("order", 16)},
-    ("certify", "groupring"): {"--max-word-len": ("max_word_len", 6)},
-    ("certify", "cauchon"): {"--alpha": ("alpha", REQUIRED), "--beta": ("beta", REQUIRED),
-                             "--shift": ("shift", "2"), "--max-word-len": ("max_word_len", 2)},
-    ("certify", "nilpotent"): {"--order": ("order", 12)},
-    ("verify", "scaling"): {"--lambda": ("lams", ()), "--order": ("order", 12)},
-    ("verify", "valuation"): {},
-    ("selftest",): {"--quick": ("quick", False)},
-    ("check-algebra",): {"PATH": ("path", REQUIRED)},
+COMMANDS = {key: (pipeline, {**flags, "--seed": ("seed", harness.DEFAULT_SEED),
+                             "--output": ("output", None)})
+            for key, (pipeline, flags) in {
+    ("certify", "heisenberg"): (lambda a: certify_skew(harness.HEISENBERG, a),
+                                {"--max-word-len": ("max_word_len", 3), "--order": ("order", 32)}),
+    ("certify", "twodim"): (lambda a: certify_skew(harness.TWODIM, a),
+                            {"--max-word-len": ("max_word_len", 3), "--order": ("order", 16)}),
+    ("certify", "groupring"): (lambda a: harness.run_certify_groupring(a.max_word_len, a.seed),
+                               {"--max-word-len": ("max_word_len", 6)}),
+    ("certify", "cauchon"): (
+        lambda a: harness.run_certify_cauchon(a.alpha, a.beta, a.shift, a.max_word_len, a.seed),
+        {"--alpha": ("alpha", REQUIRED), "--beta": ("beta", REQUIRED), "--shift": ("shift", "2"),
+         "--max-word-len": ("max_word_len", 2)}),
+    ("certify", "nilpotent"): (lambda a: harness.run_certify_nilpotent(a.order, a.seed, beside=forked),
+                               {"--order": ("order", 12)}),
+    ("verify", "scaling"): (verify_scaling, {"--lambda": ("lams", ()), "--order": ("order", 12)}),
+    ("verify", "valuation"): (lambda a: harness.run_verify_valuation(a.seed), {}),
+    ("selftest",): (lambda a: harness.run_selftest(a.seed, a.quick), {"--quick": ("quick", False)}),
+    ("check-algebra",): (check_algebra, {"PATH": ("path", REQUIRED)}),
 }.items()}
 
 
@@ -172,7 +202,7 @@ def usage(words: tuple) -> str:
     """The usage lines of every command line that starts with `words`;
     an optional flag is bracketed and shows its default."""
     lines = []
-    for key, flags in COMMANDS.items():
+    for key, (_, flags) in COMMANDS.items():
         if key[:len(words)] != words:
             continue
         shapes = []
@@ -196,7 +226,7 @@ def parse_args(argv: list[str]) -> SimpleNamespace:
     if words not in COMMANDS:
         what = "target" if words else "command"
         raise UsageError(words, f"unknown {what} {argv[0]!r}" if argv else f"missing {what}")
-    flags = COMMANDS[words]
+    _, flags = COMMANDS[words]
     args = SimpleNamespace(command=words[0], target=words[1] if len(words) > 1 else None,
                            **dict(flags.values()))
     positionals = [flag for flag in flags if flag[0] != "-"]
@@ -234,9 +264,9 @@ def run(argv=None) -> int:
         error = f"{' '.join(('skewcert',) + words)}: error: {message}\n" if message else ""
         (sys.stderr if message else sys.stdout).write(usage(words) + error)
         return 1 if message else 0
-    seed = args.seed
+    key = tuple(word for word in (args.command, args.target) if word)
+    pipeline, flags = COMMANDS[key]
     t0 = time.monotonic()
-    params: dict = {}
     try:
         if getattr(args, "order", 1) < 1:
             raise ValueError("--order must be at least 1")
@@ -246,54 +276,11 @@ def run(argv=None) -> int:
             raise ValueError("--order must be at least 2 for the class-3 jet cross-checks")
         if getattr(args, "max_word_len", 1) < 1:
             raise ValueError("--max-word-len must be at least 1")
-        if args.command == "certify" and f"certify {args.target}" in harness.SKEW_PRESETS:
-            command = f"certify {args.target}"
-            if args.order > harness.JET_ORDER_CEILING:
-                raise ValueError(f"--order must be at most {harness.JET_ORDER_CEILING}")
-            params.update(max_word_len=args.max_word_len, order=args.order)
-            verdicts = harness.run_certify_skew(harness.SKEW_PRESETS[command], args.max_word_len,
-                                                args.order, seed, beside=forked)
-        elif args.command == "certify" and args.target == "groupring":
-            params.update(max_word_len=args.max_word_len)
-            verdicts = harness.run_certify_groupring(args.max_word_len, seed)
-            command = "certify groupring"
-        elif args.command == "certify" and args.target == "cauchon":
-            params.update(alpha=args.alpha, beta=args.beta, shift=args.shift,
-                          max_word_len=args.max_word_len)
-            verdicts = harness.run_certify_cauchon(args.alpha, args.beta, args.shift,
-                                                   args.max_word_len, seed)
-            command = "certify cauchon"
-        elif args.command == "certify" and args.target == "nilpotent":
-            params.update(order=args.order)
-            verdicts = harness.run_certify_nilpotent(args.order, seed, beside=forked)
-            command = "certify nilpotent"
-        elif args.command == "verify" and args.target == "scaling":
-            lams = [rat(x) for x in (args.lams or ["2", "3"])]
-            params.update(lams=[str(x) for x in lams], order=args.order)
-            verdicts = harness.run_verify_scaling(tuple(lams), seed, class3_order=args.order,
-                                                  beside=forked)
-            command = "verify scaling"
-        elif args.command == "verify" and args.target == "valuation":
-            verdicts = harness.run_verify_valuation(seed)
-            command = "verify valuation"
-        elif args.command == "selftest":
-            params.update(quick=args.quick)
-            verdicts = harness.run_selftest(seed, quick=args.quick)
-            command = "selftest"
-        elif args.command == "check-algebra":
-            with open(args.path) as fh:
-                L = parse_lie_algebra(fh.read())
-            ok = jacobi_check(L)
-            verdicts = [harness.verdict(
-                "Jacobi identity holds on all basis triples", "PBW", ok,
-                {"basis": list(L.basis), "graded": L.graded,
-                 "weights": list(L.weights)})]
-            params.update(path=args.path)
-            command = "check-algebra"
-        else:  # pragma: no cover
-            raise ValueError("unknown command")
+        verdicts = pipeline(args)
+        params = {dest: getattr(args, dest) for dest, _ in flags.values()
+                  if dest not in ("seed", "output")}
         elapsed_ms = int((time.monotonic() - t0) * 1000)
-        emit_report(command, params, verdicts, seed, elapsed_ms, args.output)
+        emit_report(" ".join(key), params, verdicts, args.seed, elapsed_ms, args.output)
     except (KernelError, ValueError, OSError) as ex:
         print(f"error: {ex}", file=sys.stderr)
         return 1

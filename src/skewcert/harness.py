@@ -427,7 +427,6 @@ TWODIM = SkewPreset(
     symmetry_claims=("(s+s^-1)* = s+s^-1", "(u(s+s^-1)u^-1)* = u(s+s^-1)u^-1"),
     cross_check=twodim_cross_check, pair_name="(s+s^-1, u(s+s^-1)u^-1)",
 )
-SKEW_PRESETS = {p.command: p for p in (HEISENBERG, TWODIM)}
 
 
 # highest p-order, and first number of points, of the evaluated p-jets of
@@ -435,6 +434,7 @@ SKEW_PRESETS = {p.command: p for p in (HEISENBERG, TWODIM)}
 JET_ORDER_CEILING = 256
 JET_POINTS = 16
 CAUCHON_JET_ORDER = 16
+CROSS_ORDER = 16  # the order of the symmetry verdicts' jet cross-checks
 
 
 def equality_verdict(claim: str, label: str, lhs, rhs, table: FactTable, cross_check) -> dict:
@@ -450,8 +450,7 @@ def equality_verdict(claim: str, label: str, lhs, rhs, table: FactTable, cross_c
 
 
 def run_certify_skew(preset: SkewPreset, max_word_len: int = 3, order: int = 32,
-                     seed: int = DEFAULT_SEED, cross_order: int = 16,
-                     beside=inline) -> list[dict]:
+                     seed: int = DEFAULT_SEED, beside=inline) -> list[dict]:
     """The opening and facts verdicts, then the two symmetry verdicts, run by
     `beside` while this process runs the two freeness proofs: the
     evaluated p-jets, which decide, and `composition_proof`."""
@@ -462,7 +461,7 @@ def run_certify_skew(preset: SkewPreset, max_word_len: int = 3, order: int = 32,
     verdicts.append(verdict(preset.facts_claim, preset.label, True, {"witnesses": witnesses}))
 
     def symmetry() -> list[dict]:
-        check = preset.cross_check(values, cross_order)
+        check = preset.cross_check(values, CROSS_ORDER)
         return [equality_verdict(claim, preset.label, star(expr, table), expr, table, check)
                 for claim, expr in zip(preset.symmetry_claims, preset.expressions())]
 
@@ -680,7 +679,7 @@ def run_certify_nilpotent(order: int = 12, seed: int = DEFAULT_SEED, beside=inli
     return first + rest
 
 
-def run_verify_scaling(lams=(2, 3), seed: int = DEFAULT_SEED, cross_order: int = 16,
+def run_verify_scaling(lams=(2, 3), seed: int = DEFAULT_SEED, cross_order: int = CROSS_ORDER,
                        class3_order: int = 12, presets=("heisenberg", "class3"),
                        beside=inline) -> list[dict]:
     """S and T against their images under each scaling lambda, on the
@@ -868,8 +867,7 @@ def _small_skewfrac(rnd, aut, pdeg=2) -> SkewFrac:
             return SkewFrac(den, SkewPoly(aut, [small() for _ in range(rnd.randint(1, pdeg + 1))]))
 
 
-def prop_fraction_jet_cross(seed: int, n: int = 8, order: int = 32,
-                            fuzz_order: int = 12) -> tuple[bool, str]:
+def prop_fraction_jet_cross(seed: int, n: int = 8) -> tuple[bool, str]:
     """Exact fraction arithmetic against independent sigma-twisted jet
     arithmetic, and against the differential-operator series model.
 
@@ -877,6 +875,7 @@ def prop_fraction_jet_cross(seed: int, n: int = 8, order: int = 32,
     (whose coefficient growth is tame); random samples run at a lower order
     because expanding generic fractions multiplies sigma-shifted denominators
     into coefficients of exponential height."""
+    order, fuzz_order = 32, 12
     rnd = random.Random(seed + 4)
     sbar, tbar = build_heisenberg_images()
     aut = sbar.aut

@@ -10,24 +10,24 @@ from fractions import Fraction as F
 
 import pytest
 
-from skewcert import cli
+from skewcert import cli, harness
 from skewcert.pbw import jacobi_check
 
-GOLDEN = pathlib.Path(__file__).parent / "golden"
+ROOT = pathlib.Path(__file__).resolve().parents[1]
+GOLDEN = ROOT / "tests" / "golden"
+
+# scripts/regen_goldens.py writes every golden: its command lines, exit
+# codes, scrub and render are the ones the golden tests below diff with
+_spec = importlib.util.spec_from_file_location("regen_goldens", ROOT / "scripts" / "regen_goldens.py")
+regen = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(regen)
+scrub = regen.scrub
 
 
 def run_cli(argv, capsys):
     code = cli.run(argv)
     out = capsys.readouterr().out
     return code, json.loads(out)
-
-
-def scrub(node):
-    if isinstance(node, dict):
-        return {k: 0 if k == "elapsed_ms" else scrub(v) for k, v in node.items()}
-    if isinstance(node, list):
-        return [scrub(v) for v in node]
-    return node
 
 
 def test_schema_fields(capsys):
@@ -64,7 +64,7 @@ def test_determinism_byte_identical(capsys):
 
 def src_env(**extra):
     """The environment of a child interpreter that imports this checkout."""
-    src = str(pathlib.Path(__file__).resolve().parents[1] / "src")
+    src = str(ROOT / "src")
     return dict(os.environ, **extra,
                 PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
 
@@ -82,45 +82,20 @@ def test_report_independent_of_hash_seed():
     assert reports[0] == reports[1]
 
 
-GOLDEN_CASES = [
-    ("valuation.json", ["verify", "valuation"], 0),
-    ("groupring.json", ["certify", "groupring", "--max-word-len", "3"], 0),
-    ("cauchon_refused.json",
-     ["certify", "cauchon", "--alpha", "5/6", "--beta", "5/6", "--shift", "2"], 2),
-    ("scaling.json", ["verify", "scaling", "--lambda", "2", "--order", "10"], 0),
-    ("heisenberg.json", ["certify", "heisenberg", "--max-word-len", "2", "--order", "32"], 0),
-    ("nilpotent.json", ["certify", "nilpotent", "--order", "10"], 0),
-    ("cauchon.json",
-     ["certify", "cauchon", "--alpha", "5/6", "--beta", "1/6", "--shift", "2"], 0),
-    # the defaults, which the benchmark runs
-    ("nilpotent_default.json", ["certify", "nilpotent"], 0),
-    ("scaling_default.json", ["verify", "scaling"], 0),
-    # the other paper preset at L=2
-    ("twodim.json", ["certify", "twodim", "--max-word-len", "2", "--order", "16"], 0),
-]
-
-
-@pytest.mark.parametrize("name, argv, want_code", GOLDEN_CASES)
-def test_golden_reports(name, argv, want_code, capsys):
+@pytest.mark.parametrize("name, argv, want_code",
+                         [(name, argv, code) for name, (argv, code) in regen.COMMANDS.items()])
+def test_golden_reports(name, argv, want_code, tmp_path):
     # compare the rendered text, as the benchmark's gate does: equal dicts
     # would also let 1 stand for 1.0 or True
-    code, report = run_cli(argv, capsys)
+    code, text = regen.render(argv, tmp_path / "report.json")
     assert code == want_code
-    rendered = json.dumps(scrub(report), indent=2, sort_keys=True) + "\n"
-    assert rendered == (GOLDEN / name).read_text()
+    assert text == (GOLDEN / name).read_text()
 
 
 def test_golden_cases_match_regen_script():
-    # every golden file is rendered by scripts/regen_goldens.py and diffed
-    # here, with the same argv
-    path = pathlib.Path(__file__).resolve().parents[1] / "scripts" / "regen_goldens.py"
-    spec = importlib.util.spec_from_file_location("regen_goldens", path)
-    regen = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(regen)
-    cases = {name: argv for name, argv, _ in GOLDEN_CASES}
-    assert len(cases) == len(GOLDEN_CASES)
-    assert cases == regen.COMMANDS
-    assert set(cases) == {p.name for p in GOLDEN.iterdir()}
+    # every golden file has its command line in scripts/regen_goldens.py,
+    # and every command line there its golden file
+    assert set(regen.COMMANDS) == {p.name for p in GOLDEN.iterdir()}
 
 
 def test_output_file(tmp_path, capsys):
@@ -472,3 +447,51 @@ def test_python_m_skewcert_reads_sys_argv(argv, code, stream):
                           capture_output=True, text=True, env=src_env())
     assert proc.returncode == code, proc.stderr
     assert getattr(proc, stream).startswith("usage: skewcert ")
+
+
+def test_readme_usage_block_is_what_help_prints():
+    readme = (ROOT / "README.md").read_text()
+    block = readme.split("## Command line\n\n```\n", 1)[1].split("```\n", 1)[0]
+    assert block == cli.usage(())
+
+
+def _stub_pipelines(monkeypatch):
+    """Replace every harness.run_* by a stub with one certified verdict;
+    returns the list of the positional arguments of each call."""
+    calls = []
+
+    def stub(*args, **kwargs):
+        calls.append(args)
+        return [harness.verdict("stub", "label", True)]
+
+    for name in dir(harness):
+        if name.startswith("run_"):
+            monkeypatch.setattr(harness, name, stub)
+    return calls
+
+
+@pytest.mark.parametrize("key", cli.COMMANDS, ids=" ".join)
+def test_every_row_runs_and_reports_its_own_flags(key, capsys, monkeypatch, tmp_path):
+    # the pipelines are stubbed: the row alone names the command and its params
+    _stub_pipelines(monkeypatch)
+    (tmp_path / "alg.txt").write_text("basis x\n")
+    given = {"--alpha": "5/6", "--beta": "1/6", "PATH": str(tmp_path / "alg.txt")}
+    argv, want = list(key), {}
+    for flag, (dest, default) in cli.COMMANDS[key][1].items():
+        if default is cli.REQUIRED:
+            default = given[flag]
+            argv += [default] if flag == "PATH" else [flag, default]
+        if dest not in ("seed", "output"):
+            want[dest] = ["2", "3"] if dest == "lams" else default
+    code, report = run_cli(argv, capsys)
+    assert code == 0
+    assert report["command"] == " ".join(key)
+    assert report["params"] == want
+
+
+def test_lambda_is_reported_in_lowest_terms(capsys, monkeypatch):
+    calls = _stub_pipelines(monkeypatch)
+    code, report = run_cli(["verify", "scaling", "--lambda", "4/2"], capsys)
+    assert code == 0
+    assert report["params"]["lams"] == ["2"]
+    assert calls == [((F(2),), harness.DEFAULT_SEED)]
