@@ -151,13 +151,22 @@ def certify_skew(preset, args) -> list:
     # --order starts the jets' escalation, so it may not pass the ceiling
     if args.order > harness.JET_ORDER_CEILING:
         raise ValueError(f"--order must be at most {harness.JET_ORDER_CEILING}")
-    return harness.run_certify_skew(preset, args.max_word_len, args.order, args.seed, beside=forked)
+    return harness.run_certify_skew(preset, args.max_word_len, args.order, args.seed)
+
+
+def class3_order(args) -> int:
+    # at order 1 every jet the class-3 cross-checks compare has trunc 0, so
+    # they would pass without comparing a single coefficient
+    if args.order < 2:
+        raise ValueError("--order must be at least 2 for the class-3 jet cross-checks")
+    return args.order
 
 
 def verify_scaling(args) -> list:
+    order = class3_order(args)
     args.lams = [str(rat(x)) for x in args.lams or ("2", "3")]  # the form the report shows
     return harness.run_verify_scaling(tuple(map(rat, args.lams)), args.seed,
-                                      class3_order=args.order, beside=forked)
+                                      class3_order=order, beside=forked)
 
 
 def check_algebra(args) -> list:
@@ -185,8 +194,9 @@ COMMANDS = {key: (pipeline, {**flags, "--seed": ("seed", harness.DEFAULT_SEED),
         lambda a: harness.run_certify_cauchon(a.alpha, a.beta, a.shift, a.max_word_len, a.seed),
         {"--alpha": ("alpha", REQUIRED), "--beta": ("beta", REQUIRED), "--shift": ("shift", "2"),
          "--max-word-len": ("max_word_len", 2)}),
-    ("certify", "nilpotent"): (lambda a: harness.run_certify_nilpotent(a.order, a.seed, beside=forked),
-                               {"--order": ("order", 12)}),
+    ("certify", "nilpotent"): (
+        lambda a: harness.run_certify_nilpotent(class3_order(a), a.seed, beside=forked),
+        {"--order": ("order", 12)}),
     ("verify", "scaling"): (verify_scaling, {"--lambda": ("lams", ()), "--order": ("order", 12)}),
     ("verify", "valuation"): (lambda a: harness.run_verify_valuation(a.seed), {}),
     ("selftest",): (lambda a: harness.run_selftest(a.seed, a.quick), {"--quick": ("quick", False)}),
@@ -270,10 +280,6 @@ def run(argv=None) -> int:
     try:
         if getattr(args, "order", 1) < 1:
             raise ValueError("--order must be at least 1")
-        if getattr(args, "target", None) in ("nilpotent", "scaling") and args.order < 2:
-            # at order 1 every jet the class-3 cross-checks compare has trunc
-            # 0, so they would pass without comparing a single coefficient
-            raise ValueError("--order must be at least 2 for the class-3 jet cross-checks")
         if getattr(args, "max_word_len", 1) < 1:
             raise ValueError("--max-word-len must be at least 1")
         verdicts = pipeline(args)

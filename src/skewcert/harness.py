@@ -4,12 +4,14 @@ Each pipeline returns a list of verdict dicts {claim, paper_label, verdict,
 data}; the CLI serializes them and maps the worst verdict to an exit code.
 The heavy objects (towers, atom inverses) are built once per pipeline run.
 
-`certify nilpotent`, `verify scaling`, `certify heisenberg` and `certify
-twodim` each end in two groups of verdicts that share no work.  Their
-pipelines take a `beside` runner for the first group (`forkjoin`): `inline`
-(the default, one process, as the tests and `run_selftest` use it) or
-`forked` (the CLI), which runs it in a child made with os.fork while this
-process runs the other group, then joins the verdicts in their usual order.
+`certify nilpotent` and `verify scaling` each end in two groups of
+verdicts that share no work.  Their pipelines take a `beside` runner for
+the first group (`forkjoin`): `inline` (the default, one process, as the
+tests and `run_selftest` use it) or `forked` (the CLI), which runs it in a
+child made with os.fork while this process runs the other group, then
+joins the verdicts in their usual order.  `certify heisenberg` and `twodim`
+run in one process: each of their groups takes tens of ms, and a worker
+made them slower, not faster.
 """
 
 from __future__ import annotations
@@ -450,35 +452,28 @@ def equality_verdict(claim: str, label: str, lhs, rhs, table: FactTable, cross_c
 
 
 def run_certify_skew(preset: SkewPreset, max_word_len: int = 3, order: int = 32,
-                     seed: int = DEFAULT_SEED, beside=inline) -> list[dict]:
-    """The opening and facts verdicts, then the two symmetry verdicts, run by
-    `beside` while this process runs the two freeness proofs: the
-    evaluated p-jets, which decide, and `composition_proof`."""
+                     seed: int = DEFAULT_SEED) -> list[dict]:
+    """The opening and facts verdicts, the two symmetry verdicts, then the
+    two freeness proofs: the evaluated p-jets, which decide, and
+    `composition_proof`."""
     facts = preset.fact_table()
     table, _, values = facts
     verdicts = [verdict(preset.opening_claim, preset.label, preset.opening(facts))]
     witnesses = verify_facts(table)
     verdicts.append(verdict(preset.facts_claim, preset.label, True, {"witnesses": witnesses}))
-
-    def symmetry() -> list[dict]:
-        check = preset.cross_check(values, CROSS_ORDER)
-        return [equality_verdict(claim, preset.label, star(expr, table), expr, table, check)
-                for claim, expr in zip(preset.symmetry_claims, preset.expressions())]
-
-    def freeness() -> dict:
-        # the evaluated p-jets decide; the composition through Q[F2] is the second proof
-        rep_jets = certify_skew_jets(preset.construction, max_word_len, order,
-                                     command=preset.command, seed=seed)
-        halves = composition_proof(preset.construction, max_word_len, preset.command, seed)
-        second = next((r.verdict for r in halves if r.verdict != "certified"), "certified")
-        return verdict(
-            f"freeness of {preset.pair_name} to word length {max_word_len}", preset.freeness_label,
-            rep_jets.verdict,
-            {"jets": rep_jets.to_dict(), "group": halves[0].to_dict(),
-             "groupring": halves[1].to_dict(), "paths_agree": rep_jets.verdict == second})
-
-    symmetric, free = beside_each_other(beside, symmetry, freeness)
-    return verdicts + symmetric + [free]
+    check = preset.cross_check(values, CROSS_ORDER)
+    verdicts += [equality_verdict(claim, preset.label, star(expr, table), expr, table, check)
+                 for claim, expr in zip(preset.symmetry_claims, preset.expressions())]
+    rep_jets = certify_skew_jets(preset.construction, max_word_len, order,
+                                 command=preset.command, seed=seed)
+    halves = composition_proof(preset.construction, max_word_len, preset.command, seed)
+    second = next((r.verdict for r in halves if r.verdict != "certified"), "certified")
+    verdicts.append(verdict(
+        f"freeness of {preset.pair_name} to word length {max_word_len}", preset.freeness_label,
+        rep_jets.verdict,
+        {"jets": rep_jets.to_dict(), "group": halves[0].to_dict(),
+         "groupring": halves[1].to_dict(), "paths_agree": rep_jets.verdict == second}))
+    return verdicts
 
 
 def composition_proof(construction, max_word_len: int, command: str, seed: int):

@@ -8,8 +8,8 @@ polynomial ring is obtained by nesting Poly inside Poly.  The class-3
 tower's Q[n1, n2] is the Poly subclass BiPoly instead: int numerators over
 one int denominator, with its own kernel (`bipoly_ops` at the end of this
 module) and the nested form only as a view.  The field-level helpers
-(divmod, monic, poly_gcd) assume Fraction coefficients, since int / int
-would give a float.
+(monic, poly_gcd) assume Fraction coefficients, since int / int would give
+a float.
 
 `RatFun` stores no Polys.  An element of Q(t) is c * N / D with N and D
 primitive integer coefficient lists (lowest degree first, positive leading
@@ -128,37 +128,11 @@ class Poly:
 
     # -- field-coefficient helpers (Fraction level) --
 
-    def divmod(self, other: "Poly") -> tuple["Poly", "Poly"]:
-        if not other:
-            raise DivisionByZero("polynomial division by zero")
-        q = [Fraction(0)] * max(0, len(self.coeffs) - len(other.coeffs) + 1)
-        rem = list(self.coeffs)
-        dlc = other.lc()
-        dd = other.degree
-        while len(rem) - 1 >= dd and any(rem):
-            while rem and not rem[-1]:
-                rem.pop()
-            if len(rem) - 1 < dd:
-                break
-            k = len(rem) - 1 - dd
-            c = rem[-1] / dlc
-            q[k] = c
-            for i, b in enumerate(other.coeffs):
-                rem[k + i] -= c * b
-            rem.pop()
-        return Poly(q), Poly(rem)
-
     def monic(self) -> "Poly":
         if not self:
             return self
         inv = 1 / self.lc()
         return Poly(tuple(c * inv for c in self.coeffs))
-
-    def compose(self, inner: "Poly") -> "Poly":
-        acc = Poly()
-        for c in reversed(self.coeffs):
-            acc = acc * inner + Poly.const(c)
-        return acc
 
     def deriv(self) -> "Poly":
         return Poly(tuple(i * c for i, c in enumerate(self.coeffs) if i))
@@ -281,16 +255,6 @@ def _zz_divexact(a, b):
             for i, y in enumerate(low, k):
                 r[i] -= c * y
     return None if any(r[:lb - 1]) else q
-
-
-def _zz_eval_at(a, p: int, q: int) -> int:
-    """q^deg(a) * a(p/q)."""
-    acc = 0
-    w = 1
-    for c in reversed(a):
-        acc = acc * p + c * w
-        w *= q
-    return acc
 
 
 def _zz_eval2(a, k: int) -> int:
@@ -609,23 +573,6 @@ class RatFun:
         if not other:
             raise DivisionByZero("division by zero rational function")
         return self * other.inv()
-
-    def eval(self, point: Fraction) -> Fraction:
-        p, q = point.numerator, point.denominator
-        n, d = self._n, self._d
-        dv = _zz_eval_at(d, p, q)
-        if dv == 0:
-            raise PoleAtPoint(f"pole at t = {point}")
-        if not n:
-            return Fraction(0)
-        # n(p/q) / d(p/q) = (nv / q^deg n) / (dv / q^deg d)
-        num, den = self._cn * _zz_eval_at(n, p, q), self._cd * dv
-        e = len(d) - len(n)
-        if e >= 0:
-            num *= q ** e
-        else:
-            den *= q ** -e
-        return Fraction(num, den)
 
     def eval_mod(self, points, q: int) -> list[int]:
         """Values modulo the prime q at the residues `points`, by integer

@@ -3,10 +3,12 @@ for the kernels in `skewcert`, and small helpers the tests state laws with.
 They live here rather than in the package, so a command never compiles
 them."""
 
+from fractions import Fraction
+
 from skewcert import skewfrac
-from skewcert.errors import PoleAtPoint
+from skewcert.errors import DivisionByZero, PoleAtPoint
 from skewcert.freecert import MODULUS
-from skewcert.scalar import RatFun
+from skewcert.scalar import Poly, RatFun
 from skewcert.series import Jet, jet_add, jet_neg
 from skewcert.skewpoly import sp_gcrd_llcm, sp_mul
 
@@ -16,6 +18,66 @@ def word_str(w, names) -> str:
     if not w:
         return "1"
     return ".".join(names[abs(a) - 1] + ("'" if a < 0 else "") for a in w)
+
+
+def poly_divmod(a: Poly, b: Poly) -> tuple[Poly, Poly]:
+    """Quotient and remainder of a by b over Q (Fraction coefficients)."""
+    if not b:
+        raise DivisionByZero("polynomial division by zero")
+    q = [Fraction(0)] * max(0, len(a.coeffs) - len(b.coeffs) + 1)
+    rem = list(a.coeffs)
+    dlc = b.lc()
+    dd = b.degree
+    while len(rem) - 1 >= dd and any(rem):
+        while rem and not rem[-1]:
+            rem.pop()
+        if len(rem) - 1 < dd:
+            break
+        k = len(rem) - 1 - dd
+        c = rem[-1] / dlc
+        q[k] = c
+        for i, y in enumerate(b.coeffs):
+            rem[k + i] -= c * y
+        rem.pop()
+    return Poly(q), Poly(rem)
+
+
+def poly_compose(a: Poly, inner: Poly) -> Poly:
+    """a(inner) by Horner's rule."""
+    acc = Poly()
+    for c in reversed(a.coeffs):
+        acc = acc * inner + Poly.const(c)
+    return acc
+
+
+def _zz_eval_at(a, p: int, q: int) -> int:
+    """q^deg(a) * a(p/q) for an integer coefficient list a."""
+    acc = 0
+    w = 1
+    for c in reversed(a):
+        acc = acc * p + c * w
+        w *= q
+    return acc
+
+
+def ratfun_eval(f: RatFun, point: Fraction) -> Fraction:
+    """f(point) exactly, from the integer lists of `f`; PoleAtPoint where
+    the denominator vanishes."""
+    p, q = point.numerator, point.denominator
+    n, d = f._n, f._d
+    dv = _zz_eval_at(d, p, q)
+    if dv == 0:
+        raise PoleAtPoint(f"pole at t = {point}")
+    if not n:
+        return Fraction(0)
+    # n(p/q) / d(p/q) = (nv / q^deg n) / (dv / q^deg d)
+    num, den = f._cn * _zz_eval_at(n, p, q), f._cd * dv
+    e = len(d) - len(n)
+    if e >= 0:
+        num *= q ** e
+    else:
+        den *= q ** -e
+    return Fraction(num, den)
 
 
 def check_leibniz(delta, ops, pairs):

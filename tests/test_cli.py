@@ -270,7 +270,7 @@ def test_order_at_the_jet_ceiling_is_accepted(target, capsys, monkeypatch):
 
     calls = []
 
-    def run_certify_skew(preset, max_word_len, order, seed, beside):
+    def run_certify_skew(preset, max_word_len, order, seed):
         calls.append((preset.command, max_word_len, order))
         return [harness.verdict("stub", "label", True)]
 

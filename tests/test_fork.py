@@ -8,7 +8,6 @@ import pytest
 from skewcert import cli, harness
 from skewcert.errors import KernelError, PrecisionExhausted
 from skewcert.forkjoin import beside_each_other, forked, inline
-from skewcert.harness import HEISENBERG, TWODIM
 from test_cli import scrub
 
 needs_fork = pytest.mark.skipif(
@@ -23,16 +22,10 @@ def no_child_left():
         os.waitpid(-1, os.WNOHANG)
 
 
-def _skew(preset):
-    return lambda beside: harness.run_certify_skew(preset, 2, beside=beside)
-
-
 @pytest.mark.parametrize("run", [
     lambda beside: harness.run_certify_nilpotent(10, beside=beside),
     lambda beside: harness.run_verify_scaling(class3_order=10, beside=beside),
-    _skew(HEISENBERG),
-    _skew(TWODIM),
-], ids=["nilpotent", "scaling", "heisenberg", "twodim"])
+], ids=["nilpotent", "scaling"])
 def test_forked_half_gives_the_same_verdicts(run):
     assert scrub(run(forked)) == scrub(run(inline))
 
@@ -98,3 +91,24 @@ def test_failing_cli_run_leaves_no_child(monkeypatch, capsys):
     assert cli.run(["certify", "nilpotent", "--order", "2"]) == 1
     captured = capsys.readouterr()
     assert captured.err == "error: no Phi_u\n" and captured.out == ""
+
+
+@pytest.mark.parametrize("argv, forks", [
+    (["certify", "heisenberg", "--max-word-len", "1"], 0),
+    (["certify", "twodim", "--max-word-len", "1"], 0),
+    pytest.param(["certify", "nilpotent", "--order", "4"], 1, marks=needs_fork),
+    pytest.param(["verify", "scaling", "--order", "4"], 1, marks=needs_fork),
+], ids=["heisenberg", "twodim", "nilpotent", "scaling"])
+def test_only_nilpotent_and_scaling_fork(argv, forks, monkeypatch, capsys):
+    # heisenberg's and twodim's groups take tens of ms each: a worker made them slower
+    calls = []
+    real_fork = os.fork
+
+    def counting_fork():
+        calls.append(argv)
+        return real_fork()
+
+    monkeypatch.setattr(os, "fork", counting_fork)
+    assert cli.run(argv) == 0
+    assert capsys.readouterr().err == ""
+    assert len(calls) == forks

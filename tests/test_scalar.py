@@ -9,6 +9,8 @@ from skewcert import scalar
 from skewcert.errors import PoleAtPoint, ZeroDenominator
 from skewcert.scalar import Poly, RatFun, poly_gcd, rat
 
+from oracles import poly_compose, poly_divmod, ratfun_eval
+
 T = RatFun.t()
 
 
@@ -52,8 +54,8 @@ def test_arith_s_plus_s_inverse():
     expected = RatFun(P(F(13, 18), -2, 2), P(F(5, 36), -1, 1))
     assert got == expected
     for pt in (F(2), F(7, 3), F(-1), F(9, 2), F(22, 7)):
-        assert got.eval(pt) == s.eval(pt) + s.inv().eval(pt)
-        assert got.eval(pt) == expected.eval(pt)
+        assert ratfun_eval(got, pt) == ratfun_eval(s, pt) + ratfun_eval(s.inv(), pt)
+        assert ratfun_eval(got, pt) == ratfun_eval(expected, pt)
 
 
 def test_arith_inverse_and_identity():
@@ -63,10 +65,10 @@ def test_arith_inverse_and_identity():
 
 
 def test_eval_examples():
-    assert RatFun(P(1, 1), P(1)).eval(F(2)) == 3
+    assert ratfun_eval(RatFun(P(1, 1), P(1)), F(2)) == 3
     with pytest.raises(PoleAtPoint):
-        RatFun(P(1), P(-1, 1)).eval(F(1))
-    assert RatFun(P(-1, 0, 1), P(-1, 1)).eval(F(7)) == 8
+        ratfun_eval(RatFun(P(1), P(-1, 1)), F(1))
+    assert ratfun_eval(RatFun(P(-1, 0, 1), P(-1, 1)), F(7)) == 8
 
 
 def test_shift_examples():
@@ -99,16 +101,16 @@ def test_shift_roundtrip(f, c):
     if f:
         # the shift is t -> t - c: compare with composition
         inner = Poly((-c, F(1)))
-        assert f.shift(c) == RatFun(f.num.compose(inner), f.den.compose(inner))
+        assert f.shift(c) == RatFun(poly_compose(f.num, inner), poly_compose(f.den, inner))
 
 
 @given(ratfuns(), ratfuns(), st.sampled_from([F(3), F(10, 3), F(-5), F(17, 2)]))
 def test_arith_agrees_with_evaluation(a, b, pt):
     try:
-        va, vb = a.eval(pt), b.eval(pt)
-        assert (a + b).eval(pt) == va + vb
-        assert (a * b).eval(pt) == va * vb
-        assert (a - b).eval(pt) == va - vb
+        va, vb = ratfun_eval(a, pt), ratfun_eval(b, pt)
+        assert ratfun_eval(a + b, pt) == va + vb
+        assert ratfun_eval(a * b, pt) == va * vb
+        assert ratfun_eval(a - b, pt) == va - vb
     except PoleAtPoint:
         pass
 
@@ -126,8 +128,8 @@ def test_reduce_idempotent(num, den):
 @given(nonzero_polys, nonzero_polys)
 def test_poly_gcd_divides_both(a, b):
     g = poly_gcd(a, b)
-    assert not a.divmod(g)[1]
-    assert not b.divmod(g)[1]
+    assert not poly_divmod(a, g)[1]
+    assert not poly_divmod(b, g)[1]
     assert g.lc() == 1
 
 
@@ -140,7 +142,7 @@ def test_taylor_shift_matches_compose(rnd):
     for _ in range(100):
         p = rand_poly(rnd, 5)
         c = rand_frac(rnd)
-        assert shifted(p, c) == RatFun.from_poly(p.compose(Poly((c, F(1)))))
+        assert shifted(p, c) == RatFun.from_poly(poly_compose(p, Poly((c, F(1)))))
     # the rescaled shift: c = u/v with |u|, v > 1, large denominators in both
     # the shift and the coefficients
     for _ in range(60):
@@ -149,7 +151,7 @@ def test_taylor_shift_matches_compose(rnd):
         c = F(rnd.choice((-1, 1)) * rnd.randint(2, 2**40), rnd.randint(2, 2**60))
         if abs(c.numerator) < 2 or c.denominator < 2:
             continue
-        assert shifted(p, c).num == p.compose(Poly((c, F(1))))
+        assert shifted(p, c).num == poly_compose(p, Poly((c, F(1))))
 
 
 def test_rat_parsing():
