@@ -42,6 +42,9 @@ COMMANDS = {
     "scaling_default.json": (["verify", "scaling"], 0),
     # the other paper preset at L=2
     "twodim.json": (["certify", "twodim", "--max-word-len", "2", "--order", "16"], 0),
+    # low orders, where the precision of a tower inverse is tightest
+    "nilpotent_order3.json": (["certify", "nilpotent", "--order", "3"], 0),
+    "scaling_order3.json": (["verify", "scaling", "--order", "3"], 0),
 }
 
 

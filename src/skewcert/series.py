@@ -38,8 +38,10 @@ and filters once, through the public constructor.  Under a derivation, a
 left coefficient's delta chain under a finite truncation stops at the last
 power m that reaches the output: kappa(j, m) = 0 once m > -j for j <= 0,
 and t^(i+j+m) passes trunc for j > 0.  The recursion of jet_inv
-and the lifted derivations sum their orders the same way.  An order past a
-sum's truncation is never formed, so it cannot trip the Laurent floor.
+and the lifted derivations sum their orders the same way; jet_inv crosses
+the t^-m of a negative lowest order m on its input's side, never on the
+inverse's.  An order past a sum's truncation is never formed, so it cannot
+trip the Laurent floor.
 
 Towers are built by using one JetRing's element ops as the coefficient ring
 of the next level; `lift_derivation` extends an inner derivation across a
@@ -357,9 +359,13 @@ def jet_inv(a: Jet) -> Jet:
 
     Requires the lowest nonzero coefficient to be a unit of the coefficient
     ring (recursively, in towers); raises LowestCoeffNotUnit carrying the
-    offending coefficient otherwise.  A nonzero lowest order m costs 2m of
-    precision.  Under sigma the pivot of order n is sigma^n(c0)^-1, and the
-    final right factor t^-m twists every coefficient by sigma^-m."""
+    offending coefficient otherwise.  With lowest order m, the inverse is
+    known below target = min(a.trunc - 2m, order).  For m < 0, a = c t^m with
+    c = a t^-m known below min(a.trunc - m, order) >= target + m, and t^-m c^-1
+    ends in a shift: the crossing runs over a's few coefficients, not over
+    the inverse's dense ones.  For m > 0, a = t^m c and the inverse is c^-1
+    t^-m, whose chain stops at kappa(-m, m); an exact c = a t^-m would be cut
+    at the ring's order.  Under sigma the pivot of order n is sigma^n(c0)^-1."""
     ring = a.ring
     ops = ring.coeff
     m = a.nonzero_min_ord()
@@ -378,7 +384,11 @@ def jet_inv(a: Jet) -> Jet:
         raise LowestCoeffNotUnit(f"{ops.name} has no inversion", c0)
     target = min(_tadd(a.trunc, -2 * m), ring.order)
     n_ord = target + m  # d is computed for orders 0 .. n_ord-1
-    c = {i - m: ci for i, ci in a.coeffs.items()}
+    if m < 0:
+        c = jet_mul(a, ring.monomial(-m)).coeffs
+        c0 = c[0]  # sigma^-m(c0) under sigma
+    else:
+        c = {i - m: ci for i, ci in a.coeffs.items()}
     c0_inv = ops.inv(c0)
     delta, sigma = ring.delta, ring.sigma
     dtab: dict = {i: [ci] for i, ci in c.items()}
@@ -421,8 +431,8 @@ def jet_inv(a: Jet) -> Jet:
             continue
         d[n] = ops.mul(sigma(c0_inv, n) if sigma else c0_inv, acc)
     dj = Jet(ring, d, max(0, n_ord))
-    if m == 0:
-        return dj
+    if m <= 0:
+        return jet_shift(dj, -m)
     return jet_mul(dj, ring.monomial(-m))
 
 

@@ -9,7 +9,7 @@ from skewcert import skewfrac
 from skewcert.errors import DivisionByZero, PoleAtPoint
 from skewcert.freecert import MODULUS
 from skewcert.scalar import Poly, RatFun
-from skewcert.series import Jet, jet_add, jet_neg
+from skewcert.series import Jet, _exact, _kappa, _tadd, jet_add, jet_mul, jet_neg
 from skewcert.skewpoly import sp_gcrd_llcm, sp_mul
 
 
@@ -97,6 +97,65 @@ def jet_sub(a: Jet, b: Jet) -> Jet:
 
 def jet_truncate(a: Jet, order: int) -> Jet:
     return Jet(a.ring, a.coeffs, min(a.trunc, order))
+
+
+def jet_inv_left(a: Jet) -> Jet:
+    """The inverse of a unit jet a with lowest order m, written as a = t^m c
+    and returned as c^-1 t^-m: under a derivation with m < 0, that right
+    factor crosses every coefficient of c^-1.  The oracle of
+    `series.jet_inv`, which crosses t^-m on a's side instead; a must pass
+    `jet_inv`'s unit checks."""
+    ring = a.ring
+    ops = ring.coeff
+    m = a.nonzero_min_ord()
+    c0 = a.coeffs[m]
+    target = min(_tadd(a.trunc, -2 * m), ring.order)
+    n_ord = target + m  # d is computed for orders 0 .. n_ord-1
+    c = {i - m: ci for i, ci in a.coeffs.items()}
+    c0_inv = ops.inv(c0)
+    delta, sigma = ring.delta, ring.sigma
+    dtab: dict = {i: [ci] for i, ci in c.items()}
+
+    def dpow(i, k):
+        col = dtab[i]
+        while len(col) <= k:
+            col.append(delta(col[-1]))
+        return col[k]
+
+    d: dict = {}
+    for n in range(max(0, n_ord)):
+        terms = []
+        for j, dj in d.items():
+            rem = n - j
+            if delta is None:
+                ci = c.get(rem)
+                if ci is not None:
+                    terms.append((-1, sigma(ci, j) if sigma else ci, dj))
+            else:
+                for i in c:
+                    mm = rem - i
+                    if mm < 0:
+                        continue
+                    kap = _kappa(j, mm)
+                    if not kap:
+                        continue
+                    dmi = dpow(i, mm)
+                    if ops.is_zero(dmi) and _exact(ops, dmi):
+                        continue
+                    terms.append((-kap, dmi, dj))
+        if n == 0:
+            acc = ops.one
+        elif terms:
+            acc = ops.sum_products(terms)
+        else:
+            continue
+        if ops.is_zero(acc) and _exact(ops, acc):
+            continue
+        d[n] = ops.mul(sigma(c0_inv, n) if sigma else c0_inv, acc)
+    dj = Jet(ring, d, max(0, n_ord))
+    if m == 0:
+        return dj
+    return jet_mul(dj, ring.monomial(-m))
 
 
 def sf_eq_cross(a, b) -> bool:

@@ -2,6 +2,7 @@
 
 import math
 import sys
+import types
 from collections import defaultdict
 from fractions import Fraction as F
 
@@ -50,7 +51,7 @@ from skewcert.series import (
 )
 from skewcert.skewfrac import ShiftAut, pjet_ring
 from skewcert.symcert import verify_facts
-from oracles import check_leibniz, jet_sub, jet_truncate
+from oracles import check_leibniz, jet_inv_left, jet_sub, jet_truncate
 
 
 @pytest.fixture(scope="module")
@@ -834,7 +835,87 @@ def test_verify_scaling_delta_applications(monkeypatch):
 
     monkeypatch.setattr(Derivation, "__call__", counted)
     run_verify_scaling()
-    assert len(calls) == 3739  # 15,448 with the chains run to trunc - i - b_min - 1
+    # 3,739 while jet_inv crossed t^-m on the inverse's side for m < 0;
+    # 15,448 with the chains run to trunc - i - b_min - 1
+    assert len(calls) == 3466
+
+
+# -- jet_inv crosses t^-m on the short side -------------------------------------
+
+
+def class3_atom_A(order: int) -> Jet:
+    table, _, jets = class3_fact_table(order)
+    verify_facts(table)  # the invertibility checks fill in the atom jets
+    return jets["A"]
+
+
+def high_unit(order: int) -> Jet:
+    """t_u^order (1 + t_v) in class3_tower(order), whose right-factored
+    c = a t_u^-order would be an exact product, cut at the ring's order."""
+    lv, lu = class3_tower(order).levels[1:]
+    return lu.make({order: jet_add(lv.one_jet(), lv.monomial(1))})
+
+
+@st.composite
+def units(draw, tower=None, level=None, m=None):
+    """A unit of tower.levels[level] with lowest order m: a unit of the level
+    below (a nonzero scalar at level 0) at t^m, drawn coefficients above it
+    and an exact or finite trunc; tower, level and m from -2 to 4 are drawn
+    when not given, inner lowest orders from -1 to 1."""
+    if tower is None:
+        tower = TOWERS[draw(st.sampled_from(sorted(TOWERS)))]
+        level = draw(st.integers(0, len(tower.levels) - 1))
+        m = draw(st.integers(-2, 4))
+    ring = tower.levels[level]
+    nonzero = rationals.map(F).filter(bool)
+    if level:
+        low = draw(units(tower, level - 1, draw(st.integers(-1, 1))))
+    elif ring.coeff.name == "Q":
+        low = draw(nonzero)
+    elif ring.coeff.name == "Q(t)":
+        low = RatFun(Poly([draw(nonzero), draw(rationals.map(F))]), Poly([F(1), draw(nonzero)]))
+    else:
+        low = bipoly_const(draw(nonzero))
+    orders = draw(st.lists(st.integers(m + 1, m + 3), max_size=2))
+    above = draw_jet(types.SimpleNamespace(draw=draw), tower, level, orders)
+    trunc = draw(st.sampled_from([series.EXACT, m + 1, m + 2, m + 4]))
+    return ring.make({**above.coeffs, m: low}, trunc)
+
+
+@settings(max_examples=150)
+@given(units())
+@example(class3_atom_A(12))
+@example(high_unit(4))
+def test_inverse_is_two_sided_on_its_known_window(a):
+    """jet_inv(a) inverts a on both sides as far as the products are known,
+    and its trunc is min(a.trunc - 2m, order) for a lowest order m."""
+    ring, m = a.ring, a.nonzero_min_ord()
+    inv = jet_inv(a)
+    assert inv.trunc == min(series._tadd(a.trunc, -2 * m), ring.order)
+    for prod in (jet_mul(a, inv), jet_mul(inv, a)):
+        assert prod.trunc > 0 and jets_agree(prod, ring.one_jet())
+
+
+@settings(max_examples=150)
+@given(units())
+@example(class3_atom_A(12))
+@example(high_unit(4))
+def test_inverse_matches_the_left_factored_oracle(a):
+    """Crossing t^-m on a's side for m < 0 gives the inverse of a = t^m c
+    read as c^-1 t^-m: the same trunc and no disagreement."""
+    inv, left = jet_inv(a), jet_inv_left(a)
+    assert inv.trunc == left.trunc and jets_agree(inv, left)
+
+
+def test_inverse_of_A_delta_applications(monkeypatch):
+    a = class3_atom_A(12)
+    calls = []
+    call = Derivation.__call__
+    monkeypatch.setattr(Derivation, "__call__", lambda self, x: calls.append(self.name) or call(self, x))
+    jet_inv(a)
+    # 1,457 while the inverse ended in the crossing c^-1 t^-m: the delta
+    # chains then ran over every coefficient of c^-1, not over a's two
+    assert len(calls) == 892
 
 
 def test_series_hom_checks_only_when_a_derivation_is_present(monkeypatch):
