@@ -30,7 +30,7 @@ from __future__ import annotations
 from fractions import Fraction
 from math import gcd, isqrt, lcm
 
-from .errors import DivisionByZero, LowestCoeffNotUnit, PoleAtPoint, ZeroDenominator
+from .errors import DivisionByZero, KernelError, LowestCoeffNotUnit, PoleAtPoint, ZeroDenominator
 from .rings import RingOps
 
 def rat(x) -> Fraction:
@@ -651,13 +651,17 @@ RF_ONE = RatFun.const(1)
 # -- Q[n1, n2] -----------------------------------------------------------------
 #
 # An element of Q[n1, n2] is a BiPoly: a positive int denominator `den` and
-# `terms`, the nonzero monomials as ((n2-degree, n1-degree), numerator)
-# pairs in increasing degree order, with int numerators whose gcd with den,
-# taken over all of them, is 1; zero is den 1 with no terms.  The form is
-# unique, and as with RatFun's content (von zur Gathen and Gerhard, Modern
-# Computer Algebra, 6.2) the ring operations of bipoly_ops compute on
-# integers alone.  A sum of products (the ops' dot) adds the numerator
-# products into one dict keyed by degree (Monagan and Pearce, ISSAC 2009)
+# `terms`, the nonzero monomials as (key, numerator) pairs in increasing key
+# order, with int numerators whose gcd with den, taken over all of them, is
+# 1; zero is den 1 with no terms.  A key packs a monomial's degrees into one
+# int, (n2-degree << 15) | n1-degree (Monagan and Pearce, CASC 2007), so the
+# key order is the (n2, n1) degree order and a product of monomials adds
+# keys; every stored n1-degree is below 2**14 (_normal and _bp raise a
+# KernelError past it), so that sum never carries into the n2 field.  The
+# form is unique, and as with RatFun's content (von zur Gathen and Gerhard,
+# Modern Computer Algebra, 6.2) the ring operations of bipoly_ops compute
+# on integers alone.  A sum of products (the ops' dot) adds the numerator
+# products into one dict keyed by monomial (Monagan and Pearce, ISSAC 2009)
 # over one running denominator, raised to the lcm whenever a term's
 # den_x * den_y does not divide it, and divides by the gcd once at the end,
 # skipped when the denominator is 1; a single term times a single term is
@@ -679,7 +683,8 @@ class BiPoly(Poly):
         """The nested view, built on each read."""
         rows: list = []
         den = self.den
-        for (i, j), c in self.terms:
+        for key, c in self.terms:
+            i, j = key >> 15, key & _N1_MASK
             rows += [[] for _ in range(i + 1 - len(rows))]
             row = rows[i]
             row += [0] * (j - len(row))
@@ -721,6 +726,9 @@ def _bipoly(den: int, terms: tuple) -> BiPoly:
 
 _ZERO = _bipoly(1, ())
 _FRACTION_ZERO = Fraction(0)
+_N1_MASK = (1 << 15) - 1
+_N1_LIMIT = 1 << 14  # the smallest n1-degree a stored BiPoly may not hold
+_N1_ERROR = "n1-degree 2**14 or more in Q[n1, n2]"
 
 
 def _bp(p) -> BiPoly:
@@ -728,17 +736,24 @@ def _bp(p) -> BiPoly:
     reduced denominators is coprime to the numerators as a whole."""
     if type(p) is BiPoly:
         return p
-    cs = [((i, j), c) for i, row in enumerate(p.coeffs) for j, c in enumerate(row.coeffs) if c]
+    if any(len(row.coeffs) > _N1_LIMIT for row in p.coeffs):
+        raise KernelError(_N1_ERROR)
+    cs = [((i << 15) | j, c) for i, row in enumerate(p.coeffs) for j, c in enumerate(row.coeffs) if c]
     den = lcm(*[c.denominator for _, c in cs])
     return _bipoly(den, tuple([(k, c.numerator * (den // c.denominator)) for k, c in cs]))
 
 
 def _normal(den: int, acc: dict) -> BiPoly:
-    """The BiPoly with numerators acc (keyed by degree) over den > 0."""
+    """The BiPoly with numerators acc (keyed by monomial) over den > 0; the
+    keys sum at most two legal n1-degrees, so the field cannot carry."""
     if len(acc) == 1:
         (key, c), = acc.items()
+        if key & _N1_LIMIT:
+            raise KernelError(_N1_ERROR)
         g = gcd(c, den)
         return _bipoly(den // g, ((key, c // g),)) if c else _ZERO
+    if any(key & _N1_LIMIT for key in acc):
+        raise KernelError(_N1_ERROR)
     g = gcd(den, *acc.values()) if den != 1 else 1
     if g != 1:
         den //= g
@@ -798,14 +813,14 @@ def _bp_dot(terms) -> BiPoly:
         if d != den:
             kap *= den // d
         if len(X) == 1 and len(Y) == 1:
-            ((i, j), a), ((k, m), b) = X[0], Y[0]
-            key = (i + k, j + m)
+            (p, a), (q, b) = X[0], Y[0]
+            key = p + q
             acc[key] = get(key, 0) + kap * a * b
             continue
-        for (i, j), a in X:
+        for p, a in X:
             a *= kap
-            for (k, m), b in Y:
-                key = (i + k, j + m)
+            for q, b in Y:
+                key = p + q
                 acc[key] = get(key, 0) + a * b
     return _normal(den, acc)
 
@@ -817,17 +832,17 @@ def _bp_mul(a, b) -> BiPoly:
 def bipoly_const(q) -> BiPoly:
     """Constant of Q[n1, n2]."""
     q = Fraction(q)
-    return _bipoly(q.denominator, (((0, 0), q.numerator),)) if q else _ZERO
+    return _bipoly(q.denominator, ((0, q.numerator),)) if q else _ZERO
 
 
 def bipoly_n1() -> BiPoly:
     """The generator n1, the inner variable of the nested view."""
-    return _bipoly(1, (((0, 1), 1),))
+    return _bipoly(1, ((1, 1),))
 
 
 def bipoly_n2() -> BiPoly:
     """The generator n2, the outer variable of the nested view."""
-    return _bipoly(1, (((1, 0), 1),))
+    return _bipoly(1, ((1 << 15, 1),))
 
 
 def bipoly_eps(f) -> Fraction:
@@ -835,7 +850,7 @@ def bipoly_eps(f) -> Fraction:
     a Fraction (it feeds Q((t_z)), whose inverse divides)."""
     f = _bp(f)
     T = f.terms
-    return Fraction(T[0][1], f.den) if T and T[0][0] == (0, 0) else _FRACTION_ZERO
+    return Fraction(T[0][1], f.den) if T and T[0][0] == 0 else _FRACTION_ZERO
 
 
 def bipoly_ops() -> RingOps:
@@ -844,14 +859,14 @@ def bipoly_ops() -> RingOps:
 
     def is_unit(f) -> bool:
         T = _bp(f).terms
-        return len(T) == 1 and T[0][0] == (0, 0)
+        return len(T) == 1 and T[0][0] == 0
 
     def inv(f) -> BiPoly:
         if not is_unit(f):
             raise LowestCoeffNotUnit("nonconstant polynomial is not a unit", f)
         f = _bp(f)
         c = f.terms[0][1]
-        return _bipoly(abs(c), (((0, 0), f.den if c > 0 else -f.den),))
+        return _bipoly(abs(c), ((0, f.den if c > 0 else -f.den),))
 
     return RingOps(
         name="Q[n1,n2]",

@@ -33,13 +33,14 @@ fused kernel, jet_dot, under every crossing (none, sigma, delta); it is the
 dot of every JetRing's ops, and jet_mul is its one-term case.  It takes the
 smallest truncation over all terms first, collects the (kappa, x, y)
 coefficient triples of every term per output order, sums each order below
-that truncation once through the coefficient ring's RingOps.sum_products,
-and filters once, through the public constructor.  Under a derivation, a
-left coefficient's delta chain under a finite truncation stops at the last
-power m that reaches the output: kappa(j, m) = 0 once m > -j for j <= 0,
-and t^(i+j+m) passes trunc for j > 0.  The recursion of jet_inv
-and the lifted derivations sum their orders the same way; jet_inv crosses
-the t^-m of a negative lowest order m on its input's side, never on the
+that truncation once through the coefficient ring's dot (or
+RingOps.sum_products), and applies the public constructor's filter in the
+same pass.  Under a derivation, a left coefficient's delta chain stops at
+the last power m that reaches the output: kappa(j, m) = 0 once m > -j for
+j <= 0, and t^(i+j+m) passes a finite trunc for j > 0, so an exact product
+stays exact unless its right factor has a positive order.  The recursion of
+jet_inv and the lifted derivations sum their orders the same way; jet_inv
+crosses the t^-m of its lowest order m on its input's side, never on the
 inverse's.  An order past a sum's truncation is never formed, so it cannot
 trip the Laurent floor.
 
@@ -161,9 +162,7 @@ class Jet:
             if is_zero(c) and _exact(ring.coeff, c):
                 continue
             if i < ring.floor:
-                raise PrecisionExhausted(
-                    f"order {i} below Laurent floor {ring.floor} in {ring.var}"
-                )
+                raise _below_floor(ring, i)
             clean[i] = c
         self.ring = ring
         self.coeffs = clean
@@ -205,6 +204,10 @@ class Jet:
 _new_jet = Jet.__new__
 
 
+def _below_floor(ring: JetRing, i: int) -> PrecisionExhausted:
+    return PrecisionExhausted(f"order {i} below Laurent floor {ring.floor} in {ring.var}")
+
+
 def _jet(ring: JetRing, coeffs: dict, trunc: int) -> Jet:
     """A Jet around a map that already satisfies the clean-jet invariant."""
     j = _new_jet(Jet)
@@ -215,10 +218,11 @@ def _jet(ring: JetRing, coeffs: dict, trunc: int) -> Jet:
 
 
 def jet_known_zero(a: Jet) -> bool:
-    if not a.coeffs:
-        return True
     is_zero = a.ring.coeff.is_zero
-    return all(is_zero(c) for c in a.coeffs.values())
+    for c in a.coeffs.values():
+        if not is_zero(c):
+            return False
+    return True
 
 
 def jet_fully_exact(a: Jet) -> bool:
@@ -283,17 +287,23 @@ def jet_dot(terms) -> Jet:
     fused as the module docstring says, with (t^i a)(t^j b) = sum_m
     kappa(j, m) t^(i+j+m) delta^m(a) b under delta, t^(i+j) sigma^j(a) b
     under sigma.  The delta chain per left coefficient stops at an exact
-    zero or, under a finite truncation, at the last power m that some
-    kappa(j, m) of a right order j carries below trunc; an inexact zero
-    keeps flowing so its finite precision reaches the output."""
+    zero or at the last power m at which some kappa(j, m) of a right order
+    j is nonzero below trunc (m = -b_min if no j is positive); an inexact
+    zero keeps flowing so its finite precision reaches the output."""
     ring = terms[0][1].ring
     trunc = EXACT
     for _, x, y in terms:
         if x.ring is not ring or y.ring is not ring:
             raise ContextMismatch(f"{x.ring!r} vs {y.ring!r} in a sum over {ring!r}")
-        t = min(_tadd(x.trunc, y.min_ord), _tadd(y.trunc, x.min_ord))
-        if t < trunc:
-            trunc = t
+        # min(_tadd(x.trunc, y.min_ord), _tadd(y.trunc, x.min_ord))
+        if x.trunc < EXACT:
+            t = x.trunc + y.min_ord
+            if t < trunc:
+                trunc = t
+        if y.trunc < EXACT:
+            t = y.trunc + x.min_ord
+            if t < trunc:
+                trunc = t
     ops = ring.coeff
     is_zero = ops.is_zero
     delta, sigma = ring.delta, ring.sigma
@@ -302,20 +312,28 @@ def jet_dot(terms) -> Jet:
         if not a.coeffs or not b.coeffs:
             continue
         bc = b.coeffs.items()
+        if delta is None and sigma is None:
+            for i, ai in a.coeffs.items():
+                for j, bj in bc:
+                    if i + j < trunc:
+                        groups[i + j].append((kap, ai, bj))
+            continue
         if delta is None:
             for i, ai in a.coeffs.items():
                 for j, bj in bc:
                     if i + j < trunc:
-                        groups[i + j].append((kap, sigma(ai, j) if sigma else ai, bj))
+                        groups[i + j].append((kap, sigma(ai, j), bj))
             continue
         b_min = min(b.coeffs)
         b_pos = min((j for j in b.coeffs if j > 0), default=EXACT)
         for i, ai in a.coeffs.items():
             dm = ai
             # past max_m each t^(i+j+m) has kappa(j, m) = 0 (j <= 0 < m + j)
-            # or lies at or past trunc (j > 0)
-            max_m = min(max(-b_min, trunc - i - b_pos - 1),
-                        trunc - i - b_min - 1) if trunc < EXACT else None
+            # or lies at or past trunc (j > 0); None: the chain never ends
+            if trunc < EXACT:
+                max_m = min(max(-b_min, trunc - i - b_pos - 1), trunc - i - b_min - 1)
+            else:
+                max_m = -b_min if b_pos == EXACT else None
             m = 0
             while True:
                 if is_zero(dm):
@@ -323,8 +341,8 @@ def jet_dot(terms) -> Jet:
                         # the rest of the chain only carries precision caps:
                         # spread one empty product per j over the remaining
                         # window (for j <= 0 the crossing stops at k = i)
-                        if trunc >= EXACT:
-                            trunc = min(trunc, ring.order)
+                        if trunc >= EXACT and b_pos < EXACT:
+                            trunc = ring.order
                         for j, bj in bc:
                             hi = min(trunc, i + 1 if j <= 0 else trunc)
                             for k in range(i + j + m, hi):
@@ -344,8 +362,18 @@ def jet_dot(terms) -> Jet:
                     trunc = min(trunc, ring.order)
                     break
                 dm = delta(dm)
-    sp = ops.sum_products
-    return Jet(ring, {k: sp(g) for k, g in groups.items() if k < trunc}, trunc)
+    # one pass of the public constructor's filter over the sums below trunc
+    sp = ops.dot or ops.sum_products
+    out = {}
+    for k, g in groups.items():
+        if k < trunc:
+            s = sp(g)
+            if is_zero(s) and _exact(ops, s):
+                continue
+            if k < ring.floor:
+                raise _below_floor(ring, k)
+            out[k] = s
+    return _jet(ring, out, trunc)
 
 
 def jet_mul(a: Jet, b: Jet) -> Jet:
@@ -360,12 +388,12 @@ def jet_inv(a: Jet) -> Jet:
     Requires the lowest nonzero coefficient to be a unit of the coefficient
     ring (recursively, in towers); raises LowestCoeffNotUnit carrying the
     offending coefficient otherwise.  With lowest order m, the inverse is
-    known below target = min(a.trunc - 2m, order).  For m < 0, a = c t^m with
-    c = a t^-m known below min(a.trunc - m, order) >= target + m, and t^-m c^-1
+    known below target = min(a.trunc - 2m, order).  It writes a = c t^m with
+    c = a t^-m known below target + m (for m > 0 kappa(-m, m) ends that
+    product's delta chains, so the order does not cut it), and t^-m c^-1
     ends in a shift: the crossing runs over a's few coefficients, not over
-    the inverse's dense ones.  For m > 0, a = t^m c and the inverse is c^-1
-    t^-m, whose chain stops at kappa(-m, m); an exact c = a t^-m would be cut
-    at the ring's order.  Under sigma the pivot of order n is sigma^n(c0)^-1."""
+    the inverse's dense ones.  Under sigma the pivot of order n is
+    sigma^n(c0)^-1."""
     ring = a.ring
     ops = ring.coeff
     m = a.nonzero_min_ord()
@@ -384,11 +412,11 @@ def jet_inv(a: Jet) -> Jet:
         raise LowestCoeffNotUnit(f"{ops.name} has no inversion", c0)
     target = min(_tadd(a.trunc, -2 * m), ring.order)
     n_ord = target + m  # d is computed for orders 0 .. n_ord-1
-    if m < 0:
+    if m:
         c = jet_mul(a, ring.monomial(-m)).coeffs
         c0 = c[0]  # sigma^-m(c0) under sigma
     else:
-        c = {i - m: ci for i, ci in a.coeffs.items()}
+        c = a.coeffs
     c0_inv = ops.inv(c0)
     delta, sigma = ring.delta, ring.sigma
     dtab: dict = {i: [ci] for i, ci in c.items()}
@@ -430,10 +458,7 @@ def jet_inv(a: Jet) -> Jet:
         if ops.is_zero(acc) and _exact(ops, acc):
             continue
         d[n] = ops.mul(sigma(c0_inv, n) if sigma else c0_inv, acc)
-    dj = Jet(ring, d, max(0, n_ord))
-    if m <= 0:
-        return jet_shift(dj, -m)
-    return jet_mul(dj, ring.monomial(-m))
+    return jet_shift(Jet(ring, d, max(0, n_ord)), -m)
 
 
 def jets_agree(a: Jet, b: Jet, upto: int | None = None) -> bool:
@@ -540,7 +565,7 @@ def lift_derivation(
                 dc = delta_on_coeffs(c)
                 if not (ops.is_zero(dc) and _exact(ops, dc)):
                     inner[i] = dc
-        sp, add = ops.sum_products, ops.add
+        sp, add = ops.dot or ops.sum_products, ops.add
         out = {k: sp(g) for k, g in groups.items() if k < trunc}
         for i, dc in inner.items():
             if i < trunc:

@@ -14,10 +14,11 @@ from skewcert.errors import (
     CompatibilityFailure,
     ContextMismatch,
     HypothesisViolation,
+    KernelError,
     LowestCoeffNotUnit,
     PrecisionExhausted,
 )
-from skewcert.harness import class3_fact_table, run_verify_scaling, unit_verdict
+from skewcert.harness import class3_fact_table, run_certify_nilpotent, run_verify_scaling, unit_verdict
 from skewcert.pbw import LieHom, free_nilpotent_class3, heisenberg, u_mul
 from skewcert.rings import RingOps
 from skewcert.scalar import BiPoly, Poly, RatFun
@@ -417,6 +418,21 @@ def test_bipoly_eps_and_inverse_are_exact(q):
     assert ops.inv(bipoly_from_terms({(0, 0): F(3)})) == bipoly_const(F(1, 3))
 
 
+def test_bipoly_n1_degree_stays_below_the_packed_field():
+    """A key packs (n2-degree << 15) | n1-degree, and every stored
+    n1-degree is below 2**14, so two keys add without a carry.  The kernel
+    refuses the product n1^(2**13) n1^(2**13), and a nested Poly of
+    n1-degree 2**14, with a KernelError (a one-line `error:` in the CLI)."""
+    half = bipoly_ops().mul(bipoly_from_terms({(0, 2**13): 1}), bipoly_const(1))
+    assert half.terms == ((2**13, 1),)
+    assert bipoly_ops().mul(half, bipoly_from_terms({(0, 2**13 - 1): 1})).terms == ((2**14 - 1, 1),)
+    for terms in ([(1, half, half)], [(1, half, half), (2, bipoly_n2(), bipoly_n1())]):
+        with pytest.raises(KernelError, match="n1-degree"):
+            scalar._bp_dot(terms)
+    with pytest.raises(KernelError, match="n1-degree"):
+        bipoly_ops().neg(bipoly_from_terms({(1, 2**14): 1}))
+
+
 def lead_term(terms: dict) -> dict:
     """The nonzero monomial of highest n2-degree, then highest n1-degree."""
     nonzero = [t for t in terms.items() if t[1]]
@@ -734,7 +750,10 @@ def test_fused_products_cancel_and_keep_inexact_zeros(name):
 def crossing_reference(terms) -> Jet:
     """jet_dot over a ring without sigma, with the delta chain run the long
     way: under a finite truncation the chain of left order i runs to
-    m = trunc - i - b_min - 1 or to an exact zero, whatever kappa reaches."""
+    m = trunc - i - b_min - 1 or to an exact zero, whatever kappa reaches.
+    In an exact product whose right factor has no positive order it runs
+    ring.order powers past m = -b_min, where kappa(j, m) is already zero
+    for every j, and the product stays exact."""
     ring = terms[0][1].ring
     ops, delta = ring.coeff, ring.delta
     trunc = min(min(series._tadd(x.trunc, y.min_ord), series._tadd(y.trunc, x.min_ord))
@@ -744,6 +763,7 @@ def crossing_reference(terms) -> Jet:
         if not a.coeffs or not b.coeffs:
             continue
         b_min = min(b.coeffs)
+        no_pos = max(b.coeffs) <= 0
         for i, ai in a.coeffs.items():
             if delta is None:
                 for j, bj in b.coeffs.items():
@@ -751,11 +771,14 @@ def crossing_reference(terms) -> Jet:
                         groups[i + j].append((kap, ai, bj))
                 continue
             dm, m = ai, 0
-            max_m = trunc - i - b_min - 1 if trunc < series.EXACT else None
+            if trunc < series.EXACT:
+                max_m = trunc - i - b_min - 1
+            else:
+                max_m = ring.order - b_min if no_pos else None
             while True:
                 if ops.is_zero(dm):
                     if not series._exact(ops, dm):
-                        if trunc >= series.EXACT:
+                        if trunc >= series.EXACT and not no_pos:
                             trunc = ring.order
                         for j, bj in b.coeffs.items():
                             for k in range(i + j + m, trunc if j > 0 else min(trunc, i + 1)):
@@ -824,7 +847,8 @@ def test_delta_chain_stop_on_long_exact_chains(name, orders):
         assert 0 < stopped <= len(a.coeffs) < len(calls)  # the full chains run to trunc - i
 
 
-def test_verify_scaling_delta_applications(monkeypatch):
+def jet_dot_delta_calls(monkeypatch, run) -> int:
+    """The derivation applications that jet_dot itself makes during run()."""
     calls = []
     call = Derivation.__call__
 
@@ -834,10 +858,68 @@ def test_verify_scaling_delta_applications(monkeypatch):
         return call(self, x)
 
     monkeypatch.setattr(Derivation, "__call__", counted)
-    run_verify_scaling()
-    # 3,739 while jet_inv crossed t^-m on the inverse's side for m < 0;
-    # 15,448 with the chains run to trunc - i - b_min - 1
-    assert len(calls) == 3466
+    run()
+    monkeypatch.undo()
+    return len(calls)
+
+
+def test_verify_scaling_delta_applications(monkeypatch):
+    # 3,466 while the chains of an exact product with no positive right
+    # order ran to the ring's order; 3,739 while jet_inv crossed t^-m on the
+    # inverse's side for m < 0; 15,448 with the chains run to
+    # trunc - i - b_min - 1
+    assert jet_dot_delta_calls(monkeypatch, run_verify_scaling) == 3250
+
+
+def test_certify_nilpotent_delta_applications(monkeypatch):
+    # 9,584 while the chains of an exact product with no positive right
+    # order ran to the ring's order
+    assert jet_dot_delta_calls(monkeypatch, run_certify_nilpotent) == 8336
+
+
+def rebuild(x, levels: list):
+    """A jet of one tower read into the same levels of another tower."""
+    if not isinstance(x, Jet):
+        return x
+    return Jet(levels[-1], {i: rebuild(c, levels[:-1]) for i, c in x.coeffs.items()}, x.trunc)
+
+
+def test_exact_product_with_no_positive_right_order_stays_exact():
+    """t_u^k (1 + t_v) t_u^-4 for k = 3, 4: kappa(-4, m) = 0 for m > 4 ends
+    every delta chain, so the product is exact in class3_tower(4) and
+    agrees with the same product built in class3_tower(8)."""
+    towers = [class3_tower(4), class3_tower(8)]
+    for k in (3, 4):
+        prods = []
+        for tower in towers:
+            lv, lu = tower.levels[1:]
+            a = lu.make({k: jet_add(lv.one_jet(), lv.monomial(1))})
+            prods.append(jet_mul(a, lu.monomial(-4)))
+        low, high = prods
+        assert low.trunc == high.trunc == series.EXACT
+        assert jets_agree(rebuild(low, towers[1].levels), high)
+
+
+@settings(max_examples=150)
+@given(st.sampled_from(sorted(TOWERS)), st.integers(0, 2), st.data())
+def test_product_trunc_with_a_finite_factor_is_the_tadd_formula(name, level, data):
+    """With a finite trunc on one factor of every term, jet_dot's trunc is
+    min(_tadd(x.trunc, y.min_ord), _tadd(y.trunc, x.min_ord)) over the
+    terms, whichever of min_ord it reads."""
+    tower = TOWERS[name]
+    level = min(level, len(tower.levels) - 1)
+    terms = []
+    for _ in range(data.draw(st.integers(1, 3))):
+        x, y = draw_jet(data, tower, level), draw_jet(data, tower, level)
+        cap = data.draw(st.sampled_from([5, 3, 1, 0, -1]))
+        if data.draw(st.booleans()):
+            x = jet_truncate(x, cap)
+        else:
+            y = jet_truncate(y, cap)
+        terms.append((data.draw(dot_kappas), x, y))
+    want = min(min(series._tadd(x.trunc, y.min_ord), series._tadd(y.trunc, x.min_ord))
+               for _, x, y in terms)
+    assert series.jet_dot(terms).trunc == want
 
 
 # -- jet_inv crosses t^-m on the short side -------------------------------------
@@ -851,7 +933,7 @@ def class3_atom_A(order: int) -> Jet:
 
 def high_unit(order: int) -> Jet:
     """t_u^order (1 + t_v) in class3_tower(order), whose right-factored
-    c = a t_u^-order would be an exact product, cut at the ring's order."""
+    c = a t_u^-order is an exact product: kappa ends its delta chains."""
     lv, lu = class3_tower(order).levels[1:]
     return lu.make({order: jet_add(lv.one_jet(), lv.monomial(1))})
 
@@ -886,6 +968,8 @@ def units(draw, tower=None, level=None, m=None):
 @given(units())
 @example(class3_atom_A(12))
 @example(high_unit(4))
+@example(high_unit(6))
+@example(high_unit(12))
 def test_inverse_is_two_sided_on_its_known_window(a):
     """jet_inv(a) inverts a on both sides as far as the products are known,
     and its trunc is min(a.trunc - 2m, order) for a lowest order m."""
@@ -900,9 +984,11 @@ def test_inverse_is_two_sided_on_its_known_window(a):
 @given(units())
 @example(class3_atom_A(12))
 @example(high_unit(4))
+@example(high_unit(6))
+@example(high_unit(12))
 def test_inverse_matches_the_left_factored_oracle(a):
-    """Crossing t^-m on a's side for m < 0 gives the inverse of a = t^m c
-    read as c^-1 t^-m: the same trunc and no disagreement."""
+    """Crossing t^-m on a's side gives the inverse of a = t^m c read as
+    c^-1 t^-m: the same trunc and no disagreement."""
     inv, left = jet_inv(a), jet_inv_left(a)
     assert inv.trunc == left.trunc and jets_agree(inv, left)
 
@@ -913,9 +999,11 @@ def test_inverse_of_A_delta_applications(monkeypatch):
     call = Derivation.__call__
     monkeypatch.setattr(Derivation, "__call__", lambda self, x: calls.append(self.name) or call(self, x))
     jet_inv(a)
-    # 1,457 while the inverse ended in the crossing c^-1 t^-m: the delta
-    # chains then ran over every coefficient of c^-1, not over a's two
-    assert len(calls) == 892
+    # 892 while the chains of an exact product with no positive right order
+    # ran to the ring's order; 1,457 while the inverse ended in the crossing
+    # c^-1 t^-m: the delta chains then ran over every coefficient of c^-1,
+    # not over a's two
+    assert len(calls) == 861
 
 
 def test_series_hom_checks_only_when_a_derivation_is_present(monkeypatch):
