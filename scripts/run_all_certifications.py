@@ -3,6 +3,7 @@
 reports under reports/.  Prints a one-line summary per command; exits nonzero
 if any command found a counterexample or was inconclusive."""
 
+import itertools
 import json
 import pathlib
 import sys
@@ -30,8 +31,8 @@ def main():
     OUT.mkdir(exist_ok=True)
     worst = 0
     for argv in COMMANDS:
-        name = "_".join(a.lstrip("-") for a in argv if not a.startswith("--"))[:40]
-        path = OUT / f"{name}.json"
+        # the command words alone: a value such as 5/6 would name a directory
+        path = OUT / ("_".join(itertools.takewhile(lambda a: not a.startswith("-"), argv)) + ".json")
         t0 = time.monotonic()
         code = cli.run(argv + ["--output", str(path)])
         dt = time.monotonic() - t0

@@ -23,7 +23,6 @@ from fractions import Fraction
 from types import SimpleNamespace
 
 from . import harness
-from .forkjoin import forked
 from .errors import KernelError
 from .pbw import LieAlg, jacobi_check
 from .scalar import rat
@@ -165,8 +164,7 @@ def class3_order(args) -> int:
 def verify_scaling(args) -> list:
     order = class3_order(args)
     args.lams = [str(rat(x)) for x in args.lams or ("2", "3")]  # the form the report shows
-    return harness.run_verify_scaling(tuple(map(rat, args.lams)), args.seed,
-                                      class3_order=order, beside=forked)
+    return harness.run_verify_scaling(tuple(map(rat, args.lams)), args.seed, class3_order=order)
 
 
 def check_algebra(args) -> list:
@@ -195,7 +193,7 @@ COMMANDS = {key: (pipeline, {**flags, "--seed": ("seed", harness.DEFAULT_SEED),
         {"--alpha": ("alpha", REQUIRED), "--beta": ("beta", REQUIRED), "--shift": ("shift", "2"),
          "--max-word-len": ("max_word_len", 2)}),
     ("certify", "nilpotent"): (
-        lambda a: harness.run_certify_nilpotent(class3_order(a), a.seed, beside=forked),
+        lambda a: harness.run_certify_nilpotent(class3_order(a), a.seed),
         {"--order": ("order", 12)}),
     ("verify", "scaling"): (verify_scaling, {"--lambda": ("lams", ()), "--order": ("order", 12)}),
     ("verify", "valuation"): (lambda a: harness.run_verify_valuation(a.seed), {}),

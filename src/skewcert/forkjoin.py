@@ -1,9 +1,8 @@
-"""One function run in a forked child beside the work of this process.
+"""One function run in a forked child next to the work of this process.
 
-The pipelines of `harness` hand one group of verdicts to a `beside` runner:
-`inline` runs it at once in this process, `forked` in a child made with
-os.fork.  This module stays apart from harness.py so that compiling it
-from source does not raise the peak memory of commands that never fork.
+The pipelines of `harness` hand one group of verdicts to `forked`.  This
+module stays apart from harness.py so that compiling it from source does
+not raise the peak memory of commands that never fork.
 """
 
 from __future__ import annotations
@@ -13,22 +12,17 @@ import os
 from .errors import KernelError
 
 
-def inline(fn):
-    """Run fn at once in this process; its error propagates at once."""
-    value = fn()
-    return lambda: value
-
-
 def forked(fn):
     """Start fn in a child made with os.fork and return a join() that gives
     its value or raises its error.  A KernelError or ValueError comes back
     with its class and message (without payload such as a witness); any
     other error becomes a RuntimeError that carries the child's traceback,
     and a child that ends without a result is a KernelError.  join() reaps
-    the child.  Without fork, or on one CPU, this is `inline`."""
+    the child.  Without fork, or on one CPU, fn runs here at once."""
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
     if not hasattr(os, "fork") or cpus < 2:
-        return inline(fn)
+        value = fn()
+        return lambda: value
     import pickle  # only forking runs pay for this module
 
     r, w = os.pipe()
@@ -71,11 +65,11 @@ def forked(fn):
     return join
 
 
-def beside_each_other(beside, first, second) -> tuple:
-    """(first(), second()) with first run by `beside` (`inline` or `forked`)
-    while this process runs second.  When both fail, first's error wins, as
-    in program order; the worker is joined on every path."""
-    join = beside(first)
+def beside_each_other(first, second) -> tuple:
+    """(first(), second()) with first run by `forked` while this process
+    runs second.  When both fail, first's error wins, as in program order;
+    the worker is joined on every path."""
+    join = forked(first)
     try:
         value = second()
     except BaseException as ex:

@@ -5,13 +5,11 @@ data}; the CLI serializes them and maps the worst verdict to an exit code.
 The heavy objects (towers, atom inverses) are built once per pipeline run.
 
 `certify nilpotent` and `verify scaling` each end in two groups of
-verdicts that share no work.  Their pipelines take a `beside` runner for
-the first group (`forkjoin`): `inline` (the default, one process, as the
-tests and `run_selftest` use it) or `forked` (the CLI), which runs it in a
-child made with os.fork while this process runs the other group, then
-joins the verdicts in their usual order.  `certify heisenberg` and `twodim`
-run in one process: each of their groups takes tens of ms, and a worker
-made them slower, not faster.
+verdicts that share no work.  `forkjoin` runs the first group in a child
+made with os.fork (in this process without fork or on one CPU) while this
+process runs the other, then joins the verdicts in their usual order.
+`certify heisenberg` and `twodim` run in one process: each of their groups
+takes tens of ms, and a worker made them slower, not faster.
 """
 
 from __future__ import annotations
@@ -23,7 +21,7 @@ from typing import Callable
 
 from . import groupring, pbw, series, skewfrac
 from .errors import KernelError, ZeroDenominator
-from .forkjoin import beside_each_other, inline
+from .forkjoin import beside_each_other
 from .freecert import MODULUS, Coordinatizer, certify_freeness, enumerate_words
 from .pbw import (
     LieHom,
@@ -579,10 +577,10 @@ def run_certify_cauchon(alpha, beta, shift=2, max_word_len: int = 2,
     return verdicts
 
 
-def run_certify_nilpotent(order: int = 12, seed: int = DEFAULT_SEED, beside=inline) -> list[dict]:
+def run_certify_nilpotent(order: int = 12, seed: int = DEFAULT_SEED) -> list[dict]:
     """The morphisms of series, the commutative square and w+-v^2 (verdicts
-    1-5) run by `beside` while this process checks the facts, inverts A and B
-    and proves S and T."""
+    1-5) run by `forkjoin` while this process checks the facts, inverts A
+    and B and proves S and T."""
     rnd = random.Random(seed)
     src = class3_tower(order)
     dst = heisenberg_tower(order)
@@ -670,16 +668,15 @@ def run_certify_nilpotent(order: int = 12, seed: int = DEFAULT_SEED, beside=inli
                                              star(expr, table), expr, table, cross_check))
         return verdicts
 
-    first, rest = beside_each_other(beside, morphisms, symmetry)
+    first, rest = beside_each_other(morphisms, symmetry)
     return first + rest
 
 
 def run_verify_scaling(lams=(2, 3), seed: int = DEFAULT_SEED, cross_order: int = CROSS_ORDER,
-                       class3_order: int = 12, presets=("heisenberg", "class3"),
-                       beside=inline) -> list[dict]:
+                       class3_order: int = 12, presets=("heisenberg", "class3")) -> list[dict]:
     """S and T against their images under each scaling lambda, on the
     Heisenberg and class-3 atoms; with both presets the Heisenberg half runs
-    by `beside` while this process runs the class-3 half."""
+    by `forkjoin` while this process runs the class-3 half."""
     S, T = st_expressions()
 
     def heisenberg_half() -> list[dict]:
@@ -695,7 +692,7 @@ def run_verify_scaling(lams=(2, 3), seed: int = DEFAULT_SEED, cross_order: int =
               if name in presets]
     if len(halves) < 2:
         return [v for half in halves for v in half()]
-    first, rest = beside_each_other(beside, *halves)
+    first, rest = beside_each_other(*halves)
     return first + rest
 
 

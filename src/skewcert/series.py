@@ -552,7 +552,6 @@ def lift_derivation(
             raise ContextMismatch(f"derivation {name} lifted over {jring!r}")
         ops = jring.coeff
         groups = defaultdict(list)
-        inner: dict = {}
         trunc = a.trunc
         for i, c in a.coeffs.items():
             # d_tw(i) * c is a right multiplication by a coefficient: no
@@ -562,15 +561,9 @@ def lift_derivation(
                 groups[k].append((1, ck, c))
             trunc = min(trunc, dtwi.trunc)
             if delta_on_coeffs is not None:
-                dc = delta_on_coeffs(c)
-                if not (ops.is_zero(dc) and _exact(ops, dc)):
-                    inner[i] = dc
-        sp, add = ops.dot or ops.sum_products, ops.add
-        out = {k: sp(g) for k, g in groups.items() if k < trunc}
-        for i, dc in inner.items():
-            if i < trunc:
-                out[i] = add(out[i], dc) if i in out else dc
-        return Jet(jring, out, trunc)
+                groups[i].append((1, delta_on_coeffs(c), ops.one))
+        sp = ops.dot or ops.sum_products
+        return Jet(jring, {k: sp(g) for k, g in groups.items() if k < trunc}, trunc)
 
     return Derivation(name, fn)
 

@@ -1,3 +1,4 @@
+import os
 import random
 from fractions import Fraction
 
@@ -25,6 +26,12 @@ def M2():
 @pytest.fixture(scope="session")
 def L3():
     return pbw.free_nilpotent_class3()
+
+
+@pytest.fixture
+def one_process(monkeypatch):
+    """One CPU allowed: `forkjoin.forked` runs its function in this process."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
 
 
 @pytest.fixture

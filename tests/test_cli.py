@@ -495,3 +495,25 @@ def test_lambda_is_reported_in_lowest_terms(capsys, monkeypatch):
     assert code == 0
     assert report["params"]["lams"] == ["2"]
     assert calls == [((F(2),), harness.DEFAULT_SEED)]
+
+
+def test_run_all_certifications_writes_one_report_per_command(tmp_path, monkeypatch, capsys):
+    # a value such as cauchon's 5/6 must not name a directory of the report path
+    spec = importlib.util.spec_from_file_location(
+        "run_all_certifications", ROOT / "scripts" / "run_all_certifications.py")
+    script = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(script)
+    written = []
+
+    def run(argv):
+        path = pathlib.Path(argv[argv.index("--output") + 1])
+        path.write_text(json.dumps({"verdicts": [harness.verdict("stub", "stub", True)]}))
+        written.append(path)
+        return 0
+
+    monkeypatch.setattr(script, "OUT", tmp_path)
+    monkeypatch.setattr(cli, "run", run)
+    assert script.main() == 0
+    assert len(set(written)) == len(script.COMMANDS)
+    assert all(path.parent == tmp_path for path in written)
+    assert len(capsys.readouterr().out.splitlines()) == len(script.COMMANDS)

@@ -7,7 +7,7 @@ import pytest
 
 from skewcert import cli, harness
 from skewcert.errors import KernelError, PrecisionExhausted
-from skewcert.forkjoin import beside_each_other, forked, inline
+from skewcert.forkjoin import beside_each_other, forked
 from test_cli import scrub
 
 needs_fork = pytest.mark.skipif(
@@ -22,12 +22,17 @@ def no_child_left():
         os.waitpid(-1, os.WNOHANG)
 
 
-@pytest.mark.parametrize("run", [
-    lambda beside: harness.run_certify_nilpotent(10, beside=beside),
-    lambda beside: harness.run_verify_scaling(class3_order=10, beside=beside),
+NILPOTENT_AND_SCALING = pytest.mark.parametrize("run", [
+    lambda order: harness.run_certify_nilpotent(order),
+    lambda order: harness.run_verify_scaling(class3_order=order),
 ], ids=["nilpotent", "scaling"])
-def test_forked_half_gives_the_same_verdicts(run):
-    assert scrub(run(forked)) == scrub(run(inline))
+
+
+@NILPOTENT_AND_SCALING
+def test_forked_half_gives_the_same_verdicts(run, request):
+    default = scrub(run(10))
+    request.getfixturevalue("one_process")
+    assert scrub(run(10)) == default
 
 
 @needs_fork
@@ -35,8 +40,7 @@ def test_forked_runs_in_a_child():
     assert forked(os.getpid)() != os.getpid()
 
 
-def test_one_cpu_runs_inline(monkeypatch):
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+def test_one_cpu_runs_inline(one_process):
     assert forked(os.getpid)() == os.getpid()
 
 
@@ -62,16 +66,17 @@ def test_other_error_carries_the_child_traceback():
         join()
 
 
-@pytest.mark.parametrize("beside", [inline, forked])
-def test_first_error_wins_when_both_halves_fail(beside):
+@pytest.mark.parametrize("cpus", [{0}, {0, 1}], ids=["inline", "forked"])
+def test_first_error_wins_when_both_halves_fail(cpus, monkeypatch):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: cpus, raising=False)
     with pytest.raises(ValueError, match="first"):
-        beside_each_other(beside, _raise(ValueError("first")), _raise(KernelError("second")))
+        beside_each_other(_raise(ValueError("first")), _raise(KernelError("second")))
 
 
 @needs_fork
 def test_parent_error_is_raised_after_the_child_is_joined():
     with pytest.raises(KernelError, match="second"):
-        beside_each_other(forked, lambda: 1, _raise(KernelError("second")))
+        beside_each_other(lambda: 1, _raise(KernelError("second")))
 
 
 @needs_fork
@@ -101,14 +106,33 @@ def test_failing_cli_run_leaves_no_child(monkeypatch, capsys):
 ], ids=["heisenberg", "twodim", "nilpotent", "scaling"])
 def test_only_nilpotent_and_scaling_fork(argv, forks, monkeypatch, capsys):
     # heisenberg's and twodim's groups take tens of ms each: a worker made them slower
+    calls = count_forks(monkeypatch)
+    assert cli.run(argv) == 0
+    assert capsys.readouterr().err == ""
+    assert len(calls) == forks
+
+
+def count_forks(monkeypatch) -> list:
     calls = []
     real_fork = os.fork
 
     def counting_fork():
-        calls.append(argv)
+        calls.append(1)
         return real_fork()
 
     monkeypatch.setattr(os, "fork", counting_fork)
-    assert cli.run(argv) == 0
-    assert capsys.readouterr().err == ""
+    return calls
+
+
+@NILPOTENT_AND_SCALING
+@pytest.mark.parametrize("layout, forks", [
+    pytest.param("default", 1, marks=needs_fork),
+    ("one_process", 0),
+])
+def test_pipeline_forks_once_unless_one_process(run, layout, forks, monkeypatch, request):
+    # the layout is the platform's: a direct call forks as the CLI does
+    if layout == "one_process":
+        request.getfixturevalue("one_process")
+    calls = count_forks(monkeypatch)
+    run(4)
     assert len(calls) == forks

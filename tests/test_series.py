@@ -863,7 +863,7 @@ def jet_dot_delta_calls(monkeypatch, run) -> int:
     return len(calls)
 
 
-def test_verify_scaling_delta_applications(monkeypatch):
+def test_verify_scaling_delta_applications(monkeypatch, one_process):
     # 3,466 while the chains of an exact product with no positive right
     # order ran to the ring's order; 3,739 while jet_inv crossed t^-m on the
     # inverse's side for m < 0; 15,448 with the chains run to
@@ -871,7 +871,7 @@ def test_verify_scaling_delta_applications(monkeypatch):
     assert jet_dot_delta_calls(monkeypatch, run_verify_scaling) == 3250
 
 
-def test_certify_nilpotent_delta_applications(monkeypatch):
+def test_certify_nilpotent_delta_applications(monkeypatch, one_process):
     # 9,584 while the chains of an exact product with no positive right
     # order ran to the ring's order
     assert jet_dot_delta_calls(monkeypatch, run_certify_nilpotent) == 8336

@@ -254,7 +254,7 @@ def test_class3_table_has_no_false_commutation():
     assert prove_equal(star(T, table), T, table) == "equal"
 
 
-def test_nilpotent_inverts_each_top_level_jet_once(monkeypatch):
+def test_nilpotent_inverts_each_top_level_jet_once(monkeypatch, one_process):
     # w+v^2, w-v^2, A and B are inverted for their verdicts; the S/T cross-
     # check reuses the checked inverses of A and B and inverts C and E once
     # (the starred T holds Inv(Neg(E)) and Inv(Neg(C)), which reuse them)
@@ -375,7 +375,7 @@ def _count_products(monkeypatch):
     return harness, count
 
 
-def test_verify_scaling_shares_products(monkeypatch):
+def test_verify_scaling_shares_products(monkeypatch, one_process):
     # per tower: S costs 2 products and T 4; per lambda S' reuses both of S's,
     # and its value is stored like S's, so T' reuses all of T's: 2 * 6 = 12
     harness, count = _count_products(monkeypatch)
