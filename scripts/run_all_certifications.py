@@ -3,6 +3,8 @@
 reports under reports/.  Prints a one-line summary per command; exits nonzero
 if any command found a counterexample or was inconclusive."""
 
+import contextlib
+import io
 import itertools
 import json
 import pathlib
@@ -34,7 +36,9 @@ def main():
         # the command words alone: a value such as 5/6 would name a directory
         path = OUT / ("_".join(itertools.takewhile(lambda a: not a.startswith("-"), argv)) + ".json")
         t0 = time.monotonic()
-        code = cli.run(argv + ["--output", str(path)])
+        # cli.run writes the report to stdout as well; keep it off the summary
+        with contextlib.redirect_stdout(io.StringIO()):
+            code = cli.run(argv + ["--output", str(path)])
         dt = time.monotonic() - t0
         report = json.loads(path.read_text())
         n = len(report["verdicts"])

@@ -144,6 +144,7 @@ def parse_lie_algebra(text: str) -> LieAlg:
 
 
 REQUIRED = ...  # the default of a flag that must be given
+MAX_WORD_LEN = 12  # the rank holds every word up to it: 12 admits 8,191 monoid words
 
 
 def certify_skew(preset, args) -> list:
@@ -280,6 +281,8 @@ def run(argv=None) -> int:
             raise ValueError("--order must be at least 1")
         if getattr(args, "max_word_len", 1) < 1:
             raise ValueError("--max-word-len must be at least 1")
+        if getattr(args, "max_word_len", 1) > MAX_WORD_LEN:
+            raise ValueError(f"--max-word-len must be at most {MAX_WORD_LEN}")
         verdicts = pipeline(args)
         params = {dest: getattr(args, dest) for dest, _ in flags.values()
                   if dest not in ("seed", "output")}

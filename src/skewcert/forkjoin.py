@@ -1,8 +1,8 @@
 """One function run in a forked child next to the work of this process.
 
-The pipelines of `harness` hand one group of verdicts to `forked`.  This
-module stays apart from harness.py so that compiling it from source does
-not raise the peak memory of commands that never fork.
+`harness` imports this module at load and hands one group of verdicts to
+`forked`, the package's one `os.fork` path.  A command that never forks
+skips `pickle` and `traceback`, which `forked` imports inside itself.
 """
 
 from __future__ import annotations

@@ -6,6 +6,9 @@ whatever the host module uses.  `smul` is scalar multiplication by an int
 or a Fraction.  `add`, `neg`, `mul` and `is_zero` default to the element's
 own `+`, unary `-`, `*` and `not`; a table names them only to supply another
 kernel.  `inv`/`is_unit` are optional (None where the ring cannot invert).
+`exact_zero(c)` says c is zero to every order; it defaults to `is_zero`,
+and rings of truncated jets, whose `is_zero` also admits a zero known only
+below some order, supply their own.
 
 RingOps is a plain class with slots.  `replace(**changes)` returns a copy
 with the named fields swapped; an unknown name is a TypeError.
@@ -25,7 +28,7 @@ from typing import Any, Callable, Optional
 
 class RingOps:
     __slots__ = ("name", "zero", "one", "smul", "add", "neg", "mul", "is_zero",
-                 "inv", "is_unit", "fully_exact", "dot")
+                 "inv", "is_unit", "exact_zero", "dot")
 
     def __init__(self, name: str, zero: Any, one: Any, smul: Callable[[Any, Any], Any],
                  add: Callable[[Any, Any], Any] = operator.add,
@@ -34,13 +37,12 @@ class RingOps:
                  is_zero: Callable[[Any], bool] = operator.not_,
                  inv: Optional[Callable[[Any], Any]] = None,
                  is_unit: Optional[Callable[[Any], bool]] = None,
-                 # None means every element is exactly known (no hidden truncation);
-                 # rings of truncated jets override this for precision bookkeeping.
-                 fully_exact: Optional[Callable[[Any], bool]] = None,
+                 exact_zero: Optional[Callable[[Any], bool]] = None,
                  dot: Optional[Callable[[list], Any]] = None):
         self.name, self.zero, self.one, self.smul = name, zero, one, smul
         self.add, self.neg, self.mul, self.is_zero = add, neg, mul, is_zero
-        self.inv, self.is_unit, self.fully_exact, self.dot = inv, is_unit, fully_exact, dot
+        self.inv, self.is_unit, self.dot = inv, is_unit, dot
+        self.exact_zero = is_zero if exact_zero is None else exact_zero
 
     def replace(self, **changes) -> "RingOps":
         return RingOps(**{**{k: getattr(self, k) for k in self.__slots__}, **changes})

@@ -668,9 +668,9 @@ RF_ONE = RatFun.const(1)
 # one int product.  To every other reader a BiPoly is a Poly in n2 over
 # Polys in n1: `.coeffs` builds that nested view on each read, with int
 # scalars when integral and Fractions otherwise, so repr, == and hash agree
-# with a nested Poly built generically.  A nested Poly given to the kernel
-# is read into the form at its edge, and +, - and * on a BiPoly are the
-# kernel's.
+# with a nested Poly built generically.  The kernel takes BiPolys alone:
+# +, - and * on a BiPoly are the kernel's, and read a nested Poly operand
+# into the form there.
 
 
 class BiPoly(Poly):
@@ -696,13 +696,13 @@ class BiPoly(Poly):
         return bool(self.terms)
 
     def __add__(self, other):
-        return _bp_add(self, other)
+        return _bp_add(self, _bp(other))
 
     def __neg__(self):
         return _bp_neg(self)
 
     def __mul__(self, other):
-        return _bp_mul(self, other) if isinstance(other, Poly) else _bp_scale(other, self)
+        return _bp_mul(self, _bp(other)) if isinstance(other, Poly) else _bp_scale(other, self)
 
     __radd__, __rmul__ = __add__, __mul__
 
@@ -764,8 +764,7 @@ def _normal(den: int, acc: dict) -> BiPoly:
     return _bipoly(den, tuple(items))
 
 
-def _bp_add(a, b) -> BiPoly:
-    a, b = _bp(a), _bp(b)
+def _bp_add(a: BiPoly, b: BiPoly) -> BiPoly:
     if not b.terms:
         return a
     if not a.terms:
@@ -780,14 +779,12 @@ def _bp_add(a, b) -> BiPoly:
     return _normal(den, acc)
 
 
-def _bp_neg(a) -> BiPoly:
-    a = _bp(a)
+def _bp_neg(a: BiPoly) -> BiPoly:
     return _bipoly(a.den, tuple([(k, -c) for k, c in a.terms]))
 
 
-def _bp_scale(q, a) -> BiPoly:
+def _bp_scale(q, a: BiPoly) -> BiPoly:
     """q * a for an int or Fraction q."""
-    a = _bp(a)
     n = q.numerator
     return _normal(q.denominator * a.den, {k: n * c for k, c in a.terms})
 
@@ -800,7 +797,6 @@ def _bp_dot(terms) -> BiPoly:
     get = acc.get
     den = 1
     for kap, x, y in terms:
-        x, y = _bp(x), _bp(y)
         X, Y = x.terms, y.terms
         if not X or not Y:
             continue
@@ -825,7 +821,7 @@ def _bp_dot(terms) -> BiPoly:
     return _normal(den, acc)
 
 
-def _bp_mul(a, b) -> BiPoly:
+def _bp_mul(a: BiPoly, b: BiPoly) -> BiPoly:
     return _bp_dot(((1, a, b),))
 
 
@@ -845,10 +841,9 @@ def bipoly_n2() -> BiPoly:
     return _bipoly(1, ((1 << 15, 1),))
 
 
-def bipoly_eps(f) -> Fraction:
+def bipoly_eps(f: BiPoly) -> Fraction:
     """Augmentation of Q[n1, n2]: the constant-constant coefficient, always
     a Fraction (it feeds Q((t_z)), whose inverse divides)."""
-    f = _bp(f)
     T = f.terms
     return Fraction(T[0][1], f.den) if T and T[0][0] == 0 else _FRACTION_ZERO
 
@@ -857,14 +852,13 @@ def bipoly_ops() -> RingOps:
     """Q[n1, n2] through the kernel above; the units are the nonzero
     constants."""
 
-    def is_unit(f) -> bool:
-        T = _bp(f).terms
+    def is_unit(f: BiPoly) -> bool:
+        T = f.terms
         return len(T) == 1 and T[0][0] == 0
 
-    def inv(f) -> BiPoly:
+    def inv(f: BiPoly) -> BiPoly:
         if not is_unit(f):
             raise LowestCoeffNotUnit("nonconstant polynomial is not a unit", f)
-        f = _bp(f)
         c = f.terms[0][1]
         return _bipoly(abs(c), ((0, f.den if c > 0 else -f.den),))
 

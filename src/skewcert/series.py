@@ -20,7 +20,7 @@ known but carries finite precision is kept explicitly (an "inexact zero"),
 because discarding it would silently over-claim the precision of anything
 accumulated from it.  Only exactly-zero coefficients are dropped.  The
 coefficient-ring contract distinguishes the two through RingOps.is_zero
-(known zero) and the optional RingOps.fully_exact.
+(known zero) and RingOps.exact_zero (zero to every order).
 
 Clean-jet invariant: every stored order i of a Jet satisfies floor <= i <
 trunc, its coefficient is not an exact zero, and trunc <= EXACT.  The
@@ -72,10 +72,6 @@ EXACT = 10**9  # truncation sentinel for exactly known jets
 
 def _tadd(t: int, k: int) -> int:
     return EXACT if t >= EXACT else t + k
-
-
-def _exact(ops: RingOps, c) -> bool:
-    return True if ops.fully_exact is None else ops.fully_exact(c)
 
 
 class Derivation:
@@ -144,7 +140,7 @@ class JetRing:
             is_zero=jet_known_zero,
             inv=jet_inv,
             is_unit=lambda a: unit_criterion_audit(a)[0],
-            fully_exact=jet_fully_exact,
+            exact_zero=jet_exact_zero,
             dot=jet_dot,
         )
 
@@ -155,11 +151,9 @@ class Jet:
     def __init__(self, ring: JetRing, coeffs: dict, trunc: int = EXACT):
         trunc = min(trunc, EXACT)
         clean = {}
-        is_zero = ring.coeff.is_zero
+        exact_zero = ring.coeff.exact_zero
         for i, c in coeffs.items():
-            if i >= trunc:
-                continue
-            if is_zero(c) and _exact(ring.coeff, c):
+            if i >= trunc or exact_zero(c):
                 continue
             if i < ring.floor:
                 raise _below_floor(ring, i)
@@ -225,10 +219,10 @@ def jet_known_zero(a: Jet) -> bool:
     return True
 
 
-def jet_fully_exact(a: Jet) -> bool:
-    if a.trunc < EXACT:
-        return False
-    return all(_exact(a.ring.coeff, c) for c in a.coeffs.values())
+def jet_exact_zero(a: Jet) -> bool:
+    """Zero to every order: known to every order and storing nothing, since
+    by the clean-jet invariant no stored coefficient is an exact zero."""
+    return a.trunc >= EXACT and not a.coeffs
 
 
 def _check_ctx(a: Jet, b: Jet):
@@ -239,14 +233,14 @@ def _check_ctx(a: Jet, b: Jet):
 def jet_add(a: Jet, b: Jet) -> Jet:
     _check_ctx(a, b)
     ops = a.ring.coeff
-    add, is_zero, exact = ops.add, ops.is_zero, ops.fully_exact
+    add, exact_zero = ops.add, ops.exact_zero
     trunc = min(a.trunc, b.trunc)
     out = dict(a.coeffs) if a.trunc == trunc else {
         i: c for i, c in a.coeffs.items() if i < trunc}
     for i, c in b.coeffs.items():
         if i in out:
             s = add(out[i], c)
-            if is_zero(s) and (exact is None or exact(s)):
+            if exact_zero(s):
                 del out[i]
             else:
                 out[i] = s
@@ -305,7 +299,7 @@ def jet_dot(terms) -> Jet:
             if t < trunc:
                 trunc = t
     ops = ring.coeff
-    is_zero = ops.is_zero
+    is_zero, exact_zero = ops.is_zero, ops.exact_zero
     delta, sigma = ring.delta, ring.sigma
     groups = defaultdict(list)
     for kap, a, b in terms:
@@ -337,7 +331,7 @@ def jet_dot(terms) -> Jet:
             m = 0
             while True:
                 if is_zero(dm):
-                    if not _exact(ops, dm):
+                    if not exact_zero(dm):
                         # the rest of the chain only carries precision caps:
                         # spread one empty product per j over the remaining
                         # window (for j <= 0 the crossing stops at k = i)
@@ -368,7 +362,7 @@ def jet_dot(terms) -> Jet:
     for k, g in groups.items():
         if k < trunc:
             s = sp(g)
-            if is_zero(s) and _exact(ops, s):
+            if exact_zero(s):
                 continue
             if k < ring.floor:
                 raise _below_floor(ring, k)
@@ -446,7 +440,7 @@ def jet_inv(a: Jet) -> Jet:
                     if not kap:
                         continue
                     dmi = dpow(i, mm)
-                    if ops.is_zero(dmi) and _exact(ops, dmi):
+                    if ops.exact_zero(dmi):
                         continue
                     terms.append((-kap, dmi, dj))
         if n == 0:
@@ -455,7 +449,7 @@ def jet_inv(a: Jet) -> Jet:
             acc = sp(terms)
         else:
             continue
-        if ops.is_zero(acc) and _exact(ops, acc):
+        if ops.exact_zero(acc):
             continue
         d[n] = ops.mul(sigma(c0_inv, n) if sigma else c0_inv, acc)
     return jet_shift(Jet(ring, d, max(0, n_ord)), -m)

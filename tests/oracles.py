@@ -9,7 +9,7 @@ from skewcert import skewfrac
 from skewcert.errors import DivisionByZero, PoleAtPoint
 from skewcert.freecert import MODULUS
 from skewcert.scalar import Poly, RatFun
-from skewcert.series import Jet, _exact, _kappa, _tadd, jet_add, jet_mul, jet_neg
+from skewcert.series import EXACT, Jet, _kappa, _tadd, jet_add, jet_mul, jet_neg
 from skewcert.skewpoly import sp_gcrd_llcm, sp_mul
 
 
@@ -91,6 +91,20 @@ def check_leibniz(delta, ops, pairs):
     return True, None
 
 
+def fully_exact(c) -> bool:
+    """c hides no truncation at any tower level: a jet known to every
+    order whose coefficients are all fully exact, or a base-ring scalar."""
+    if isinstance(c, Jet):
+        return c.trunc >= EXACT and all(fully_exact(x) for x in c.coeffs.values())
+    return True
+
+
+def exact_zero(ops, c) -> bool:
+    """c is zero to every order, by the recursive definition: known zero
+    and fully exact.  The reference for `RingOps.exact_zero`."""
+    return ops.is_zero(c) and fully_exact(c)
+
+
 def jet_sub(a: Jet, b: Jet) -> Jet:
     return jet_add(a, jet_neg(b))
 
@@ -140,7 +154,7 @@ def jet_inv_left(a: Jet) -> Jet:
                     if not kap:
                         continue
                     dmi = dpow(i, mm)
-                    if ops.is_zero(dmi) and _exact(ops, dmi):
+                    if exact_zero(ops, dmi):
                         continue
                     terms.append((-kap, dmi, dj))
         if n == 0:
@@ -149,7 +163,7 @@ def jet_inv_left(a: Jet) -> Jet:
             acc = ops.sum_products(terms)
         else:
             continue
-        if ops.is_zero(acc) and _exact(ops, acc):
+        if exact_zero(ops, acc):
             continue
         d[n] = ops.mul(sigma(c0_inv, n) if sigma else c0_inv, acc)
     dj = Jet(ring, d, max(0, n_ord))

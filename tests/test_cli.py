@@ -4,6 +4,7 @@ import importlib.util
 import json
 import os
 import pathlib
+import re
 import subprocess
 import sys
 from fractions import Fraction as F
@@ -281,6 +282,50 @@ def test_order_at_the_jet_ceiling_is_accepted(target, capsys, monkeypatch):
     assert report["params"] == {"max_word_len": 1, "order": 256}
 
 
+STUBS = {"heisenberg": "run_certify_skew", "twodim": "run_certify_skew",
+         "groupring": "run_certify_groupring", "cauchon": "run_certify_cauchon"}
+
+
+@pytest.mark.parametrize("target", sorted(STUBS))
+@pytest.mark.parametrize("length", ["99999999999999999999", str(cli.MAX_WORD_LEN + 1)])
+def test_word_length_above_the_bound_is_a_one_line_error(target, length, capsys, monkeypatch):
+    # the pipeline is stubbed to fail: the bound refuses before any work
+    def pipeline(*args):
+        raise AssertionError("the pipeline ran")
+
+    monkeypatch.setattr(harness, STUBS[target], pipeline)
+    extra = ["--alpha", "5/6", "--beta", "1/6"] if target == "cauchon" else []
+    code = cli.run(["certify", target, *extra, "--max-word-len", length])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.err == f"error: --max-word-len must be at most {cli.MAX_WORD_LEN}\n"
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize("target", sorted(STUBS))
+def test_word_length_at_the_bound_is_accepted(target, capsys, monkeypatch):
+    calls = []
+
+    def pipeline(*args):
+        calls.append(args)
+        return [harness.verdict("stub", "label", True)]
+
+    monkeypatch.setattr(harness, STUBS[target], pipeline)
+    extra = ["--alpha", "5/6", "--beta", "1/6"] if target == "cauchon" else []
+    code, report = run_cli(["certify", target, *extra, "--max-word-len", str(cli.MAX_WORD_LEN)], capsys)
+    assert code == 0 and len(calls) == 1
+    assert report["params"]["max_word_len"] == cli.MAX_WORD_LEN
+
+
+def test_word_length_bound_admits_every_length_in_use():
+    # the goldens and the benchmark name their lengths in code; the README
+    # runs groupring at 10 and ROADMAP item 1 heisenberg and twodim up to 8
+    used = [10, 8]
+    for path in (ROOT / "scripts" / "regen_goldens.py", ROOT / "perfbench" / "run.py"):
+        used += [int(n) for n in re.findall(r'"--max-word-len", "(\d+)"', path.read_text())]
+    assert len(used) > 2 and max(used) <= cli.MAX_WORD_LEN
+
+
 def _freeness(report):
     (v,) = [v for v in report["verdicts"] if "jets" in v["data"]]
     return v
@@ -506,8 +551,11 @@ def test_run_all_certifications_writes_one_report_per_command(tmp_path, monkeypa
     written = []
 
     def run(argv):
+        # like cli.emit_report: the report goes to the file and to stdout
         path = pathlib.Path(argv[argv.index("--output") + 1])
-        path.write_text(json.dumps({"verdicts": [harness.verdict("stub", "stub", True)]}))
+        text = json.dumps({"verdicts": [harness.verdict("stub", "stub", True)]}, indent=2)
+        path.write_text(text)
+        sys.stdout.write(text + "\n")
         written.append(path)
         return 0
 

@@ -1,6 +1,6 @@
 """The RingOps contract: `add`, `neg`, `mul` and `is_zero` default to the
-elements' own operators, every ring table keeps them, and `replace` copies
-a table."""
+elements' own operators and `exact_zero` to `is_zero`, every ring table
+keeps them, and `replace` copies a table."""
 
 from fractions import Fraction as F
 
@@ -42,6 +42,8 @@ def test_ring_tables_agree_with_element_operators(name):
         assert ops.is_zero(x) == (not x)
     assert ops.is_zero(ops.zero)
     assert not ops.is_zero(ops.one)
+    # no element of these rings hides a truncation, so known zero is exact zero
+    assert ops.exact_zero is ops.is_zero
 
 
 def test_skew_field_inverse_is_looked_up_at_call_time(monkeypatch):

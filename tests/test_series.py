@@ -38,7 +38,7 @@ from skewcert.series import (
     hom_phi_v,
     hom_phi_w,
     jet_add,
-    jet_fully_exact,
+    jet_exact_zero,
     jet_inv,
     jet_known_zero,
     jet_mul,
@@ -52,7 +52,7 @@ from skewcert.series import (
 )
 from skewcert.skewfrac import ShiftAut, pjet_ring
 from skewcert.symcert import verify_facts
-from oracles import check_leibniz, jet_inv_left, jet_sub, jet_truncate
+from oracles import check_leibniz, exact_zero, fully_exact, jet_inv_left, jet_sub, jet_truncate
 
 
 @pytest.fixture(scope="module")
@@ -315,7 +315,7 @@ single_terms = st.dictionaries(monomials, scalars, min_size=1, max_size=1)
 elements = st.one_of(terms, single_terms)
 
 
-def bipoly_from_terms(terms: dict) -> Poly:
+def nested_from_terms(terms: dict) -> Poly:
     """Built by the generic Poly constructor, as callers outside the kernel
     do: every coefficient is a Fraction, integral ones included."""
     n2 = max((i for i, _ in terms), default=-1) + 1
@@ -324,6 +324,12 @@ def bipoly_from_terms(terms: dict) -> Poly:
     for (i, j), c in terms.items():
         rows[i][j] += c
     return Poly([Poly(row) for row in rows])
+
+
+def bipoly_from_terms(terms: dict) -> BiPoly:
+    """The kernel value of the monomials `terms`, read from the nested Poly
+    as BiPoly's operators read an operand."""
+    return scalar._bp(nested_from_terms(terms))
 
 
 def terms_of(f: Poly) -> dict:
@@ -364,7 +370,7 @@ def assert_kernel_value(got, want: dict):
     keys = [k for k, _ in terms]
     assert all(k1 < k2 for k1, k2 in zip(keys, keys[1:]))
     assert terms_of(got) == want
-    reference = bipoly_from_terms(want)
+    reference = nested_from_terms(want)
     assert got.coeffs == reference.coeffs and got == reference and reference == got
     assert hash(got) == hash(reference) and repr(got) == repr(reference)
     for inner in got.coeffs:
@@ -422,7 +428,8 @@ def test_bipoly_n1_degree_stays_below_the_packed_field():
     """A key packs (n2-degree << 15) | n1-degree, and every stored
     n1-degree is below 2**14, so two keys add without a carry.  The kernel
     refuses the product n1^(2**13) n1^(2**13), and a nested Poly of
-    n1-degree 2**14, with a KernelError (a one-line `error:` in the CLI)."""
+    n1-degree 2**14 at BiPoly's operators, with a KernelError (a one-line
+    `error:` in the CLI)."""
     half = bipoly_ops().mul(bipoly_from_terms({(0, 2**13): 1}), bipoly_const(1))
     assert half.terms == ((2**13, 1),)
     assert bipoly_ops().mul(half, bipoly_from_terms({(0, 2**13 - 1): 1})).terms == ((2**14 - 1, 1),)
@@ -430,7 +437,7 @@ def test_bipoly_n1_degree_stays_below_the_packed_field():
         with pytest.raises(KernelError, match="n1-degree"):
             scalar._bp_dot(terms)
     with pytest.raises(KernelError, match="n1-degree"):
-        bipoly_ops().neg(bipoly_from_terms({(1, 2**14): 1}))
+        bipoly_n2() + nested_from_terms({(1, 2**14): 1})
 
 
 def lead_term(terms: dict) -> dict:
@@ -479,9 +486,10 @@ def test_bipoly_dot_matches_fallback_and_monomial_oracle(raw, cancel):
 
 
 def both_forms(terms: dict) -> tuple:
-    """The nested Poly a caller builds and the kernel's own value of it."""
-    plain = bipoly_from_terms(terms)
-    return plain, bipoly_ops().mul(plain, bipoly_const(1))
+    """The value read from the nested Poly a caller builds, and the value
+    the kernel computes as that times 1."""
+    read = bipoly_from_terms(terms)
+    return read, bipoly_ops().mul(read, bipoly_const(1))
 
 
 dot_terms = st.lists(st.tuples(dot_kappas, elements, elements, st.booleans(), st.booleans()),
@@ -496,8 +504,8 @@ dot_terms = st.lists(st.tuples(dot_kappas, elements, elements, st.booleans(), st
           (1, {(0, 0): F(1, 3)}, {(1, 0): 1}, False, True),
           (-1, {(0, 0): F(5, 6)}, {(1, 0): 1}, True, False)])
 def test_bipoly_kernel_outputs_are_canonical(ta, tb, q, raw):
-    """Every kernel output, with a plain nested Poly in each operand
-    position: add, neg, smul, mul, dot, inv and const."""
+    """Every kernel output, with a value read from a nested Poly in each
+    operand position: add, neg, smul, mul, dot, inv and const."""
     ops = bipoly_ops()
     da, db = terms_of(bipoly_from_terms(ta)), terms_of(bipoly_from_terms(tb))
     for a in both_forms(ta):
@@ -511,8 +519,8 @@ def test_bipoly_kernel_outputs_are_canonical(ta, tb, q, raw):
     assert_kernel_value(bipoly_const(q), {(0, 0): F(q)})
     assert_kernel_value(bipoly_const(0), {})
     terms, want = [], {}
-    for k, x, y, plain_x, plain_y in raw:
-        terms.append((k, both_forms(x)[not plain_x], both_forms(y)[not plain_y]))
+    for k, x, y, read_x, read_y in raw:
+        terms.append((k, both_forms(x)[not read_x], both_forms(y)[not read_y]))
         prod = ref_mul(terms_of(bipoly_from_terms(x)), terms_of(bipoly_from_terms(y)))
         want = ref_add(want, {m: k * c for m, c in prod.items()})
     assert_kernel_value(ops.dot(terms), want)
@@ -536,6 +544,23 @@ def test_class3_tower_holds_only_the_integer_form():
     assert leaves and all(type(c) is BiPoly for c in leaves)
     assert type(bipoly_const(3) + bipoly_n1()) is BiPoly
     assert type(Poly((Poly((F(1),)),)) * bipoly_n2()) is BiPoly
+
+
+@settings(max_examples=200)
+@given(elements, elements)
+def test_operators_read_a_nested_operand_into_the_kernel_form(ta, tb):
+    """+, - and * between a nested Poly and a BiPoly, either side first,
+    give the kernel value: Python tries BiPoly's reflected operator before
+    Poly's, and Poly.__sub__ adds the negated operand."""
+    nested, b = nested_from_terms(ta), bipoly_from_terms(tb)
+    da, db = terms_of(nested), terms_of(b)
+    neg = {k: -c for k, c in da.items()}
+    assert_kernel_value(nested + b, ref_add(da, db))
+    assert_kernel_value(b + nested, ref_add(db, da))
+    assert_kernel_value(nested * b, ref_mul(da, db))
+    assert_kernel_value(b * nested, ref_mul(db, da))
+    assert_kernel_value(b - nested, ref_add(db, neg))
+    assert_kernel_value(nested - b, ref_add(da, {k: -c for k, c in db.items()}))
 
 
 rationals = st.one_of(
@@ -607,6 +632,41 @@ def test_jet_operations_keep_jets_clean(name, level, data):
         pass
     for x in outputs:
         assert_clean(x)
+
+
+@settings(max_examples=150)
+@given(st.sampled_from(sorted(TOWERS)), st.integers(0, 2), st.data())
+def test_jet_exact_zero_matches_the_recursive_reference(name, level, data):
+    """A jet is zero to every order exactly when its trunc is EXACT and it
+    stores nothing: on jets built by public ops at every level, inexact
+    zeros included, each ring's exact_zero agrees with the oracle's "known
+    zero and fully exact" at every depth."""
+    tower = TOWERS[name]
+    level = min(level, len(tower.levels) - 1)
+    ring = tower.levels[level]
+    ops = ring.ops()
+    assert ops.exact_zero is jet_exact_zero
+    a, b = draw_jet(data, tower, level), draw_jet(data, tower, level)
+    at_exact, at_finite = Jet(ring, a.coeffs), jet_truncate(a, 3)
+    zeros = [ring.zero_jet(), ring.zero_jet(3)]
+    assert [jet_exact_zero(z) for z in zeros] == [True, False]
+    assert not jet_exact_zero(jet_add(at_finite, jet_neg(at_finite)))
+    jets = zeros + [a, b, at_exact, at_finite, jet_add(a, b), jet_mul(a, b), jet_smul(0, a),
+                    jet_add(at_exact, jet_neg(at_exact)), jet_add(at_finite, jet_neg(at_finite))]
+    if level:
+        inner = tower.levels[level - 1]
+        held = [ring.const(inner.zero_jet(2)), ring.const(inner.zero_jet())]
+        assert [jet_exact_zero(x) for x in held] == [False, True]
+        jets += held
+
+    def check(ops, x):
+        assert ops.exact_zero(x) == exact_zero(ops, x)
+        if isinstance(x, Jet):
+            for c in x.coeffs.values():
+                check(x.ring.coeff, c)
+
+    for x in jets:
+        check(ops, x)
 
 
 def test_lifted_derivation_drops_cancelled_and_truncated_orders():
@@ -741,7 +801,7 @@ def test_fused_products_cancel_and_keep_inexact_zeros(name):
     # the first two terms cancel exactly; the inexact zero caps the sum
     s = ring.ops().sum_products([(1, a, b), (-1, a, b)])
     assert s.trunc == 4 and all(jet_known_zero(v) for v in s.coeffs.values())
-    assert s.coeffs and not any(jet_fully_exact(v) for v in s.coeffs.values())
+    assert s.coeffs and not any(fully_exact(v) for v in s.coeffs.values())
 
 
 # -- the delta chain stops at the kappa support -----------------------------------
@@ -777,7 +837,7 @@ def crossing_reference(terms) -> Jet:
                 max_m = ring.order - b_min if no_pos else None
             while True:
                 if ops.is_zero(dm):
-                    if not series._exact(ops, dm):
+                    if not exact_zero(ops, dm):
                         if trunc >= series.EXACT and not no_pos:
                             trunc = ring.order
                         for j, bj in b.coeffs.items():
