@@ -15,6 +15,7 @@ takes tens of ms, and a worker made them slower, not faster.
 from __future__ import annotations
 
 import functools
+import math
 import random
 from fractions import Fraction
 from typing import Callable
@@ -429,11 +430,7 @@ TWODIM = SkewPreset(
 )
 
 
-# highest p-order, and first number of points, of the evaluated p-jets of
-# `certify_skew_jets`, and the first p-order of `certify cauchon`
-JET_ORDER_CEILING = 256
-JET_POINTS = 16
-CAUCHON_JET_ORDER = 16
+JET_ORDER_CEILING = 256  # highest p-order of the evaluated p-jets of `certify_skew_jets`
 CROSS_ORDER = 16  # the order of the symmetry verdicts' jet cross-checks
 
 
@@ -482,7 +479,7 @@ def composition_proof(construction, max_word_len: int, command: str, seed: int):
     words in Sbar, Tbar are (README, Soundness notes).  The wiring check
     reads xi + xi^-1 and eta + eta^-1 at the group half's (N, W, t0): they
     must be Sbar and Tbar read there.  Returns both halves' reports."""
-    group = certify_skew_jets(construction, max_word_len, CAUCHON_JET_ORDER, "group", command, seed)
+    group = certify_skew_jets(construction, max_word_len, mode="group", command=command, seed=seed)
     n, w, t0 = (group.params[k] for k in ("order", "points", "t0"))
     add = skewfrac.residue_pjet_ring(n).ops().add
     xi, xi_inv, eta, eta_inv = skewfrac.residue_generators(construction, "group", n, w, t0)[0]
@@ -495,25 +492,37 @@ def composition_proof(construction, max_word_len: int, command: str, seed: int):
                                    max_word_len, "monoid", command=command, seed=seed)
 
 
-def certify_skew_jets(construction, max_word_len: int, order: int, mode: str = "monoid",
-                      command: str = "certify", seed: int = DEFAULT_SEED):
+def first_jet_attempt(word_count: int, top_power: int, step: int, order: int | None = None):
+    """The first (N, W) of `certify_skew_jets`: about 1.15 * k * (word count)
+    columns N*W for a construction of p-step k, whose jets fill only every
+    k-th p-order, with W above the top power.  N is `order` when given, else
+    at least k times the top power (the p-order the words need to differ)
+    with W near the square root of the columns, and at most JET_ORDER_CEILING."""
+    target = -(-115 * step * word_count // 100)
+    if order is None:
+        w = max(top_power + 1, math.isqrt(target - 1) + 1)
+        order = min(max(step * top_power, -(-target // w)), JET_ORDER_CEILING)
+    return order, max(top_power + 1, -(-target // order))
+
+
+def certify_skew_jets(construction, max_word_len: int, order: int | None = None,
+                      mode: str = "monoid", command: str = "certify", seed: int = DEFAULT_SEED):
     """Freeness of words in the generators of `construction` = (c, alpha,
     beta, k), sigma(t) = t - c (`skewfrac.residue_generators`: Sbar and Tbar
     in monoid mode, xi and eta with their inverses in group mode), p-jets of
-    order N read modulo MODULUS at W points, from N = `order` and
-    W = JET_POINTS.  While the rank is deficient, which may be a limit of N
-    or W, W doubles until it exceeds the top power of one letter (L in
-    monoid mode, 2L in group mode) and W*N reaches twice the word count,
-    then N doubles, up to JET_ORDER_CEILING; the generators are read again
-    at each new (N, W).  An attempt with fewer columns N*W than words
-    cannot reach full rank, so W doubles at once without one.  W must
-    exceed that power because a generator g in Q(t), such as Sbar or xi,
-    acts pointwise: prod_{k<W} (g - g(P_k)) vanishes at all W points at
-    every N.  The report's params record N, W, the modulus and the t0
-    used."""
-    n, w, t0 = order, JET_POINTS, skewfrac.RESIDUE_T0
+    order N read modulo MODULUS at W points, from the (N, W) of
+    `first_jet_attempt`.  While the rank is deficient, which may be a limit
+    of N or W, both grow by half, N up to JET_ORDER_CEILING; the generators
+    are read again at each new (N, W).  An attempt with fewer columns N*W
+    than words cannot reach full rank, so it is skipped.  W must exceed the
+    top power of one letter (L in monoid mode, 2L in group mode) because a
+    generator g in Q(t), such as Sbar or xi, acts pointwise:
+    prod_{k<W} (g - g(P_k)) vanishes at all W points at every N.  The
+    report's params record N, W, the modulus and the t0 used."""
     top_power = max_word_len * (2 if mode == "group" else 1)
     word_count = len(enumerate_words(2, max_word_len, mode == "group"))
+    n, w = first_jet_attempt(word_count, top_power, construction[3], order)
+    t0 = skewfrac.RESIDUE_T0
     while True:
         if n * w >= word_count:
             gens, t0 = skewfrac.residue_generators(construction, mode, n, w, t0)
@@ -522,14 +531,9 @@ def certify_skew_jets(construction, max_word_len: int, order: int, mode: str = "
                                    skew_residue_coordinatizer(n, w), max_word_len, mode,
                                    command=command, seed=seed, inverses=inverses)
             rep.params.update(order=n, points=w, t0=t0, modulus=MODULUS)
-            if rep.verdict == "certified":
+            if rep.verdict == "certified" or n >= JET_ORDER_CEILING:
                 return rep
-        if w <= top_power or w * n < 2 * word_count:
-            w *= 2
-        elif 2 * n <= JET_ORDER_CEILING:
-            n *= 2
-        else:
-            return rep
+        n, w = min(n + (n + 1) // 2, JET_ORDER_CEILING), max(w + (w + 1) // 2, top_power + 1)
 
 
 pjets_agree = jets_agree  # p-jets are series jets
@@ -563,8 +567,8 @@ def run_certify_cauchon(alpha, beta, shift=2, max_word_len: int = 2,
     # evaluated p-jets of xi, eta and their exact inverses; the exact fraction
     # path decides on a deficiency, or on a content denominator divisible by MODULUS
     try:
-        rep = certify_skew_jets((shift, alpha, beta, 1), max_word_len, CAUCHON_JET_ORDER, "group",
-                                "certify cauchon", seed)
+        rep = certify_skew_jets((shift, alpha, beta, 1), max_word_len, mode="group",
+                                command="certify cauchon", seed=seed)
     except ZeroDenominator:
         rep = None
     if rep is None or rep.verdict != "certified":

@@ -332,45 +332,52 @@ def _freeness(report):
 
 
 def test_jet_escalation_reexpands_generators(capsys):
-    # at order 4 the evaluated p-jets are rank-deficient, and 16 points
-    # already exceed the word length and give W*N >= 2 * 7 words; escalation
-    # must re-evaluate the words from generators expanded at the doubled
-    # order, and the report must name that order instead of the ceiling
+    # at order 4 the evaluated p-jets are rank-deficient at any number of
+    # points; escalation must re-evaluate the words from generators expanded
+    # at the grown order, and the report must name that order instead of
+    # the ceiling
     code, report = run_cli(["certify", "heisenberg", "--order", "4", "--max-word-len", "2"], capsys)
     assert code == 0
     v = _freeness(report)
     assert v["verdict"] == "certified"
     jets = v["data"]["jets"]
     assert jets["verdict"] == "certified" and jets["rank"] == 7
-    assert jets["truncation_order"] == 8
+    assert jets["truncation_order"] == 6
     assert jets["params"]["coordinatizer"] == "pjet-residues"
-    assert (jets["params"]["order"], jets["params"]["points"]) == (8, 16)
+    assert (jets["params"]["order"], jets["params"]["points"]) == (6, 8)
     assert v["data"]["paths_agree"]
 
 
 def test_deficient_jets_are_inconclusive_never_exit_2(capsys, monkeypatch):
-    # jets whose order may not rise stay rank-deficient; that is a truncation
-    # limit, so the verdict is inconclusive with exit 3, never exit 2, even
-    # though the second proof certifies
+    # monoid jets at the order ceiling whose W = L points may not grow stay
+    # rank-deficient; that is a limit of the jets, so the verdict is
+    # inconclusive with exit 3, never exit 2, even though the second proof,
+    # sized as usual below the ceiling, certifies
     from skewcert import harness
 
-    monkeypatch.setattr(harness, "JET_ORDER_CEILING", 4)
-    code, report = run_cli(["certify", "heisenberg", "--order", "4", "--max-word-len", "2"], capsys)
+    real = harness.first_jet_attempt
+
+    def points_at_the_top_power(word_count, top_power, step, order=None):
+        return (order, top_power) if order else real(word_count, top_power, step)
+
+    monkeypatch.setattr(harness, "JET_ORDER_CEILING", 8)
+    monkeypatch.setattr(harness, "first_jet_attempt", points_at_the_top_power)
+    code, report = run_cli(["certify", "heisenberg", "--order", "8", "--max-word-len", "2"], capsys)
     assert code == 3
     v = _freeness(report)
     assert v["verdict"] == "inconclusive"
     jets = v["data"]["jets"]
     assert jets["verdict"] == "inconclusive" and jets["rank"] < 7
-    assert jets["truncation_order"] == 4
-    assert (jets["params"]["order"], jets["params"]["points"]) == (4, 16)
+    assert jets["truncation_order"] == 8
+    assert (jets["params"]["order"], jets["params"]["points"]) == (8, 2)
     assert v["data"]["group"]["verdict"] == v["data"]["groupring"]["verdict"] == "certified"
     assert not v["data"]["paths_agree"]
 
 
 def test_too_few_points_escalate_instead_of_exit_2(capsys, monkeypatch):
     # at W = 4 points Sbar^4 is a combination of lower powers of Sbar at
-    # every point, so the first attempt at L = 4 is deficient; W doubles and
-    # the run certifies
+    # every point, so a first attempt at L = 4 is deficient; W grows past L
+    # and the run certifies
     from skewcert import harness
 
     steps = []
@@ -380,14 +387,36 @@ def test_too_few_points_escalate_instead_of_exit_2(capsys, monkeypatch):
         steps.append((order, points))
         return real(order, points)
 
-    monkeypatch.setattr(harness, "JET_POINTS", 4)
+    monkeypatch.setattr(harness, "first_jet_attempt", lambda *args: (16, 4))
     monkeypatch.setattr(harness, "skew_residue_coordinatizer", recording)
     code, report = run_cli(["certify", "twodim", "--max-word-len", "4"], capsys)
     assert code == 0
     v = _freeness(report)
     assert v["verdict"] == "certified" and v["data"]["paths_agree"]
-    assert steps[:2] == [(16, 4), (16, 8)]
-    assert (v["data"]["jets"]["params"]["points"], v["data"]["jets"]["rank"]) == (8, 31)
+    assert steps[:2] == [(16, 4), (24, 6)]
+    assert (v["data"]["jets"]["params"]["points"], v["data"]["jets"]["rank"]) == (6, 31)
+
+
+@pytest.mark.parametrize("name, argv", [(name, argv) for name, (argv, _) in regen.COMMANDS.items()
+                                        if argv[1] in ("cauchon", "heisenberg", "twodim")])
+def test_golden_jets_certify_at_their_first_attempt(name, argv, capsys, monkeypatch):
+    # the first (N, W) is sized from the word count: every evaluated path of
+    # a golden command line certifies there, with no escalation
+    runs, steps = [], []
+    real_jets, real_coord = harness.certify_skew_jets, harness.skew_residue_coordinatizer
+
+    def jets(*args, **kwargs):
+        runs.append(args[0])
+        return real_jets(*args, **kwargs)
+
+    def recording(order, points):
+        steps.append((order, points))
+        return real_coord(order, points)
+
+    monkeypatch.setattr(harness, "certify_skew_jets", jets)
+    monkeypatch.setattr(harness, "skew_residue_coordinatizer", recording)
+    run_cli(argv, capsys)
+    assert len(steps) == len(runs) == {"cauchon.json": 1, "cauchon_refused.json": 0}.get(name, 2)
 
 
 def test_cauchon_certifies_at_length_three(capsys):

@@ -332,10 +332,10 @@ def test_truncated_deficiency_is_inconclusive_after_one_build():
 
 def test_skew_pipeline_escalates_jets_to_ceiling(monkeypatch):
     # a blind evaluated-jet path stays deficient at every (order, points):
-    # the points double until they exceed the top power of one letter, then
-    # the order doubles up to the ceiling, in the monoid jets and again in
-    # the group half of the second proof; the verdict is inconclusive, with
-    # exit 3 and never 2
+    # from one point, the order and the points grow by half, the points at
+    # once past the top power of one letter, and the order up to the
+    # ceiling, in the monoid jets and again in the group half of the second
+    # proof; the verdict is inconclusive, with exit 3 and never 2
     steps = []
 
     def blind(order, points):
@@ -345,15 +345,16 @@ def test_skew_pipeline_escalates_jets_to_ceiling(monkeypatch):
 
     monkeypatch.setattr(harness, "skew_residue_coordinatizer", blind)
     monkeypatch.setattr(harness, "JET_ORDER_CEILING", 64)
-    monkeypatch.setattr(harness, "JET_POINTS", 1)
+    monkeypatch.setattr(harness, "first_jet_attempt", lambda *args: (16, 1))
     verdicts = harness.run_certify_skew(harness.HEISENBERG, 1, 16)
-    assert steps == [(16, 1), (16, 2), (32, 2), (64, 2), (16, 1), (16, 2), (16, 4), (32, 4), (64, 4)]
+    assert steps == [(16, 1), (24, 2), (36, 3), (54, 5), (64, 8),
+                     (16, 1), (24, 3), (36, 5), (54, 8), (64, 12)]
     v = verdicts[-1]
     assert v["verdict"] == "inconclusive" and harness.worst_exit(verdicts) == 3
     jets = v["data"]["jets"]
     assert jets["verdict"] == "inconclusive" and jets["relation"] is None
     assert jets["params"]["coordinatizer"] == "pjet-residues"
-    assert (jets["params"]["order"], jets["params"]["points"]) == (64, 2)
+    assert (jets["params"]["order"], jets["params"]["points"]) == (64, 8)
     assert jets["truncation_order"] == 64
     assert v["data"]["group"]["verdict"] == "inconclusive"
     assert v["data"]["groupring"]["verdict"] == "certified"
@@ -388,7 +389,7 @@ def test_perturbed_conjugator_trips_the_wiring_check(preset, monkeypatch):
 
     assert harness.composition_proof(preset.construction, 2, "certify", 0)[0].verdict == "certified"
     monkeypatch.setattr(skewfrac, "residue_generators", perturbed)
-    assert harness.certify_skew_jets(preset.construction, 2, 16, "group").verdict == "certified"
+    assert harness.certify_skew_jets(preset.construction, 2, mode="group").verdict == "certified"
     with pytest.raises(KernelError, match="do not sum to Sbar and Tbar"):
         harness.composition_proof(preset.construction, 2, "certify", 0)
 
@@ -417,17 +418,17 @@ def test_deficient_residue_rank_never_reaches_bareiss(monkeypatch):
     monkeypatch.setattr(harness, "JET_ORDER_CEILING", 4)
     rep = preset_jets(harness.HEISENBERG, 2, 4)
     assert (rep.verdict, rep.rank, rep.word_count, rep.relation) == ("inconclusive", 6, 7, None)
-    assert (rep.params["order"], rep.params["points"]) == (4, 16)
+    assert (rep.params["order"], rep.params["points"]) == (4, 5)
 
 
 def test_four_points_escalate_past_the_word_length(monkeypatch):
     # at W = 4 <= L the word prod_k (Sbar - Sbar(P_k)) of length 4 vanishes
-    # at every point, whatever the order; the points must double, not the
-    # order, and the run certifies
-    monkeypatch.setattr(harness, "JET_POINTS", 4)
+    # at every point, whatever the order; the points must grow past L, and
+    # the run certifies
+    monkeypatch.setattr(harness, "first_jet_attempt", lambda *args: (32, 4))
     rep = preset_jets(harness.HEISENBERG, 4, 32)
     assert (rep.verdict, rep.rank) == ("certified", 31)
-    assert (rep.params["order"], rep.params["points"]) == (32, 8)
+    assert (rep.params["order"], rep.params["points"]) == (48, 6)
 
 
 @pytest.mark.parametrize("preset, order", [(harness.HEISENBERG, 32), (harness.TWODIM, 16)])
@@ -435,7 +436,7 @@ def test_evaluated_jets_certify_at_length_four(preset, order):
     rep = preset_jets(preset, 4, order)
     assert (rep.verdict, rep.rank, rep.word_count) == ("certified", 31, 31)
     assert rep.params == {"mode": "monoid", "max_word_len": 4, "coordinatizer": "pjet-residues",
-                          "order": order, "points": 16, "t0": skewfrac.RESIDUE_T0,
+                          "order": order, "points": 5, "t0": skewfrac.RESIDUE_T0,
                           "modulus": MODULUS}
 
 
@@ -451,33 +452,49 @@ def test_pole_at_t0_moves_it_in_the_pipeline(monkeypatch):
 CAUCHON = (F(5, 6), F(1, 6), F(2))  # alpha, beta, shift
 
 
-def cauchon_jets(length, order=16):
+def cauchon_jets(length, order=None):
     alpha, beta, c = CAUCHON
     return harness.certify_skew_jets((c, alpha, beta, 1), length, order, "group")
 
 
 @pytest.mark.parametrize("construction, mode, length, order, final", [
-    ((CAUCHON[2], *CAUCHON[:2], 1), "group", 2, 2, (4, 32)),
-    ((CAUCHON[2], *CAUCHON[:2], 1), "group", 3, 4, (8, 32)),
-    (harness.HEISENBERG.construction, "monoid", 4, 2, (16, 32)),
+    ((CAUCHON[2], *CAUCHON[:2], 1), "group", 2, 2, (5, 8)),
+    ((CAUCHON[2], *CAUCHON[:2], 1), "group", 3, 4, (9, 11)),
+    (harness.HEISENBERG.construction, "monoid", 4, 2, (12, 18)),
 ])
 def test_attempts_with_fewer_columns_than_words_are_skipped(monkeypatch, construction, mode,
                                                            length, order, final):
-    # from one point, W doubles past the attempts whose N*W columns cannot
-    # hold a full rank; the final (N, W) is the one the attempts would reach
+    # from one point, N and W grow past the attempts whose N*W columns
+    # cannot hold a full rank; the final (N, W) is the one the attempts
+    # would reach
     steps = []
 
     def recording(order, points):
         steps.append((order, points))
         return skew_residue_coordinatizer(order, points)
 
-    monkeypatch.setattr(harness, "JET_POINTS", 1)
+    monkeypatch.setattr(harness, "first_jet_attempt", lambda *args: (order, 1))
     monkeypatch.setattr(harness, "skew_residue_coordinatizer", recording)
     rep = harness.certify_skew_jets(construction, length, order, mode)
     assert (rep.verdict, rep.rank) == ("certified", rep.word_count)
     assert all(n * w >= rep.word_count for n, w in steps)
-    assert steps[0] == (order, 16) and steps[-1] == final
+    assert steps[0] != (order, 1) and steps[-1] == final
     assert (rep.params["order"], rep.params["points"]) == final
+
+
+@pytest.mark.parametrize("step", [1, 2])
+@pytest.mark.parametrize("mode, order", [("group", None), ("monoid", 1), ("monoid", 16),
+                                         ("monoid", 32), ("monoid", harness.JET_ORDER_CEILING)])
+def test_first_jet_attempt_invariants(step, mode, order):
+    # the first attempt holds every word in its columns, its points exceed
+    # the top power of one letter, and its order is at most the ceiling;
+    # in monoid mode the order is --order
+    for length in range(1, 9):
+        word_count = len(enumerate_words(2, length, mode == "group"))
+        top_power = length * (2 if mode == "group" else 1)
+        n, w = harness.first_jet_attempt(word_count, top_power, step, order)
+        assert n * w >= word_count and w > top_power and 1 <= n <= harness.JET_ORDER_CEILING
+        assert n == order or mode == "group"
 
 
 @pytest.mark.parametrize("length", [2, 3])
@@ -495,8 +512,10 @@ def test_cauchon_evaluated_rank_matches_the_exact_rank(length):
     rep = cauchon_jets(length)
     assert rep.rank == rep_exact.rank == rep.word_count == len(enumerate_words(2, length, True))
     assert rep.verdict == rep_exact.verdict == "certified"
+    order, points = {2: (4, 5), 3: (8, 8)}[length]
     assert rep.params == {"mode": "group", "max_word_len": length, "coordinatizer": "pjet-residues",
-                          "order": 16, "points": 16, "t0": skewfrac.RESIDUE_T0, "modulus": MODULUS}
+                          "order": order, "points": points, "t0": skewfrac.RESIDUE_T0,
+                          "modulus": MODULUS}
 
 
 def test_evaluated_jets_are_never_inverted():
@@ -512,19 +531,26 @@ def test_evaluated_jets_are_never_inverted():
 def test_cauchon_four_points_escalate_past_twice_the_word_length(monkeypatch, length):
     # xi = s lies in Q(t): its 2L + 1 powers s^-L..s^L are reduced words,
     # and at W <= 2L points some combination of them vanishes at every order
-    monkeypatch.setattr(harness, "JET_POINTS", 4)
+    monkeypatch.setattr(harness, "first_jet_attempt", lambda *args: (16, 4))
     rep = cauchon_jets(length)
     assert (rep.verdict, rep.rank) == ("certified", rep.word_count)
-    assert (rep.params["order"], rep.params["points"]) == (16, 8)
+    assert (rep.params["order"], rep.params["points"]) == (24, {2: 6, 3: 7}[length])
 
 
 def test_cauchon_deficient_jets_fall_back_to_the_exact_path(monkeypatch):
-    # at p-order 1 only the powers of s survive: the jets stay deficient, and
-    # the exact path decides; a limit of the jets never exits 2
-    monkeypatch.setattr(harness, "CAUCHON_JET_ORDER", 1)
+    # at p-order 1 only the powers of s survive: the jets stay deficient at
+    # the ceiling, which bounds the first attempt too, and the exact path
+    # decides; a limit of the jets never exits 2
+    steps = []
+
+    def recording(order, points):
+        steps.append((order, points))
+        return skew_residue_coordinatizer(order, points)
+
     monkeypatch.setattr(harness, "JET_ORDER_CEILING", 1)
-    monkeypatch.setattr(harness, "JET_POINTS", 1)
+    monkeypatch.setattr(harness, "skew_residue_coordinatizer", recording)
     verdicts = harness.run_certify_cauchon(*CAUCHON, 2)
+    assert steps == [(1, 20)]
     data = verdicts[-1]["data"]
     assert verdicts[-1]["verdict"] == data["verdict"] == "certified"
     assert data["params"]["coordinatizer"] == "exact-left-fraction"
@@ -548,4 +574,4 @@ def test_cauchon_pole_at_t0_moves_it(monkeypatch):
     monkeypatch.setattr(skewfrac, "RESIDUE_T0", beta)
     rep = cauchon_jets(2)
     assert (rep.verdict, rep.rank) == ("certified", 17)
-    assert (rep.params["t0"], rep.params["points"]) == (beta + 1, 16)
+    assert (rep.params["t0"], rep.params["points"]) == (beta + 1, 5)
