@@ -84,6 +84,8 @@ def parse_lie_algebra(text: str) -> LieAlg:
         if parts[0] == "basis":
             once("basis", "the basis")
             basis = parts[1:]
+            if not basis:
+                raise ValueError(f"line {lineno}: the basis names no element")
             twice = sorted({b for b in basis if basis.count(b) > 1})
             if twice:
                 raise ValueError(f"line {lineno}: {twice[0]!r} appears twice in the basis")

@@ -199,6 +199,8 @@ def test_check_algebra_rejects_unknown_names(text, message, capsys, tmp_path):
          "line 3: the basis is already given on line 1"),
         ("basis u v w\nweight u = 1\nweight u = 3\n",
          "line 3: the weight of u is already given on line 2"),
+        # an empty basis line once read as a missing one
+        ("basis\nbracket v u = w\n", "line 1: the basis names no element"),
     ],
 )
 def test_check_algebra_rejects_contradictory_tables(text, message, capsys, tmp_path):

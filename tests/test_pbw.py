@@ -6,6 +6,8 @@ import pytest
 
 from skewcert import pbw
 from skewcert.errors import BracketIncompatible, NotGraded
+from skewcert.freecert import rank_over_Q
+from skewcert.harness import skew_exact_coordinatizer
 from skewcert.pbw import (
     LieAlg,
     LieHom,
@@ -25,7 +27,7 @@ from skewcert.pbw import (
     uelem_ring_ops,
 )
 from skewcert.scalar import RatFun
-from skewcert.skewfrac import ShiftAut, SkewFrac, SkewPoly
+from skewcert.skewfrac import TWODIM_AUT, ShiftAut, SkewFrac, SkewPoly
 from tests.conftest import rand_frac
 
 
@@ -173,6 +175,8 @@ def test_phi_image_examples(H):
     one = SkewPoly.one(aut)
     p2 = SkewPoly.p(aut, 2)
     assert phi(z + y2) == SkewFrac.from_poly(one + p2)
+    # phi is not injective, so `certify heisenberg` cross-checks in the tower
+    assert not phi(z - H.one())
 
 
 def test_hom_is_ring_hom(rnd, H, L3):
@@ -198,6 +202,17 @@ def test_twodim_model(M2):
     # e f = f (e + 1) transported exactly
     e, f = M2.gen("e"), M2.gen("f")
     assert model(u_mul(e, f)) == model(f) * (model(e) + SkewFrac.one(model(e).aut))
+
+
+def test_twodim_model_keeps_low_pbw_monomials_independent(M2):
+    # D(M2) embeds in K(p;sigma), so `certify twodim` cross-checks its
+    # symmetry claims exactly there: the images of e^a f^b, a + b <= 4, are
+    # linearly independent over Q
+    model = twodim_to_skewfield(M2)
+    images = [model(word_product(M2, (0,) * a + (1,) * b))
+              for a in range(5) for b in range(5 - a)]
+    vectors = skew_exact_coordinatizer(TWODIM_AUT).build(images)
+    assert rank_over_Q(vectors) == (15, None)
 
 
 def test_bracket_incompatible(H):

@@ -95,6 +95,38 @@ def test_cli_import_loads_no_dataclasses_or_inspect():
     assert out.stdout.strip() == "[]", out.stdout + out.stderr
 
 
+def _unused_imports(source: str, name: str) -> list[str]:
+    """`name:line: bound` for each name an import in `source` binds and no
+    other line of it reads.  `from __future__` imports and lines marked
+    `# noqa: F401` (re-exports) are exempt."""
+    tree = ast.parse(source, filename=name)
+    lines = source.splitlines()
+    read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+            continue
+        if not isinstance(node, (ast.Import, ast.ImportFrom)):
+            continue
+        for alias in node.names:
+            bound = alias.asname or alias.name.split(".")[0]
+            if bound not in read and "# noqa: F401" not in lines[alias.lineno - 1]:
+                found.append(f"{name}:{alias.lineno}: {bound}")
+    return found
+
+
+def test_no_unused_imports_in_src():
+    # an import left behind when its last caller goes keeps a dependency
+    # that nothing uses, and hides which module still needs it
+    found = []
+    for path in sorted(PACKAGE.rglob("*.py")):
+        found += _unused_imports(path.read_text(), path.name)
+    assert list(PACKAGE.rglob("*.py"))
+    assert not found, f"unused imports in src: {found}"
+    # the rule sees a name imported in a parenthesised list and never read
+    assert _unused_imports("from a import (\n    b,\n    c,\n)\nc()\n", "m.py") == ["m.py:2: b"]
+
+
 def _restates_an_operator(node) -> bool:
     """A lambda whose whole body is `a + b`, `-a`, `a * b` or `not a` over
     its own parameters, in their order: `operator.add` and the rest say that

@@ -1,9 +1,12 @@
 """Symbolic star/equality certification over the fact tables."""
 
+import json
+import pathlib
 from fractions import Fraction as F
 
 import pytest
 
+from skewcert import cli, harness, skewfrac
 from skewcert.errors import FactFailure, UnknownAtomStar
 from skewcert.harness import (
     class3_fact_table,
@@ -240,6 +243,42 @@ def test_twodim_star_facts():
     S2, T2 = twodim_expressions()
     assert prove_equal(star(S2, table), S2, table) == "equal"
     assert prove_equal(star(T2, table), T2, table) == "equal"
+
+
+GOLDEN = pathlib.Path(__file__).resolve().parent / "golden"
+
+
+def _scrubbed(verdicts) -> list:
+    """`verdicts` as a golden report holds them: rendered to JSON as the CLI
+    renders it, with every elapsed_ms zeroed."""
+    text = json.dumps(verdicts, default=cli._json_default)
+    return json.loads(text, object_hook=lambda d: {**d, "elapsed_ms": 0} if "elapsed_ms" in d else d)
+
+
+def test_twodim_symmetry_verdicts_form_no_pjet(monkeypatch):
+    # the symmetry claims are checked exactly in K(p;sigma): no Q(t) p-jet
+    # is formed, and the report is the golden's
+    def forbidden(*args):
+        raise AssertionError("a Q(t) p-jet was formed")
+
+    monkeypatch.setattr(harness, "sf_to_pjet", forbidden)
+    monkeypatch.setattr(skewfrac, "pjet_ring", forbidden)
+    verdicts = harness.run_certify_skew(harness.TWODIM, 2, 16)
+    golden = json.loads((GOLDEN / "twodim.json").read_text())["verdicts"]
+    assert _scrubbed(verdicts) == golden
+    assert [v["data"] for v in verdicts[2:4]] == [{"exact_cross_check": True}] * 2
+
+
+def test_twodim_exact_cross_check_catches_a_wrong_claim(monkeypatch):
+    table, _, values = twodim_fact_table()
+    verify_facts(table)
+    check = harness.twodim_cross_check(values, harness.CROSS_ORDER)
+    su, us = Mul((Atom("s"), Atom("u"))), Mul((Atom("u"), Atom("s")))
+    assert check(su, us) == {"exact_cross_check": False}
+    # a prover that wrongly finds su = us is caught by the exact values
+    monkeypatch.setattr(harness, "prove_equal", lambda lhs, rhs, table: "equal")
+    v = equality_verdict("su = us", "label", su, us, table, check)
+    assert (v["verdict"], v["data"]) == ("failed", {"exact_cross_check": False})
 
 
 def test_class3_table_has_no_false_commutation():
