@@ -47,6 +47,9 @@ COMMANDS = {
     "scaling_order3.json": (["verify", "scaling", "--order", "3"], 0),
     # the lowest order the class-3 cross-checks accept
     "nilpotent_order2.json": (["certify", "nilpotent", "--order", "2"], 0),
+    # the paper presets at their defaults (L=3)
+    "heisenberg_default.json": (["certify", "heisenberg"], 0),
+    "twodim_default.json": (["certify", "twodim"], 0),
 }
 
 
