@@ -349,26 +349,26 @@ def heisenberg_image_table(facts) -> bool:
     return all(phi(el) == img for el, img in expect)
 
 
-def heisenberg_cross_check(values, cross_order: int):
+def heisenberg_cross_check(values):
     """Substitute the atoms' jets in the Heisenberg tower, compared up to
-    `cross_order`."""
-    tower, jet_atoms = heisenberg_atom_jets(cross_order + 4)
+    CROSS_ORDER; phi_H sends z - 1 to 0, so the skew-field `values` cannot decide."""
+    tower, jet_atoms = heisenberg_atom_jets(CROSS_ORDER + 4)
     ops = tower.ops()
     memo: dict = {}
 
     def check(starred, expr) -> dict:
         lhs = substitute(starred, jet_atoms, ops, memo)
         rhs = substitute(expr, jet_atoms, ops, memo)
-        return {"jet_cross_check_order": cross_order,
-                "jet_cross_check": jets_agree(lhs, rhs, upto=cross_order)}
+        return {"jet_cross_check_order": CROSS_ORDER,
+                "jet_cross_check": jets_agree(lhs, rhs, upto=CROSS_ORDER)}
 
     return check
 
 
-def twodim_cross_check(values, cross_order: int):
+def twodim_cross_check(values):
     """Substitute the atoms' skew-field values exactly: D(M2) embeds in
     K(p;sigma), so equal values decide the claim and no truncation order
-    applies (`cross_order` is the Heisenberg check's)."""
+    applies."""
     ops = skewfrac.ring_ops(skewfrac.TWODIM_AUT)
     memo: dict = {}
 
@@ -385,8 +385,7 @@ class SkewPreset:
     `label` is the paper label of every verdict but the freeness one;
     `opening` is given the fact-table triple that `fact_table()` returns,
     (table, model, values); `expressions()` returns (S, T); and
-    `cross_check(values, cross_order)` returns the (starred, expr) -> data
-    check of the symmetry verdicts."""
+    `cross_check(values)` returns the symmetry verdicts' (starred, expr) -> data check."""
 
     __slots__ = ("command", "construction", "label", "freeness_label", "opening_claim", "opening",
                  "facts_claim", "fact_table", "expressions", "symmetry_claims", "cross_check",
@@ -438,7 +437,7 @@ def equality_verdict(claim: str, label: str, lhs, rhs, table: FactTable, cross_c
     return verdict(claim, label, res, data)
 
 
-def run_certify_skew(preset: SkewPreset, max_word_len: int = 3, order: int = 32,
+def run_certify_skew(preset: SkewPreset, max_word_len: int = 3,
                      seed: int = DEFAULT_SEED) -> list[dict]:
     """The opening and facts verdicts, the two symmetry verdicts, then the
     two freeness proofs: the evaluated p-jets, which decide, and
@@ -448,11 +447,11 @@ def run_certify_skew(preset: SkewPreset, max_word_len: int = 3, order: int = 32,
     verdicts = [verdict(preset.opening_claim, preset.label, preset.opening(facts))]
     witnesses = verify_facts(table)
     verdicts.append(verdict(preset.facts_claim, preset.label, True, {"witnesses": witnesses}))
-    check = preset.cross_check(values, CROSS_ORDER)
+    check = preset.cross_check(values)
     verdicts += [equality_verdict(claim, preset.label, star(expr, table), expr, table, check)
                  for claim, expr in zip(preset.symmetry_claims, preset.expressions())]
-    rep_jets = certify_skew_jets(preset.construction, max_word_len, order,
-                                 command=preset.command, seed=seed)
+    rep_jets = certify_skew_jets(preset.construction, max_word_len, command=preset.command,
+                                 seed=seed)
     halves = composition_proof(preset.construction, max_word_len, preset.command, seed)
     second = next((r.verdict for r in halves if r.verdict != "certified"), "certified")
     verdicts.append(verdict(
@@ -484,21 +483,20 @@ def composition_proof(construction, max_word_len: int, command: str, seed: int):
                                    max_word_len, "monoid", command=command, seed=seed)
 
 
-def first_jet_attempt(word_count: int, top_power: int, step: int, order: int | None = None):
+def first_jet_attempt(word_count: int, top_power: int, step: int):
     """The first (N, W) of `certify_skew_jets`: about 1.15 * k * (word count)
     columns N*W for a construction of p-step k, whose jets fill only every
-    k-th p-order, with W above the top power.  N is `order` when given, else
-    at least k times the top power (the p-order the words need to differ)
-    with W near the square root of the columns, and at most JET_ORDER_CEILING."""
+    k-th p-order, with W above the top power and near the square root of the
+    columns.  N is at least k * (top power + 1) - 1, the p-order the words
+    need to differ, and at most JET_ORDER_CEILING."""
     target = -(-115 * step * word_count // 100)
-    if order is None:
-        w = max(top_power + 1, math.isqrt(target - 1) + 1)
-        order = min(max(step * top_power, -(-target // w)), JET_ORDER_CEILING)
+    w = max(top_power + 1, math.isqrt(target - 1) + 1)
+    order = min(max(step * (top_power + 1) - 1, -(-target // w)), JET_ORDER_CEILING)
     return order, max(top_power + 1, -(-target // order))
 
 
-def certify_skew_jets(construction, max_word_len: int, order: int | None = None,
-                      mode: str = "monoid", command: str = "certify", seed: int = DEFAULT_SEED):
+def certify_skew_jets(construction, max_word_len: int, mode: str = "monoid",
+                      command: str = "certify", seed: int = DEFAULT_SEED):
     """Freeness of words in the generators of `construction` = (c, alpha,
     beta, k), sigma(t) = t - c (`skewfrac.residue_generators`: Sbar and Tbar
     in monoid mode, xi and eta with their inverses in group mode), p-jets of
@@ -513,7 +511,7 @@ def certify_skew_jets(construction, max_word_len: int, order: int | None = None,
     report's params record N, W, the modulus and the t0 used."""
     top_power = max_word_len * (2 if mode == "group" else 1)
     word_count = len(enumerate_words(2, max_word_len, mode == "group"))
-    n, w = first_jet_attempt(word_count, top_power, construction[3], order)
+    n, w = first_jet_attempt(word_count, top_power, construction[3])
     t0 = skewfrac.RESIDUE_T0
     while True:
         if n * w >= word_count:
@@ -915,8 +913,8 @@ def run_selftest(seed: int = DEFAULT_SEED, quick: bool = False) -> list[dict]:
         verdicts.append(verdict(name, label, ok, {"detail": detail}))
     verdicts.extend(run_verify_valuation(seed))
     verdicts.extend(run_certify_groupring(3 if quick else 4, seed))
-    verdicts.extend(run_certify_skew(TWODIM, 2, 16, seed))
-    verdicts.extend(run_certify_skew(HEISENBERG, 2, 32, seed))
+    verdicts.extend(run_certify_skew(TWODIM, 2, seed))
+    verdicts.extend(run_certify_skew(HEISENBERG, 2, seed))
     verdicts.extend(run_verify_scaling((2, 3), seed, class3_order=10 if quick else 12))
     if not quick:
         verdicts.extend(run_certify_nilpotent(12, seed))

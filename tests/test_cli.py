@@ -201,6 +201,13 @@ def test_check_algebra_rejects_unknown_names(text, message, capsys, tmp_path):
          "line 3: the weight of u is already given on line 2"),
         # an empty basis line once read as a missing one
         ("basis\nbracket v u = w\n", "line 1: the basis names no element"),
+        # a malformed number once gave the parser's error without its line
+        ("basis u v w\nweight u = x\n", "line 2: invalid literal for int() with base 10: 'x'"),
+        ("basis u v w\nweight u = 1.5\n",
+         "line 2: invalid literal for int() with base 10: '1.5'"),
+        ("basis u v w\nbracket v u = x*w\n", "line 2: Invalid literal for Fraction: 'x'"),
+        ("basis u v w\n\nbracket v u = *u\n", "line 3: Invalid literal for Fraction: ''"),
+        ("basis u v w\nbracket v u = 1/0*w\n", "line 2: zero denominator in '1/0'"),
     ],
 )
 def test_check_algebra_rejects_contradictory_tables(text, message, capsys, tmp_path):
@@ -227,8 +234,8 @@ def test_python_m_skewcert_runs_the_cli():
         ["certify", "groupring", "--max-word-len", "-1"],
         ["check-algebra", "no-such-algebra.txt"],
         ["verify", "scaling", "--lambda", "0"],
-        ["certify", "heisenberg", "--order", "0"],
-        ["certify", "twodim", "--order", "0"],
+        ["certify", "heisenberg", "--max-word-len", "-1"],
+        ["certify", "twodim", "--max-word-len", "-1"],
         ["certify", "nilpotent", "--order", "0"],
         ["certify", "nilpotent", "--order", "-2"],
         ["verify", "scaling", "--order", "0"],
@@ -256,32 +263,16 @@ def test_bad_input_is_a_one_line_error(argv, capsys, tmp_path, monkeypatch):
 
 
 @pytest.mark.parametrize("target", ["heisenberg", "twodim"])
-def test_order_above_the_jet_ceiling_is_a_one_line_error(target, capsys):
-    # the p-jet escalation starts at --order and is bounded by the ceiling,
-    # so a higher starting order is refused before any work
-    code = cli.run(["certify", target, "--max-word-len", "1", "--order", "257"])
+def test_skew_presets_take_no_order(target, capsys):
+    # the evaluated p-jets size their order from the word count, so
+    # --order is not a flag of these commands
+    code = cli.run(["certify", target, "--order", "8"])
     captured = capsys.readouterr()
     assert code == 1
-    assert captured.err == "error: --order must be at most 256\n"
+    assert captured.err.startswith(f"usage: skewcert certify {target} ")
+    assert captured.err.endswith(
+        f"skewcert certify {target}: error: unrecognized argument '--order'\n")
     assert captured.out == ""
-
-
-@pytest.mark.parametrize("target", ["heisenberg", "twodim"])
-def test_order_at_the_jet_ceiling_is_accepted(target, capsys, monkeypatch):
-    # the pipeline is stubbed: a real twodim run at order 256 takes about 46 s
-    from skewcert import harness
-
-    calls = []
-
-    def run_certify_skew(preset, max_word_len, order, seed):
-        calls.append((preset.command, max_word_len, order))
-        return [harness.verdict("stub", "label", True)]
-
-    monkeypatch.setattr(harness, "run_certify_skew", run_certify_skew)
-    code, report = run_cli(["certify", target, "--max-word-len", "1", "--order", "256"], capsys)
-    assert code == 0
-    assert calls == [(f"certify {target}", 1, 256)]
-    assert report["params"] == {"max_word_len": 1, "order": 256}
 
 
 STUBS = {"heisenberg": "run_certify_skew", "twodim": "run_certify_skew",
@@ -333,12 +324,13 @@ def _freeness(report):
     return v
 
 
-def test_jet_escalation_reexpands_generators(capsys):
+def test_jet_escalation_reexpands_generators(capsys, monkeypatch):
     # at order 4 the evaluated p-jets are rank-deficient at any number of
     # points; escalation must re-evaluate the words from generators expanded
     # at the grown order, and the report must name that order instead of
     # the ceiling
-    code, report = run_cli(["certify", "heisenberg", "--order", "4", "--max-word-len", "2"], capsys)
+    monkeypatch.setattr(harness, "first_jet_attempt", lambda *args: (4, 5))
+    code, report = run_cli(["certify", "heisenberg", "--max-word-len", "2"], capsys)
     assert code == 0
     v = _freeness(report)
     assert v["verdict"] == "certified"
@@ -354,17 +346,18 @@ def test_deficient_jets_are_inconclusive_never_exit_2(capsys, monkeypatch):
     # monoid jets at the order ceiling whose W = L points may not grow stay
     # rank-deficient; that is a limit of the jets, so the verdict is
     # inconclusive with exit 3, never exit 2, even though the second proof,
-    # sized as usual below the ceiling, certifies
+    # sized as usual under the ceiling, certifies
     from skewcert import harness
 
     real = harness.first_jet_attempt
 
-    def points_at_the_top_power(word_count, top_power, step, order=None):
-        return (order, top_power) if order else real(word_count, top_power, step)
+    def points_at_the_top_power(word_count, top_power, step):
+        # the monoid words at L = 2 have top power 2, the group half's 4
+        return (8, top_power) if top_power == 2 else real(word_count, top_power, step)
 
     monkeypatch.setattr(harness, "JET_ORDER_CEILING", 8)
     monkeypatch.setattr(harness, "first_jet_attempt", points_at_the_top_power)
-    code, report = run_cli(["certify", "heisenberg", "--order", "8", "--max-word-len", "2"], capsys)
+    code, report = run_cli(["certify", "heisenberg", "--max-word-len", "2"], capsys)
     assert code == 3
     v = _freeness(report)
     assert v["verdict"] == "inconclusive"
@@ -462,14 +455,14 @@ def test_help_exits_zero(capsys):
 
 
 def test_flag_equals_value_is_the_same_as_two_words(capsys):
-    reports = [scrub(run_cli(["certify", "heisenberg", "--max-word-len", "1", *order], capsys)[1])
-               for order in (["--order=10"], ["--order", "10"])]
-    assert reports[0]["params"] == {"max_word_len": 1, "order": 10}
+    reports = [scrub(run_cli(["certify", "heisenberg", *length], capsys)[1])
+               for length in (["--max-word-len=1"], ["--max-word-len", "1"])]
+    assert reports[0]["params"] == {"max_word_len": 1}
     assert reports[0] == reports[1]
 
 
-@pytest.mark.parametrize("argv", [["certify", "heisenberg", "--order", "-2"],
-                                  ["certify", "heisenberg", "--order=-2"],
+@pytest.mark.parametrize("argv", [["certify", "nilpotent", "--order", "-2"],
+                                  ["certify", "nilpotent", "--order=-2"],
                                   ["verify", "scaling", "--order", "-2"]])
 def test_negative_values_reach_the_range_checks(argv, capsys):
     assert cli.run(argv) == 1

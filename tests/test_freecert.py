@@ -346,7 +346,7 @@ def test_skew_pipeline_escalates_jets_to_ceiling(monkeypatch):
     monkeypatch.setattr(harness, "skew_residue_coordinatizer", blind)
     monkeypatch.setattr(harness, "JET_ORDER_CEILING", 64)
     monkeypatch.setattr(harness, "first_jet_attempt", lambda *args: (16, 1))
-    verdicts = harness.run_certify_skew(harness.HEISENBERG, 1, 16)
+    verdicts = harness.run_certify_skew(harness.HEISENBERG, 1)
     assert steps == [(16, 1), (24, 2), (36, 3), (54, 5), (64, 8),
                      (16, 1), (24, 3), (36, 5), (54, 8), (64, 12)]
     v = verdicts[-1]
@@ -362,15 +362,14 @@ def test_skew_pipeline_escalates_jets_to_ceiling(monkeypatch):
 
 
 @pytest.mark.parametrize("length", [2, 3])
-@pytest.mark.parametrize("preset, order", [(harness.HEISENBERG, 32), (harness.TWODIM, 16)],
-                         ids=["heisenberg", "twodim"])
-def test_exact_rank_equals_the_jets_rank(preset, order, length):
+@pytest.mark.parametrize("preset", [harness.HEISENBERG, harness.TWODIM], ids=["heisenberg", "twodim"])
+def test_exact_rank_equals_the_jets_rank(preset, length):
     # the exact Ore coordinatizer no longer runs in the CLI; it stays the
     # reference of the evaluated path that decides
     images = skewfrac.symmetric_images(*preset.construction)
     aut = images[0].aut
     exact = certify_freeness(list(images), skewfrac.ring_ops(aut), skew_exact_coordinatizer(aut), length)
-    jets = harness.certify_skew_jets(preset.construction, length, order)
+    jets = harness.certify_skew_jets(preset.construction, length)
     assert (exact.verdict, jets.verdict) == ("certified", "certified")
     assert exact.rank == jets.rank == exact.word_count
 
@@ -404,8 +403,8 @@ def test_modular_rows_are_ranked_modulo_the_prime_only():
     assert (rep.verdict, rep.rank, rep.relation) == ("inconclusive", 1, None)
 
 
-def preset_jets(preset, length, order):
-    return harness.certify_skew_jets(preset.construction, length, order)
+def preset_jets(preset, length):
+    return harness.certify_skew_jets(preset.construction, length)
 
 
 def test_deficient_residue_rank_never_reaches_bareiss(monkeypatch):
@@ -416,7 +415,7 @@ def test_deficient_residue_rank_never_reaches_bareiss(monkeypatch):
 
     monkeypatch.setattr(freecert, "rank_over_Q", refuse)
     monkeypatch.setattr(harness, "JET_ORDER_CEILING", 4)
-    rep = preset_jets(harness.HEISENBERG, 2, 4)
+    rep = preset_jets(harness.HEISENBERG, 2)
     assert (rep.verdict, rep.rank, rep.word_count, rep.relation) == ("inconclusive", 6, 7, None)
     assert (rep.params["order"], rep.params["points"]) == (4, 5)
 
@@ -426,24 +425,25 @@ def test_four_points_escalate_past_the_word_length(monkeypatch):
     # at every point, whatever the order; the points must grow past L, and
     # the run certifies
     monkeypatch.setattr(harness, "first_jet_attempt", lambda *args: (32, 4))
-    rep = preset_jets(harness.HEISENBERG, 4, 32)
+    rep = preset_jets(harness.HEISENBERG, 4)
     assert (rep.verdict, rep.rank) == ("certified", 31)
     assert (rep.params["order"], rep.params["points"]) == (48, 6)
 
 
-@pytest.mark.parametrize("preset, order", [(harness.HEISENBERG, 32), (harness.TWODIM, 16)])
-def test_evaluated_jets_certify_at_length_four(preset, order):
-    rep = preset_jets(preset, 4, order)
+@pytest.mark.parametrize("preset, order, points", [(harness.HEISENBERG, 9, 8),
+                                                   (harness.TWODIM, 6, 6)])
+def test_evaluated_jets_certify_at_length_four(preset, order, points):
+    rep = preset_jets(preset, 4)
     assert (rep.verdict, rep.rank, rep.word_count) == ("certified", 31, 31)
     assert rep.params == {"mode": "monoid", "max_word_len": 4, "coordinatizer": "pjet-residues",
-                          "order": order, "points": 5, "t0": skewfrac.RESIDUE_T0,
+                          "order": order, "points": points, "t0": skewfrac.RESIDUE_T0,
                           "modulus": MODULUS}
 
 
 def test_pole_at_t0_moves_it_in_the_pipeline(monkeypatch):
     third = pow(3, -1, MODULUS)  # a pole of Sbar in the two-dimensional case
     monkeypatch.setattr(skewfrac, "RESIDUE_T0", third)
-    rep = preset_jets(harness.TWODIM, 2, 16)
+    rep = preset_jets(harness.TWODIM, 2)
     assert rep.verdict == "certified" and rep.params["t0"] == third + 1
 
 
@@ -452,9 +452,9 @@ def test_pole_at_t0_moves_it_in_the_pipeline(monkeypatch):
 CAUCHON = (F(5, 6), F(1, 6), F(2))  # alpha, beta, shift
 
 
-def cauchon_jets(length, order=None):
+def cauchon_jets(length):
     alpha, beta, c = CAUCHON
-    return harness.certify_skew_jets((c, alpha, beta, 1), length, order, "group")
+    return harness.certify_skew_jets((c, alpha, beta, 1), length, mode="group")
 
 
 @pytest.mark.parametrize("construction, mode, length, order, final", [
@@ -475,7 +475,7 @@ def test_attempts_with_fewer_columns_than_words_are_skipped(monkeypatch, constru
 
     monkeypatch.setattr(harness, "first_jet_attempt", lambda *args: (order, 1))
     monkeypatch.setattr(harness, "skew_residue_coordinatizer", recording)
-    rep = harness.certify_skew_jets(construction, length, order, mode)
+    rep = harness.certify_skew_jets(construction, length, mode=mode)
     assert (rep.verdict, rep.rank) == ("certified", rep.word_count)
     assert all(n * w >= rep.word_count for n, w in steps)
     assert steps[0] != (order, 1) and steps[-1] == final
@@ -483,18 +483,41 @@ def test_attempts_with_fewer_columns_than_words_are_skipped(monkeypatch, constru
 
 
 @pytest.mark.parametrize("step", [1, 2])
-@pytest.mark.parametrize("mode, order", [("group", None), ("monoid", 1), ("monoid", 16),
-                                         ("monoid", 32), ("monoid", harness.JET_ORDER_CEILING)])
-def test_first_jet_attempt_invariants(step, mode, order):
+@pytest.mark.parametrize("mode", ["group", "monoid"])
+def test_first_jet_attempt_invariants(step, mode):
     # the first attempt holds every word in its columns, its points exceed
-    # the top power of one letter, and its order is at most the ceiling;
-    # in monoid mode the order is --order
+    # the top power of one letter, and its order reaches k * (top power + 1) - 1
+    # without passing the ceiling
     for length in range(1, 9):
         word_count = len(enumerate_words(2, length, mode == "group"))
         top_power = length * (2 if mode == "group" else 1)
-        n, w = harness.first_jet_attempt(word_count, top_power, step, order)
-        assert n * w >= word_count and w > top_power and 1 <= n <= harness.JET_ORDER_CEILING
-        assert n == order or mode == "group"
+        n, w = harness.first_jet_attempt(word_count, top_power, step)
+        assert n * w >= word_count and w > top_power
+        assert step * (top_power + 1) - 1 <= n <= harness.JET_ORDER_CEILING
+
+
+@pytest.mark.parametrize("construction", [harness.HEISENBERG.construction,
+                                          harness.TWODIM.construction, (F(2), F(5, 6), F(1, 6), 1)],
+                         ids=["heisenberg", "twodim", "cauchon"])
+@pytest.mark.parametrize("mode, lengths", [("monoid", range(1, 7)), ("group", range(1, 5))],
+                         ids=["monoid", "group"])
+def test_every_half_certifies_at_its_first_attempt(monkeypatch, construction, mode, lengths):
+    # one sizing rule serves both modes: each run ranks one attempt, the
+    # first one, and that attempt certifies
+    steps = []
+
+    def recording(order, points):
+        steps.append((order, points))
+        return skew_residue_coordinatizer(order, points)
+
+    monkeypatch.setattr(harness, "skew_residue_coordinatizer", recording)
+    for length in lengths:
+        steps.clear()
+        rep = harness.certify_skew_jets(construction, length, mode=mode)
+        word_count = len(enumerate_words(2, length, mode == "group"))
+        top_power = length * (2 if mode == "group" else 1)
+        assert (rep.verdict, rep.rank) == ("certified", word_count)
+        assert steps == [harness.first_jet_attempt(word_count, top_power, construction[3])]
 
 
 @pytest.mark.parametrize("length", [2, 3])

@@ -263,7 +263,7 @@ def test_twodim_symmetry_verdicts_form_no_pjet(monkeypatch):
 
     monkeypatch.setattr(harness, "sf_to_pjet", forbidden)
     monkeypatch.setattr(skewfrac, "pjet_ring", forbidden)
-    verdicts = harness.run_certify_skew(harness.TWODIM, 2, 16)
+    verdicts = harness.run_certify_skew(harness.TWODIM, 2)
     golden = json.loads((GOLDEN / "twodim.json").read_text())["verdicts"]
     assert _scrubbed(verdicts) == golden
     assert [v["data"] for v in verdicts[2:4]] == [{"exact_cross_check": True}] * 2
@@ -272,7 +272,7 @@ def test_twodim_symmetry_verdicts_form_no_pjet(monkeypatch):
 def test_twodim_exact_cross_check_catches_a_wrong_claim(monkeypatch):
     table, _, values = twodim_fact_table()
     verify_facts(table)
-    check = harness.twodim_cross_check(values, harness.CROSS_ORDER)
+    check = harness.twodim_cross_check(values)
     su, us = Mul((Atom("s"), Atom("u"))), Mul((Atom("u"), Atom("s")))
     assert check(su, us) == {"exact_cross_check": False}
     # a prover that wrongly finds su = us is caught by the exact values
@@ -316,7 +316,7 @@ def test_nilpotent_inverts_each_top_level_jet_once(monkeypatch, one_process):
     # the heisenberg S/T cross-check inverts A, B, C and E once each
     top["t_u"] = 0
     table = heisenberg_fact_table()[0]
-    check = harness.heisenberg_cross_check(None, 16)
+    check = harness.heisenberg_cross_check(None)
     for expr in st_expressions():
         assert check(star(expr, table), expr)["jet_cross_check"]
     assert top == {"t_u": 0, "t_x": 4}
