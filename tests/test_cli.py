@@ -346,7 +346,7 @@ def test_deficient_jets_are_inconclusive_never_exit_2(capsys, monkeypatch):
     # monoid jets at the order ceiling whose W = L points may not grow stay
     # rank-deficient; that is a limit of the jets, so the verdict is
     # inconclusive with exit 3, never exit 2, even though the second proof,
-    # sized as usual under the ceiling, certifies
+    # sized as usual below the ceiling, certifies
     from skewcert import harness
 
     real = harness.first_jet_attempt

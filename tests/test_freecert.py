@@ -362,7 +362,8 @@ def test_skew_pipeline_escalates_jets_to_ceiling(monkeypatch):
 
 
 @pytest.mark.parametrize("length", [2, 3])
-@pytest.mark.parametrize("preset", [harness.HEISENBERG, harness.TWODIM], ids=["heisenberg", "twodim"])
+@pytest.mark.parametrize("preset", [harness.HEISENBERG, harness.TWODIM],
+                         ids=["heisenberg", "twodim"])
 def test_exact_rank_equals_the_jets_rank(preset, length):
     # the exact Ore coordinatizer no longer runs in the CLI; it stays the
     # reference of the evaluated path that decides
@@ -497,7 +498,7 @@ def test_first_jet_attempt_invariants(step, mode):
 
 
 @pytest.mark.parametrize("construction", [harness.HEISENBERG.construction,
-                                          harness.TWODIM.construction, (F(2), F(5, 6), F(1, 6), 1)],
+                                          harness.TWODIM.construction, (CAUCHON[2], *CAUCHON[:2], 1)],
                          ids=["heisenberg", "twodim", "cauchon"])
 @pytest.mark.parametrize("mode, lengths", [("monoid", range(1, 7)), ("group", range(1, 5))],
                          ids=["monoid", "group"])
