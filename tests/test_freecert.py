@@ -484,17 +484,22 @@ def test_attempts_with_fewer_columns_than_words_are_skipped(monkeypatch, constru
 
 
 @pytest.mark.parametrize("step", [1, 2])
-@pytest.mark.parametrize("mode", ["group", "monoid"])
-def test_first_jet_attempt_invariants(step, mode):
+@pytest.mark.parametrize("mode, ceiling", [("group", None), ("monoid", 1), ("monoid", 16),
+                                           ("monoid", 32), ("monoid", harness.JET_ORDER_CEILING)])
+def test_first_jet_attempt_invariants(monkeypatch, step, mode, ceiling):
     # the first attempt holds every word in its columns, its points exceed
     # the top power of one letter, and its order reaches k * (top power + 1) - 1
-    # without passing the ceiling
+    # unless that passes the ceiling (None: JET_ORDER_CEILING as it is), which
+    # its order never passes
+    if ceiling is not None:
+        monkeypatch.setattr(harness, "JET_ORDER_CEILING", ceiling)
     for length in range(1, 9):
         word_count = len(enumerate_words(2, length, mode == "group"))
         top_power = length * (2 if mode == "group" else 1)
         n, w = harness.first_jet_attempt(word_count, top_power, step)
         assert n * w >= word_count and w > top_power
-        assert step * (top_power + 1) - 1 <= n <= harness.JET_ORDER_CEILING
+        top_order = harness.JET_ORDER_CEILING
+        assert min(step * (top_power + 1) - 1, top_order) <= n <= top_order
 
 
 @pytest.mark.parametrize("construction", [harness.HEISENBERG.construction,
