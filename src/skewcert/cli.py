@@ -138,7 +138,8 @@ def parse_lie_algebra(text: str) -> LieAlg:
         entries = [(index[k], c) for c, k in terms]
         if j == i:
             if entries:
-                raise ValueError(f"[{j_name}, {i_name}] must be zero")
+                line = given[frozenset((j_name, i_name))]
+                raise ValueError(f"line {line}: [{j_name}, {i_name}] must be zero")
             continue
         if j < i:
             j, i = i, j

@@ -1,7 +1,8 @@
 """The rational group ring Q[F2] of the free group on {x, y}, with reduced
-words as the canonical basis.  Coefficients are ints while integral (a
-`Fraction` enters only with a non-integral rational), and a product of reduced
-words is reduced only where they meet (`join`), never again as a whole."""
+words, keyed by their syllable tuples ((generator, nonzero exponent), ...),
+as the canonical basis.  Coefficients are ints while integral (a `Fraction`
+enters only with a non-integral rational), and a product of reduced words is
+reduced only where they meet (`join`), never again as a whole."""
 
 from __future__ import annotations
 
@@ -45,37 +46,17 @@ def _coef(c):
     return q.numerator if q.denominator == 1 else q
 
 
-class FWord:
-    """Reduced word in F2: syllables (gen, nonzero exponent), alternating gens."""
+def _inv(w: tuple) -> tuple:
+    """Inverse of a reduced word: reversed, exponents negated (still reduced)."""
+    return tuple((g, -e) for g, e in reversed(w))
 
-    __slots__ = ("letters",)
 
-    def __init__(self, letters=(), _reduced=False):
-        self.letters = tuple(letters) if _reduced else reduce_word(letters)
-
-    def __mul__(self, other: "FWord") -> "FWord":
-        return FWord(join(self.letters, other.letters), _reduced=True)
-
-    def inv(self) -> "FWord":
-        return FWord(tuple((g, -e) for g, e in reversed(self.letters)), _reduced=True)
-
-    def __eq__(self, other):
-        return isinstance(other, FWord) and self.letters == other.letters
-
-    def __hash__(self):
-        return hash(self.letters)
-
-    def __len__(self):
-        return sum(abs(e) for _, e in self.letters)
-
-    def __repr__(self):
-        if not self.letters:
-            return "1"
-        return "".join(g if e == 1 else f"{g}^{e}" for g, e in self.letters)
+def _word_repr(w: tuple) -> str:
+    return "".join(g if e == 1 else f"{g}^{e}" for g, e in w) or "1"
 
 
 class GrpRingElem:
-    """Sparse Q-combination of reduced words."""
+    """Sparse Q-combination of reduced words, keyed by their syllable tuples."""
 
     __slots__ = ("terms",)
 
@@ -83,12 +64,12 @@ class GrpRingElem:
         self.terms = {w: c for w, c in terms.items() if c}
 
     @classmethod
-    def word(cls, w: FWord, c=1) -> "GrpRingElem":
+    def word(cls, w: tuple, c=1) -> "GrpRingElem":
         return cls({w: _coef(c)})
 
     @classmethod
     def one(cls) -> "GrpRingElem":
-        return cls({FWord(): 1})
+        return cls({(): 1})
 
     @classmethod
     def zero(cls) -> "GrpRingElem":
@@ -123,33 +104,31 @@ class GrpRingElem:
         if not self.terms:
             return "0"
         parts = []
-        for w, c in sorted(self.terms.items(), key=lambda t: (len(t[0]), repr(t[0]))):
-            parts.append(repr(w) if c == 1 else f"{c}*{w!r}")
+        for w in sorted(self.terms, key=lambda w: (sum(abs(e) for _, e in w), _word_repr(w))):
+            c = self.terms[w]
+            parts.append(_word_repr(w) if c == 1 else f"{c}*{_word_repr(w)}")
         return " + ".join(parts).replace("+ -", "- ")
 
 
 def gr_mul(a: GrpRingElem, b: GrpRingElem) -> GrpRingElem:
-    out: dict = {}  # keyed by syllable tuples: each word becomes an FWord once
-    right = [(wb.letters, cb) for wb, cb in b.terms.items()]
+    out: dict = {}
+    right = list(b.terms.items())
     for wa, ca in a.terms.items():
-        for lb, cb in right:
-            w = join(wa.letters, lb)
+        for wb, cb in right:
+            w = join(wa, wb)
             out[w] = out.get(w, 0) + ca * cb
-    prod = GrpRingElem.__new__(GrpRingElem)
-    prod.terms = {FWord(w, True): c for w, c in out.items() if c}
-    return prod
+    return GrpRingElem(out)
 
 
 def gr_involution(a: GrpRingElem) -> GrpRingElem:
     """Canonical involution: sum x a_x -> sum x^{-1} a_x."""
-    return GrpRingElem({w.inv(): c for w, c in a.terms.items()})
+    return GrpRingElem({_inv(w): c for w, c in a.terms.items()})
 
 
 def symmetric_generators() -> tuple[GrpRingElem, GrpRingElem]:
     """X = x + x^{-1} and Y = y + y^{-1}; both fixed by the canonical
     involution."""
-    x, y = FWord((("x", 1),)), FWord((("y", 1),))
-    return GrpRingElem({x: 1, x.inv(): 1}), GrpRingElem({y: 1, y.inv(): 1})
+    return tuple(GrpRingElem({((g, 1),): 1, ((g, -1),): 1}) for g in "xy")
 
 
 def _gr_inv(a: GrpRingElem) -> GrpRingElem:
@@ -157,7 +136,7 @@ def _gr_inv(a: GrpRingElem) -> GrpRingElem:
     if len(a.terms) != 1:
         raise AdapterFailure("group-ring element is not a unit")
     (w, c), = a.terms.items()
-    return GrpRingElem({w.inv(): _coef(Fraction(1, c))})
+    return GrpRingElem({_inv(w): _coef(Fraction(1, c))})
 
 
 def ring_ops() -> RingOps:
@@ -173,5 +152,5 @@ def ring_ops() -> RingOps:
 
 
 def coordinatize(a: GrpRingElem) -> dict:
-    """The FWord basis itself: injective on all of Q[F2]."""
-    return {w.letters: c for w, c in a.terms.items()}
+    """The reduced-word basis itself: injective on all of Q[F2]."""
+    return dict(a.terms)

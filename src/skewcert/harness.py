@@ -382,10 +382,13 @@ def twodim_cross_check(values):
 class SkewPreset:
     """A paper preset of the construction in K(p;sigma): `construction` is the
     (c, alpha, beta, k) of `skewfrac.cauchon_pair`, the rest wires the run.
-    `label` is the paper label of every verdict but the freeness one;
-    `opening` is given the fact-table triple that `fact_table()` returns,
-    (table, model, values); `expressions()` returns (S, T); and
-    `cross_check(values)` returns the symmetry verdicts' (starred, expr) -> data check."""
+    `label` is the paper label of every verdict but the freeness one.
+    `opening` is given the whole triple that `fact_table()` returns:
+    heisenberg's (table, phi_H, atoms), atoms the UElem of each atom name,
+    and twodim's (table, model, values), values the skew-field values of s
+    and u, filled in as the facts are checked.  `expressions()` returns
+    (S, T), and `cross_check(third)`, given the triple's third element,
+    returns the symmetry verdicts' (starred, expr) -> data check."""
 
     __slots__ = ("command", "construction", "label", "freeness_label", "opening_claim", "opening",
                  "facts_claim", "fact_table", "expressions", "symmetry_claims", "cross_check",
@@ -547,8 +550,9 @@ def run_certify_cauchon(alpha, beta, shift=2, max_word_len: int = 2,
                         seed: int = DEFAULT_SEED) -> list[dict]:
     alpha, beta, shift = rat(alpha), rat(beta), rat(shift)
     ok = orbit_distinct(alpha, beta, shift)
+    step = f"z - {shift}" if shift >= 0 else f"z + {-shift}"
     verdicts = [verdict(
-        f"orbits of {alpha} and {beta} under z -> z - {shift} are infinite and distinct",
+        f"orbits of {alpha} and {beta} under z -> {step} are infinite and distinct",
         "Cauchon", ok)]
     if not ok:
         verdicts.append(verdict("freeness of the group algebra on (xi, eta)", "Cauchon",

@@ -208,6 +208,8 @@ def test_check_algebra_rejects_unknown_names(text, message, capsys, tmp_path):
         ("basis u v w\nbracket v u = x*w\n", "line 2: Invalid literal for Fraction: 'x'"),
         ("basis u v w\n\nbracket v u = *u\n", "line 3: Invalid literal for Fraction: ''"),
         ("basis u v w\nbracket v u = 1/0*w\n", "line 2: zero denominator in '1/0'"),
+        # a nonzero self-bracket once gave its error without its line
+        ("basis u v\n\nbracket u u = v\n", "line 3: [u, u] must be zero"),
     ],
 )
 def test_check_algebra_rejects_contradictory_tables(text, message, capsys, tmp_path):
@@ -422,6 +424,20 @@ def test_cauchon_certifies_at_length_three(capsys):
     assert v["verdict"] == v["data"]["verdict"] == "certified"
     assert (v["data"]["rank"], v["data"]["word_count"]) == (53, 53)
     assert v["data"]["params"]["coordinatizer"] == "pjet-residues"
+
+
+def test_cauchon_claim_writes_a_negative_shift_with_a_plus(capsys):
+    # a shift of -1 once read "z -> z - -1"; a shift >= 0 reads as before
+    code, report = run_cli(["certify", "cauchon", "--alpha", "1/2", "--beta", "0",
+                            "--shift", "-1"], capsys)
+    assert code == 0
+    claim = report["verdicts"][0]["claim"]
+    assert claim == "orbits of 1/2 and 0 under z -> z + 1 are infinite and distinct"
+    code, report = run_cli(["certify", "cauchon", "--alpha", "1/2", "--beta", "0",
+                            "--shift", "0"], capsys)
+    assert code == 2
+    claim = report["verdicts"][0]["claim"]
+    assert claim == "orbits of 1/2 and 0 under z -> z - 0 are infinite and distinct"
 
 
 @pytest.mark.parametrize("argv", [["certify", "nilpotent", "--order", "1"],

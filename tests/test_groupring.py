@@ -6,7 +6,6 @@ import pytest
 
 from skewcert.errors import AdapterFailure
 from skewcert.groupring import (
-    FWord,
     GrpRingElem,
     coordinatize,
     gr_involution,
@@ -16,8 +15,8 @@ from skewcert.groupring import (
     symmetric_generators,
 )
 
-X_WORD = FWord((("x", 1),))
-Y_WORD = FWord((("y", 1),))
+X_WORD = (("x", 1),)
+Y_WORD = (("y", 1),)
 
 
 def test_reduce_word():
@@ -28,7 +27,7 @@ def test_reduce_word():
 
 def test_cancellation():
     x = GrpRingElem.word(X_WORD)
-    xinv = GrpRingElem.word(X_WORD.inv())
+    xinv = GrpRingElem.word((("x", -1),))
     assert gr_mul(x, xinv) == GrpRingElem.one()
 
 
@@ -43,9 +42,9 @@ def test_power_expansion():
     X, _ = symmetric_generators()
     X2 = gr_mul(X, X)
     assert X2.terms == {
-        FWord((("x", 2),)): F(1),
-        FWord(()): F(2),
-        FWord((("x", -2),)): F(1),
+        (("x", 2),): F(1),
+        (): F(2),
+        (("x", -2),): F(1),
     }
 
 
@@ -73,16 +72,27 @@ def test_associativity_random(rnd):
 
 
 def test_coordinatizer_injective_on_distinct_words():
-    w1 = FWord((("x", 1), ("y", -2)))
-    w2 = FWord((("y", -2), ("x", 1)))
+    w1 = (("x", 1), ("y", -2))
+    w2 = (("y", -2), ("x", 1))
     e = GrpRingElem({w1: F(1), w2: F(-1)})
     vec = coordinatize(e)
     assert len(vec) == 2
 
 
+def test_repr_renders_words_and_orders_terms_by_length():
+    X, Y = symmetric_generators()
+    assert repr(X) == "x + x^-1"
+    assert repr(GrpRingElem.word(X_WORD, F(2, 3))) == "2/3*x"
+    assert repr(GrpRingElem.word((("x", 2), ("y", -1)))) == "x^2y^-1"
+    assert (repr(GrpRingElem.zero()), repr(GrpRingElem.one())) == ("0", "1")
+    assert repr(gr_mul(X, X)) == "2*1 + x^-2 + x^2"
+    assert repr(X - Y.smul(F(2, 3))) == "x + x^-1 - 2/3*y - 2/3*y^-1"
+    assert repr(gr_mul(X, Y) - GrpRingElem.one().smul(3)) == "-3*1 + x^-1y + x^-1y^-1 + xy + xy^-1"
+
+
 def test_unit_inverse():
     ops = ring_ops()
-    g = GrpRingElem.word(FWord((("x", 1), ("y", 2))), F(3))
+    g = GrpRingElem.word((("x", 1), ("y", 2)), F(3))
     assert ops.is_unit(g)
     assert ops.eq(ops.mul(g, ops.inv(g)), ops.one)
     X, _ = symmetric_generators()

@@ -193,6 +193,18 @@ def test_benchmark_span_hooks_still_bind(monkeypatch):
     freecert.certify_freeness([x, y], groupring.ring_ops(), harness.groupring_coordinatizer(), 2)
     harness.run_certify_cauchon("5/6", "1/6", 2, 1)
     assert tracer.words == 7 + 5 and [rows for rows, _, _ in tracer.rank_inputs] == [7]
+    # `certify groupring` reaches `groupring.coordinatize` through the module,
+    # once per word: a coordinatizer that read the terms itself would leave
+    # the traced `groupring.coordinatize.calls` at zero
+    coordinatized = []
+
+    def counting(value, _original=groupring.coordinatize):
+        coordinatized.append(value)
+        return _original(value)
+
+    monkeypatch.setattr(groupring, "coordinatize", counting)
+    harness.run_certify_groupring(2)
+    assert len(coordinatized) == 7
 
 
 
