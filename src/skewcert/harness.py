@@ -351,7 +351,8 @@ def heisenberg_image_table(facts) -> bool:
 
 def heisenberg_cross_check(values):
     """Substitute the atoms' jets in the Heisenberg tower, compared up to
-    CROSS_ORDER; phi_H sends z - 1 to 0, so the skew-field `values` cannot decide."""
+    CROSS_ORDER, which both sides must be known to (KernelError otherwise);
+    phi_H sends z - 1 to 0, so the skew-field `values` cannot decide."""
     tower, jet_atoms = heisenberg_atom_jets(CROSS_ORDER + 4)
     ops = tower.ops()
     memo: dict = {}
@@ -359,6 +360,9 @@ def heisenberg_cross_check(values):
     def check(starred, expr) -> dict:
         lhs = substitute(starred, jet_atoms, ops, memo)
         rhs = substitute(expr, jet_atoms, ops, memo)
+        window = min(lhs.trunc, rhs.trunc)
+        if window < CROSS_ORDER:
+            raise KernelError(f"jet cross-check window {window} is below order {CROSS_ORDER}")
         return {"jet_cross_check_order": CROSS_ORDER,
                 "jet_cross_check": jets_agree(lhs, rhs, upto=CROSS_ORDER)}
 

@@ -825,6 +825,20 @@ def _bp_mul(a: BiPoly, b: BiPoly) -> BiPoly:
     return _bp_dot(((1, a, b),))
 
 
+def fraction_dot(terms) -> Fraction:
+    """sum kappa*x*y over (kappa, x, y) with x, y rational, as _bp_dot does
+    it: one int numerator over a running lcm denominator, reduced once."""
+    num, den = 0, 1
+    for kap, x, y in terms:
+        d = x.denominator * y.denominator
+        if den % d:
+            r = d // gcd(den, d)
+            den *= r
+            num *= r
+        num += kap * x.numerator * y.numerator * (den // d)
+    return Fraction(num, den)
+
+
 def bipoly_const(q) -> BiPoly:
     """Constant of Q[n1, n2]."""
     q = Fraction(q)

@@ -65,7 +65,7 @@ from .errors import (
     PrecisionExhausted,
 )
 from .rings import RingOps
-from .scalar import bipoly_const, bipoly_eps, bipoly_n1, bipoly_n2, bipoly_ops  # noqa: F401
+from .scalar import bipoly_const, bipoly_eps, bipoly_n1, bipoly_n2, bipoly_ops, fraction_dot  # noqa: F401
 
 EXACT = 10**9  # truncation sentinel for exactly known jets
 
@@ -593,6 +593,7 @@ def fraction_ops() -> RingOps:
         smul=operator.mul,
         inv=lambda a: 1 / Fraction(a),
         is_unit=bool,
+        dot=fraction_dot,
     )
 
 

@@ -3,7 +3,9 @@ den^{-1} * num, plus the orbit test behind Cauchon's construction and the
 explicit generators used throughout the certifications.
 
 Canonical form: monic denominator, no common left divisor of positive
-degree.  Equality is structural equality of canonical forms.
+degree.  Equality is structural equality of canonical forms.  A divisor of
+positive degree divides no nonzero scalar, so no gcld is taken when a side
+has degree 0 (it is a unit), and two fractions over 1 add their numerators.
 
 Two series expansions of K(p;sigma) are provided, both as jets of the one
 series kernel in `series`:
@@ -113,6 +115,8 @@ class SkewFrac:
             return other
         if not other:
             return self
+        if self.den.degree == 0 == other.den.degree:  # both are 1: the sum is canonical
+            return SkewFrac(self.den, self.num + other.num, _canonical=True)
         _, m, c1, c2 = sp_gcrd_llcm(self.den, other.den)
         return SkewFrac(m, sp_mul(c1, self.num) + sp_mul(c2, other.num))
 
@@ -152,13 +156,15 @@ def _canonicalize(den: SkewPoly, num: SkewPoly) -> tuple[SkewPoly, SkewPoly]:
     aut = den.aut
     if not num:
         return SkewPoly.one(aut), SkewPoly.zero(aut)
-    g = sp_gcld(den, num)
-    if g.degree > 0:
-        den_q, r1 = sp_divmod(den, g, "left")
-        num_q, r2 = sp_divmod(num, g, "left")
-        if r1 or r2:
-            raise KernelError("gcld does not divide exactly")
-        den, num = den_q, num_q
+    # a common left divisor of positive degree divides no nonzero scalar
+    if den.degree > 0 and num.degree > 0:
+        g = sp_gcld(den, num)
+        if g.degree > 0:
+            den_q, r1 = sp_divmod(den, g, "left")
+            num_q, r2 = sp_divmod(num, g, "left")
+            if r1 or r2:
+                raise KernelError("gcld does not divide exactly")
+            den, num = den_q, num_q
     if not den.is_monic():
         u = aut.apply(den.lc().inv(), -den.degree)
         scal = SkewPoly.scalar(aut, u)

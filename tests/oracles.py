@@ -10,7 +10,7 @@ from skewcert.errors import DivisionByZero, PoleAtPoint
 from skewcert.freecert import MODULUS
 from skewcert.scalar import Poly, RatFun
 from skewcert.series import EXACT, Jet, _kappa, _tadd, jet_add, jet_mul, jet_neg
-from skewcert.skewpoly import sp_gcrd_llcm, sp_mul
+from skewcert.skewpoly import SkewPoly, sp_divmod, sp_gcld, sp_gcrd_llcm, sp_mul
 
 
 def word_str(w, names) -> str:
@@ -180,6 +180,21 @@ def sf_eq_cross(a, b) -> bool:
         return (not a) and (not b)
     _, _, c1, c2 = sp_gcrd_llcm(a.den, b.den)
     return sp_mul(c1, a.num) == sp_mul(c2, b.num)
+
+
+def canonical_pair(den, num) -> tuple:
+    """The canonical (den, num) of den^-1 num by the full definition, with
+    no shortcut on degrees: both divided on the left by their monic gcld,
+    then the denominator made monic by a left unit."""
+    aut = den.aut
+    if not num:
+        return SkewPoly.one(aut), SkewPoly.zero(aut)
+    g = sp_gcld(den, num)
+    (den, r1), (num, r2) = sp_divmod(den, g, "left"), sp_divmod(num, g, "left")
+    if r1 or r2:
+        raise ValueError("gcld does not divide exactly")
+    u = SkewPoly.scalar(aut, aut.apply(den.lc().inv(), -den.degree))
+    return sp_mul(u, den), sp_mul(u, num)
 
 
 def cauchon_image_jets(order: int, alpha, beta, c):

@@ -62,7 +62,7 @@ def test_replace_copies_the_table_with_the_named_fields_swapped():
     ops = fraction_ops()
     swapped = ops.replace(mul=lambda a, b: b * a, dot=len)
     assert (swapped.mul(F(2), F(3)), swapped.dot([1, 2])) == (F(6), 2)
-    assert ops.dot is None and ops.mul is not swapped.mul
+    assert ops.dot is not swapped.dot and swapped.dot is len and ops.mul is not swapped.mul
     assert all(getattr(swapped, k) is getattr(ops, k)
                for k in type(ops).__slots__ if k not in ("mul", "dot"))
     with pytest.raises(TypeError):

@@ -482,6 +482,40 @@ def test_bipoly_dot_matches_fallback_and_monomial_oracle(raw, cancel):
         assert not got.coeffs
 
 
+rationals = st.one_of(st.fractions(min_value=-6, max_value=6, max_denominator=6),
+                      st.fractions(min_value=-2**64, max_value=2**64, max_denominator=2**64))
+
+
+@settings(max_examples=300)
+@given(st.lists(st.tuples(dot_kappas, rationals, rationals), min_size=1, max_size=5),
+       st.sampled_from(["as drawn", "single", "all", "integral"]))
+@example([(1, F(1, 2**64), F(2**64 - 1, 3))], "as drawn")
+@example([(-3, F(-2**64, 2**64 - 1), F(1, 7)), (2, F(5, 6), F(0))], "all")
+@example([(2, F(1, 2), F(3, 4)), (-1, F(1, 4), F(1, 2))], "integral")
+def test_fraction_dot_matches_fallback(terms, shape):
+    """The fused Q sum of products against the mul/neg/smul/add fallback, in
+    value and type.  "single" keeps the first term; "all" appends
+    (-k, x, y) for every term, an exact zero; "integral" appends the term
+    that cancels the sum's fractional part."""
+    ops = series.fraction_ops()
+    assert ops.dot is scalar.fraction_dot
+    fallback = ops.replace(dot=None).sum_products
+    if shape == "single":
+        terms = terms[:1]
+    elif shape == "all":
+        terms = terms + [(-k, x, y) for k, x, y in terms]
+    elif shape == "integral":
+        s = fallback(terms)
+        terms = terms + [(1, math.floor(s) - s, F(1))]
+    want = fallback(terms)
+    got = ops.sum_products(terms)
+    assert got == want and type(got) is type(want) is F
+    if shape == "all":
+        assert got == 0
+    if shape == "integral":
+        assert got.denominator == 1
+
+
 # -- the integer form of Q[n1, n2] and clean jets --------------------------------
 
 
@@ -728,6 +762,16 @@ def test_class3_scalars_sum_through_the_fused_dot():
         lw = tower.levels[0]
         assert lw.coeff.dot is scalar._bp_dot
         assert plain(lw).coeff.dot is None
+
+
+def test_heisenberg_scalars_sum_through_the_fused_dot():
+    """The Heisenberg tower's bottom ring sums through the Q dot and plain()
+    removes it, so check_fused_matches_fallback compares the fused and the
+    fallback sums at t_z."""
+    for tower in (heisenberg_tower(), TOWERS["heisenberg"]):
+        lz = tower.levels[0]
+        assert lz.coeff.dot is scalar.fraction_dot
+        assert plain(lz).coeff.dot is None
 
 
 def outcome(f, *args):

@@ -2,11 +2,14 @@
 generators and the two series expansions."""
 
 import functools
+import json
+import pathlib
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from skewcert import series
+from skewcert import harness, series
 from skewcert.errors import (
     ContextMismatch,
     HypothesisViolation,
@@ -43,10 +46,11 @@ from skewcert.skewfrac import (
     twodim_image_jets,
     weyl_jet_ring,
 )
-from skewcert.skewpoly import SkewPoly, sp_mul
+from skewcert.skewpoly import SkewPoly, sp_gcrd_llcm, sp_mul
 from tests.conftest import rand_ratfun, rand_skewpoly
-from oracles import cauchon_image_jets, jet_sub, residue_pjets, sf_eq_cross
+from oracles import canonical_pair, cauchon_image_jets, jet_sub, residue_pjets, sf_eq_cross
 
+GOLDEN = pathlib.Path(__file__).resolve().parent / "golden"
 AUT = ShiftAut(F(1))
 ONE = SkewPoly.one(AUT)
 P2 = SkewPoly.p(AUT, 2)
@@ -195,6 +199,71 @@ def test_canonical_form_unique(rnd):
         # the same element from a non-canonical pair: (u d)^{-1} (u n)
         blown = SkewFrac(sp_mul(u, a.den), sp_mul(u, a.num))
         assert blown == a
+
+
+rationals = st.builds(F, st.integers(-4, 4), st.integers(1, 3))
+polys = st.lists(rationals, max_size=2).map(Poly)
+ratfuns = st.builds(RatFun, polys, polys.filter(bool))
+
+
+def skewpolys(degree):
+    """Skew polynomials of exactly the given degree."""
+    return st.builds(lambda cs, lead: SkewPoly(AUT, cs + [lead]),
+                     st.lists(ratfuns, min_size=degree, max_size=degree), ratfuns.filter(bool))
+
+
+@settings(max_examples=100)
+@given(st.data(), st.sampled_from([(0, 0), (0, 2), (2, 0), (1, 1), (2, 1), (1, 2), (1, None)]),
+       st.sampled_from([None, 0, 1]))
+def test_canonical_form_matches_the_full_definition(data, degrees, shared):
+    """A degree-0 side skips the gcld; the pair is the same as when the
+    gcld, both left divisions and the monic normalization always run.
+    `shared` is the degree of a common left factor of both sides, if any."""
+    d_deg, n_deg = degrees
+    den = data.draw(skewpolys(d_deg))
+    num = SkewPoly.zero(AUT) if n_deg is None else data.draw(skewpolys(n_deg))
+    if shared is not None:
+        g = data.draw(skewpolys(shared))
+        den, num = sp_mul(g, den), sp_mul(g, num)
+    f = SkewFrac(den, num)
+    assert (f.den, f.num) == canonical_pair(den, num)
+
+
+@given(st.data(), st.integers(0, 2), st.integers(0, 2), st.booleans())
+def test_sum_over_unit_denominators_matches_the_llcm_route(data, da, db, cancel):
+    """Two fractions with denominator 1 add their numerators; the sum is the
+    one the gcrd/llcm route gives, and a cancelling sum is (1, 0)."""
+    a = SkewFrac.from_poly(data.draw(skewpolys(da)))
+    b = -a if cancel else SkewFrac.from_poly(data.draw(skewpolys(db)))
+    _, m, c1, c2 = sp_gcrd_llcm(a.den, b.den)
+    s = a + b
+    assert (s.den, s.num) == canonical_pair(m, sp_mul(c1, a.num) + sp_mul(c2, b.num))
+    if cancel:
+        assert (s.den, s.num) == (ONE, SkewPoly.zero(AUT))
+
+
+@pytest.mark.parametrize("preset", [harness.HEISENBERG, harness.TWODIM], ids=["heisenberg", "twodim"])
+def test_presets_build_only_canonical_fractions(preset, one_process, monkeypatch):
+    """Every SkewFrac the L=2 preset builds is the canonical pair of its
+    inputs by the full definition, and the verdicts are the golden ones."""
+    built = []
+    real = SkewFrac.__init__
+
+    def checked(self, den, num, _canonical=False):
+        real(self, den, num, _canonical)
+        built.append((den, num, self.den, self.num))
+
+    monkeypatch.setattr(SkewFrac, "__init__", checked)
+    verdicts = harness.run_certify_skew(preset, 2)
+    monkeypatch.undo()
+    golden = json.loads((GOLDEN / f"{preset.command.split()[1]}.json").read_text())
+    assert golden["params"] == {"max_word_len": 2}
+    assert [(v["claim"], v["verdict"]) for v in verdicts] == [
+        (v["claim"], v["verdict"]) for v in golden["verdicts"]]
+    assert all((d, n) == canonical_pair(den, num) for den, num, d, n in built)
+    # both the shortcut and the gcld path ran
+    assert any(den.degree == 0 and num for den, num, _, _ in built)
+    assert any(den.degree > 0 and num.degree > 0 for den, num, _, _ in built)
 
 
 def test_pjet_cross_oracle(rnd):

@@ -7,7 +7,7 @@ from fractions import Fraction as F
 import pytest
 
 from skewcert import cli, harness, skewfrac
-from skewcert.errors import FactFailure, UnknownAtomStar
+from skewcert.errors import FactFailure, KernelError, UnknownAtomStar
 from skewcert.harness import (
     class3_fact_table,
     equality_verdict,
@@ -154,6 +154,23 @@ def test_unable_has_its_own_exit_code():
                        ("relation_found", 2), ("inconclusive", 3), ("unable", 4),
                        ("pass", 2), ("verified", 2), ("true", 2), ("", 2)):
         assert exit_of(name) == code, name
+
+
+def test_heisenberg_cross_check_window_reaches_its_order(h_setup, monkeypatch):
+    # at the tower order CROSS_ORDER + 4 both sides are known below 19; built
+    # at CROSS_ORDER they are known below 15 only, and a report claiming 16
+    # would overstate the comparison, so the check refuses it
+    table, _ = h_setup
+    S, T = st_expressions()
+    check = harness.heisenberg_cross_check(None)
+    for e in (S, T):
+        assert check(star(e, table), e) == {"jet_cross_check_order": 16, "jet_cross_check": True}
+    real = harness.heisenberg_atom_jets
+    monkeypatch.setattr(harness, "heisenberg_atom_jets", lambda order: real(harness.CROSS_ORDER))
+    check = harness.heisenberg_cross_check(None)
+    for e in (S, T):
+        with pytest.raises(KernelError, match="^jet cross-check window 15 is below order 16$"):
+            check(star(e, table), e)
 
 
 def test_equality_verdict_needs_proof_and_cross_check(h_setup):
