@@ -154,6 +154,7 @@ def parse_lie_algebra(text: str) -> LieAlg:
 
 REQUIRED = ...  # the default of a flag that must be given
 MAX_WORD_LEN = 12  # the rank holds every word up to it: 12 admits 8,191 monoid words
+MAX_ORDER = 32  # class-3 tower order: a command's time doubles about every 4 orders
 
 
 def class3_order(args) -> int:
@@ -283,6 +284,8 @@ def run(argv=None) -> int:
     try:
         if getattr(args, "order", 1) < 1:
             raise ValueError("--order must be at least 1")
+        if getattr(args, "order", 1) > MAX_ORDER:
+            raise ValueError(f"--order must be at most {MAX_ORDER}")
         if getattr(args, "max_word_len", 1) < 1:
             raise ValueError("--max-word-len must be at least 1")
         if getattr(args, "max_word_len", 1) > MAX_WORD_LEN:

@@ -671,6 +671,15 @@ RF_ONE = RatFun.const(1)
 # with a nested Poly built generically.  The kernel takes BiPolys alone:
 # +, - and * on a BiPoly are the kernel's, and read a nested Poly operand
 # into the form there.
+#
+# The class-3 tower's Q[n1, n2]((t_w)) (series.TwJet) packs a whole jet the
+# same way: its key for t_w^i n2^b n1^a is (i << W_SHIFT) + the BiPoly key,
+# with b below 2**14 as well, so the low W_SHIFT bits are the BiPoly key,
+# key >> W_SHIFT is the order i for negative i too, and a sum of two stored
+# keys adds orders and degrees without a carry between the fields.  The
+# order field is a signed Python int, so it holds every Laurent floor.  A
+# key with bit 14 or bit 29 set (TW_GUARD) holds a degree that a stored
+# jet may not hold; its kernels raise a KernelError there.
 
 
 class BiPoly(Poly):
@@ -729,6 +738,8 @@ _FRACTION_ZERO = Fraction(0)
 _N1_MASK = (1 << 15) - 1
 _N1_LIMIT = 1 << 14  # the smallest n1-degree a stored BiPoly may not hold
 _N1_ERROR = "n1-degree 2**14 or more in Q[n1, n2]"
+W_SHIFT = 30  # the t_w order's place in a TwJet key
+TW_GUARD = _N1_LIMIT | _N1_LIMIT << 15  # an n1- or n2-degree of 2**14 or more
 
 
 def _bp(p) -> BiPoly:

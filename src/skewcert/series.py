@@ -47,6 +47,20 @@ trip the Laurent floor.
 Towers are built by using one JetRing's element ops as the coefficient ring
 of the next level; `lift_derivation` extends an inner derivation across a
 level via delta_s(t_w) = -t_w * delta_s(w) * t_w.
+
+The class-3 tower's t_w level is a TwRing, Q[n1, n2]((t)) with no
+derivation, and its jets are TwJets: a positive int `den`, the nonzero
+monomials t^i n2^b n1^a as (key, int numerator) `terms` in key order (the
+layout is in `scalar` above BiPoly), coprime to den as a whole, and
+`trunc`.  Its ops, to which jet_add, jet_neg, jet_smul and jet_dot hand
+TwJets, are integer kernels; the dot makes one pass over all monomial
+pairs below jet_dot's trunc over one running lcm denominator, raises
+PrecisionExhausted below the floor and takes one gcd.  A delta lifted from
+0 with a monomial delta(w) is t^i c -> -i delta(w) t^(i+1) c, as t and
+Q[n1, n2] commute.  To every other reader a TwJet is a Jet: `.coeffs`
+builds the {order: BiPoly} view on each read, and Jet(ring, map, trunc)
+and the ring's constructors read a plain {order: BiPoly} map into the
+form, as scalar._bp reads a nested Poly.
 """
 
 from __future__ import annotations
@@ -61,11 +75,13 @@ from .errors import (
     CompatibilityFailure,
     ContextMismatch,
     HypothesisViolation,
+    KernelError,
     LowestCoeffNotUnit,
     PrecisionExhausted,
 )
 from .rings import RingOps
-from .scalar import bipoly_const, bipoly_eps, bipoly_n1, bipoly_n2, bipoly_ops, fraction_dot  # noqa: F401
+from .scalar import TW_GUARD, W_SHIFT, _bp, _normal, bipoly_eps, bipoly_n1, bipoly_n2, bipoly_ops, fraction_dot
+from .scalar import bipoly_const  # noqa: F401
 
 EXACT = 10**9  # truncation sentinel for exactly known jets
 
@@ -148,6 +164,9 @@ class JetRing:
 class Jet:
     __slots__ = ("ring", "coeffs", "trunc")
 
+    def __new__(cls, ring: JetRing, coeffs: dict = None, trunc: int = EXACT):
+        return _new_jet(ring.jet_type)  # a TwRing's jets are TwJets
+
     def __init__(self, ring: JetRing, coeffs: dict, trunc: int = EXACT):
         trunc = min(trunc, EXACT)
         clean = {}
@@ -195,7 +214,8 @@ class Jet:
         return jet_inv(self)
 
 
-_new_jet = Jet.__new__
+_new_jet = object.__new__
+JetRing.jet_type = Jet
 
 
 def _below_floor(ring: JetRing, i: int) -> PrecisionExhausted:
@@ -231,6 +251,8 @@ def _check_ctx(a: Jet, b: Jet):
 
 
 def jet_add(a: Jet, b: Jet) -> Jet:
+    if type(a) is TwJet:
+        return _tw_add(a, b)
     _check_ctx(a, b)
     ops = a.ring.coeff
     add, exact_zero = ops.add, ops.exact_zero
@@ -250,11 +272,15 @@ def jet_add(a: Jet, b: Jet) -> Jet:
 
 
 def jet_neg(a: Jet) -> Jet:
+    if type(a) is TwJet:
+        return _tw_neg(a)
     neg = a.ring.coeff.neg
     return _jet(a.ring, {i: neg(c) for i, c in a.coeffs.items()}, a.trunc)
 
 
 def jet_smul(q, a: Jet) -> Jet:
+    if type(a) is TwJet:
+        return _tw_smul(q, a)
     smul = a.ring.coeff.smul
     # only q = 0 can make exact zeros, and then the public constructor drops them
     return (_jet if q else Jet)(a.ring, {i: smul(q, c) for i, c in a.coeffs.items()}, a.trunc)
@@ -284,6 +310,8 @@ def jet_dot(terms) -> Jet:
     zero or at the last power m at which some kappa(j, m) of a right order
     j is nonzero below trunc (m = -b_min if no j is positive); an inexact
     zero keeps flowing so its finite precision reaches the output."""
+    if type(terms[0][1]) is TwJet:
+        return _tw_dot(terms)
     ring = terms[0][1].ring
     trunc = EXACT
     for _, x, y in terms:
@@ -519,6 +547,8 @@ def lift_derivation(
         raise HypothesisViolation(
             "delta_s(w) must live in the coefficient ring, not the series ring itself"
         )
+    if type(jring) is TwRing and delta_on_coeffs is None and len(_bp(delta_of_w).terms) == 1:
+        return _tw_derivation(jring, delta_of_w, name)
     cache: dict[int, Jet] = {}
 
     def d_tw(i: int) -> Jet:
@@ -582,6 +612,194 @@ def series_hom(a: Jet, phi: Callable[[Any], Any], target: JetRing) -> Jet:
     return Jet(target, out, a.trunc)
 
 
+# -- the packed t_w level ---------------------------------------------------------
+
+_W = 1 << W_SHIFT  # t_w as a key
+_BP_MASK = _W - 1  # the BiPoly key of a monomial
+_TW_ERROR = "n1- or n2-degree 2**14 or more in Q[n1, n2]((t_w))"
+
+
+class TwJet(Jet):
+    """A jet of a TwRing in the integer form of the module docstring."""
+
+    __slots__ = ("den", "terms")
+
+    def __init__(self, ring: JetRing, coeffs: dict, trunc: int = EXACT):
+        # the lcm of reduced denominators is coprime to the numerators as a whole
+        trunc = min(trunc, EXACT)
+        cs = []
+        for i, c in coeffs.items():
+            c = _bp(c)
+            if i >= trunc or not c.terms:
+                continue
+            if i < ring.floor:
+                raise _below_floor(ring, i)
+            if c.terms[-1][0] >> W_SHIFT - 1:  # the top key has the top n2-degree
+                raise KernelError(_TW_ERROR)
+            cs.append((i << W_SHIFT, c))
+        den = math.lcm(*[c.den for _, c in cs])
+        self.ring, self.den, self.trunc = ring, den, trunc
+        self.terms = tuple(sorted([(w + k, n * (den // c.den)) for w, c in cs for k, n in c.terms]))
+
+    @property
+    def coeffs(self) -> dict:
+        """The {order: BiPoly} view, built on each read."""
+        rows: dict = {}
+        for key, c in self.terms:
+            rows.setdefault(key >> W_SHIFT, []).append((key & _BP_MASK, c))
+        return {i: _normal(self.den, dict(row)) for i, row in rows.items()}
+
+    @property
+    def min_ord(self) -> int:
+        return self.terms[0][0] >> W_SHIFT if self.terms else self.trunc
+
+    def nonzero_min_ord(self) -> Optional[int]:
+        return self.terms[0][0] >> W_SHIFT if self.terms else None
+
+
+class TwRing(JetRing):
+    """Q[n1, n2]((t)) with no derivation; its jets are TwJets and its ops
+    the integer kernels below."""
+
+    jet_type = TwJet
+
+    def __init__(self, var: str, order: int, floor: int = -8):
+        super().__init__(bipoly_ops(), None, var, order, floor)
+
+    def ops(self) -> RingOps:
+        return super().ops().replace(add=_tw_add, neg=_tw_neg, smul=_tw_smul,
+                                     mul=lambda a, b: _tw_dot(((1, a, b),)),
+                                     is_zero=_tw_known_zero, exact_zero=_tw_exact_zero,
+                                     dot=_tw_dot)
+
+
+def _tw(ring: TwRing, den: int, items: list, trunc: int) -> TwJet:
+    """The TwJet of the nonzero (key, numerator) items, in key order, over
+    den > 0, reduced by their gcd."""
+    if den != 1:
+        g = math.gcd(den, *[c for _, c in items])
+        if g != 1:
+            den //= g
+            items = [(k, c // g) for k, c in items]
+    j = _new_jet(TwJet)
+    j.ring, j.den, j.terms, j.trunc = ring, den, tuple(items), trunc
+    return j
+
+
+def _tw_known_zero(a: TwJet) -> bool:
+    return not a.terms
+
+
+def _tw_exact_zero(a: TwJet) -> bool:
+    return not a.terms and a.trunc >= EXACT
+
+
+def _tw_add(a: TwJet, b: TwJet) -> TwJet:
+    if a.ring is not b.ring:
+        raise ContextMismatch(f"{a.ring!r} vs {b.ring!r}")
+    trunc = min(a.trunc, b.trunc)
+    if not b.terms and trunc == a.trunc:
+        return a
+    if not a.terms and trunc == b.trunc:
+        return b
+    lim = trunc << W_SHIFT
+    den = math.lcm(a.den, b.den)
+    fa, fb = den // a.den, den // b.den
+    acc = {k: c * fa for k, c in a.terms if k < lim}
+    for k, c in b.terms:
+        if k >= lim:
+            break
+        acc[k] = acc.get(k, 0) + c * fb
+    return _tw(a.ring, den, sorted([kc for kc in acc.items() if kc[1]]), trunc)
+
+
+def _tw_neg(a: TwJet) -> TwJet:
+    return _tw(a.ring, a.den, [(k, -c) for k, c in a.terms], a.trunc)
+
+
+def _tw_smul(q, a: TwJet) -> TwJet:
+    """q * a for an int or Fraction q."""
+    if not q:
+        return _tw(a.ring, 1, [], a.trunc)
+    n = q.numerator
+    return _tw(a.ring, q.denominator * a.den, [(k, n * c) for k, c in a.terms], a.trunc)
+
+
+def _tw_dot(terms) -> TwJet:
+    """sum kappa * x * y over (kappa, x, y) triples of TwJets: jet_dot's
+    trunc, then one pass over every monomial pair below it, summed over one
+    running lcm denominator as scalar._bp_dot sums."""
+    ring = terms[0][1].ring
+    trunc = EXACT
+    for _, x, y in terms:
+        if x.ring is not ring or y.ring is not ring:
+            raise ContextMismatch(f"{x.ring!r} vs {y.ring!r} in a sum over {ring!r}")
+        # min(_tadd(x.trunc, y.min_ord), _tadd(y.trunc, x.min_ord))
+        if x.trunc < EXACT:
+            t = x.trunc + (y.terms[0][0] >> W_SHIFT if y.terms else y.trunc)
+            if t < trunc:
+                trunc = t
+        if y.trunc < EXACT:
+            t = y.trunc + (x.terms[0][0] >> W_SHIFT if x.terms else x.trunc)
+            if t < trunc:
+                trunc = t
+    lim = trunc << W_SHIFT
+    acc: dict = {}
+    get = acc.get
+    den = 1
+    for kap, x, y in terms:
+        X, Y = x.terms, y.terms
+        if not X or not Y:
+            continue
+        d = x.den * y.den
+        if den % d:
+            r = d // math.gcd(den, d)
+            den *= r
+            for key in acc:
+                acc[key] *= r
+        if d != den:
+            kap *= den // d
+        for p, a in X:
+            a *= kap
+            for q, b in Y:
+                key = p + q
+                if key >= lim:  # Y is in key order
+                    break
+                acc[key] = get(key, 0) + a * b
+    items = _tw_checked(ring, sorted([kc for kc in acc.items() if kc[1]]))
+    return _tw(ring, den, items, trunc)
+
+
+def _tw_checked(ring: TwRing, items: list) -> list:
+    """Sorted items whose keys are sums: none below the floor, no degree
+    past its field."""
+    if items and items[0][0] >> W_SHIFT < ring.floor:
+        raise _below_floor(ring, items[0][0] >> W_SHIFT)
+    for k, _ in items:
+        if k & TW_GUARD:
+            raise KernelError(_TW_ERROR)
+    return items
+
+
+def _tw_derivation(jring: TwRing, delta_of_w, name: str) -> Derivation:
+    """The lift of the zero derivation of Q[n1, n2] with delta(w) = dw a
+    monomial, in closed form: t_w commutes with Q[n1, n2], so
+    delta(t_w^i) c is the one term -i dw t_w^(i+1) c."""
+    dw = _bp(delta_of_w)
+    (q, b), = dw.terms
+    q += _W  # adding one fixed key keeps the key order
+
+    def fn(a: TwJet) -> TwJet:
+        if a.ring is not jring:
+            raise ContextMismatch(f"derivation {name} lifted over {jring!r}")
+        lim = (a.trunc - 1) << W_SHIFT  # key < lim: t_w^(i+1) is below trunc
+        items = [(key + q, -(key >> W_SHIFT) * c * b) for key, c in a.terms
+                 if key < lim and key >> W_SHIFT]
+        return _tw(jring, a.den * dw.den, _tw_checked(jring, items), a.trunc)
+
+    return Derivation(name, fn)
+
+
 # -- base coefficient rings ---------------------------------------------------
 
 
@@ -639,8 +857,7 @@ def class3_tower(order: int = 12) -> Tower:
     class-3 algebra on two generators; N = span(n1, n2) is central abelian,
     so U(N) = Q[n1, n2] and all inner derivations vanish on it."""
     floor = tower_floor(order)
-    un = bipoly_ops()
-    lw = JetRing(un, None, "t_w", order, floor)
+    lw = TwRing("t_w", order, floor)
     delta_v = lift_derivation(lw, None, bipoly_n2(), "delta_v")  # [w, v] = n2
     lv = JetRing(lw.ops(), delta_v, "t_v", order, floor)
     delta_u_on_w = lift_derivation(lw, None, bipoly_n1(), "delta_u|t_w")  # [w, u] = n1
@@ -661,11 +878,14 @@ def class3_tower(order: int = 12) -> Tower:
 
 
 def hom_phi_w(tower_src: Tower, tower_dst: Tower):
-    """Phi_w: U(N)((t_w)) -> Q((t_z)), sum t_w^i f_i -> sum t_z^i eps(f_i)."""
+    """Phi_w: U(N)((t_w)) -> Q((t_z)), sum t_w^i f_i -> sum t_z^i eps(f_i),
+    read off the packed terms: eps(f_i) is the numerator at key i << W_SHIFT."""
     lz = tower_dst.levels[0]
 
-    def phi(jet_w: Jet) -> Jet:
-        return series_hom(jet_w, bipoly_eps, lz)
+    def phi(jet_w: TwJet) -> Jet:
+        den = jet_w.den
+        return Jet(lz, {key >> W_SHIFT: Fraction(c, den) for key, c in jet_w.terms
+                        if not key & _BP_MASK}, jet_w.trunc)
 
     return phi
 

@@ -9,7 +9,20 @@ from skewcert import skewfrac
 from skewcert.errors import DivisionByZero, PoleAtPoint
 from skewcert.freecert import MODULUS
 from skewcert.scalar import Poly, RatFun
-from skewcert.series import EXACT, Jet, _kappa, _tadd, jet_add, jet_mul, jet_neg
+from skewcert.series import (
+    EXACT,
+    Jet,
+    JetRing,
+    _kappa,
+    _tadd,
+    bipoly_n1,
+    bipoly_n2,
+    bipoly_ops,
+    jet_add,
+    jet_mul,
+    jet_neg,
+    lift_derivation,
+)
 from skewcert.skewpoly import SkewPoly, sp_divmod, sp_gcld, sp_gcrd_llcm, sp_mul
 
 
@@ -103,6 +116,15 @@ def exact_zero(ops, c) -> bool:
     """c is zero to every order, by the recursive definition: known zero
     and fully exact.  The reference for `RingOps.exact_zero`."""
     return ops.is_zero(c) and fully_exact(c)
+
+
+def generic_tw_level(order: int, floor: int) -> tuple:
+    """Q[n1, n2]((t_w)) as a generic JetRing, one BiPoly per order, with
+    the class-3 tower's delta_v and delta_u|t_w lifted onto it generically:
+    the oracle of `series.TwRing` and its closed-form derivations."""
+    ring = JetRing(bipoly_ops(), None, "t_w", order, floor)
+    return (ring, lift_derivation(ring, None, bipoly_n2(), "delta_v"),
+            lift_derivation(ring, None, bipoly_n1(), "delta_u|t_w"))
 
 
 def jet_sub(a: Jet, b: Jet) -> Jet:

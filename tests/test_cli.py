@@ -453,6 +453,40 @@ def test_order_one_class3_cross_check_is_a_one_line_error(argv, capsys, tmp_path
     assert captured.out == ""
 
 
+ORDER_STUBS = {("certify", "nilpotent"): "run_certify_nilpotent",
+               ("verify", "scaling"): "run_verify_scaling"}
+
+
+@pytest.mark.parametrize("command", sorted(ORDER_STUBS))
+@pytest.mark.parametrize("order", ["99999", str(cli.MAX_ORDER + 1)])
+def test_order_above_the_bound_is_a_one_line_error(command, order, capsys, monkeypatch):
+    # the pipeline is stubbed to fail: the bound refuses before any work
+    def pipeline(*args, **kwargs):
+        raise AssertionError("the pipeline ran")
+
+    monkeypatch.setattr(harness, ORDER_STUBS[command], pipeline)
+    code = cli.run([*command, "--order", order])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.err == f"error: --order must be at most {cli.MAX_ORDER}\n"
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize("command", sorted(ORDER_STUBS))
+def test_order_at_the_bound_is_accepted(command, capsys, monkeypatch):
+    calls = []
+
+    def pipeline(*args, **kwargs):
+        calls.append((args, kwargs))
+        return [harness.verdict("stub", "label", True)]
+
+    monkeypatch.setattr(harness, ORDER_STUBS[command], pipeline)
+    code, report = run_cli([*command, "--order", str(cli.MAX_ORDER)], capsys)
+    assert code == 0 and len(calls) == 1
+    assert cli.MAX_ORDER in calls[0][0] + tuple(calls[0][1].values())
+    assert report["params"]["order"] == cli.MAX_ORDER
+
+
 @pytest.mark.parametrize("argv", [["certify", "nilpotent", "--seed", "x"],
                                   ["certify", "nilpotent", "--no-such-flag"],
                                   []])

@@ -26,6 +26,8 @@ from skewcert.series import (
     Derivation,
     Jet,
     JetRing,
+    TwJet,
+    TwRing,
     bipoly_const,
     bipoly_eps,
     bipoly_n1,
@@ -52,7 +54,15 @@ from skewcert.series import (
 )
 from skewcert.skewfrac import ShiftAut, pjet_ring
 from skewcert.symcert import verify_facts
-from oracles import check_leibniz, exact_zero, fully_exact, jet_inv_left, jet_sub, jet_truncate
+from oracles import (
+    check_leibniz,
+    exact_zero,
+    fully_exact,
+    generic_tw_level,
+    jet_inv_left,
+    jet_sub,
+    jet_truncate,
+)
 
 
 @pytest.fixture(scope="module")
@@ -561,21 +571,24 @@ def test_bipoly_kernel_outputs_are_canonical(ta, tb, q, raw):
 
 
 def test_class3_tower_holds_only_the_integer_form():
-    """No nested Poly enters the class-3 tower: the facts, the inverse of A
-    and the harness's `bipoly_const(3) + n1` all stay in the integer form."""
+    """No nested Poly and no per-order map enters the class-3 tower: the
+    facts, the inverse of A and the harness's `bipoly_const(3) + n1` all
+    stay in the integer form, every t_w-jet as one TwJet of int terms."""
     table, _, jets = class3_fact_table(12)
     verify_facts(table)
     leaves = []
 
     def walk(x):
-        if isinstance(x, Jet):
+        if isinstance(x, Jet) and type(x) is not TwJet:
             for c in x.coeffs.values():
                 walk(c)
         else:
             leaves.append(x)
 
     walk(jet_inv(jets["A"]))
-    assert leaves and all(type(c) is BiPoly for c in leaves)
+    assert leaves and all(type(c) is TwJet and type(c.den) is int for c in leaves)
+    assert all(type(k) is int and type(n) is int for c in leaves for k, n in c.terms)
+    assert all(type(c) is BiPoly for x in leaves for c in x.coeffs.values())
     assert type(bipoly_const(3) + bipoly_n1()) is BiPoly
     assert type(Poly((Poly((F(1),)),)) * bipoly_n2()) is BiPoly
 
@@ -611,6 +624,8 @@ def assert_clean(x):
         return
     again = Jet(x.ring, dict(x.coeffs), x.trunc)
     assert again.coeffs == x.coeffs and again.trunc == x.trunc
+    if type(x) is TwJet:  # and the packed form is the canonical one
+        assert (again.den, again.terms) == (x.den, x.terms)
     for c in x.coeffs.values():
         assert_clean(c)
 
@@ -679,7 +694,8 @@ def test_jet_exact_zero_matches_the_recursive_reference(name, level, data):
     level = min(level, len(tower.levels) - 1)
     ring = tower.levels[level]
     ops = ring.ops()
-    assert ops.exact_zero is jet_exact_zero
+    # the class-3 t_w level tests its packed terms, every other ring its map
+    assert ops.exact_zero is (series._tw_exact_zero if type(ring) is TwRing else jet_exact_zero)
     a, b = draw_jet(data, tower, level), draw_jet(data, tower, level)
     at_exact, at_finite = Jet(ring, a.coeffs), jet_truncate(a, 3)
     zeros = [ring.zero_jet(), ring.zero_jet(3)]
@@ -807,7 +823,7 @@ def check_fused_matches_fallback(tower, level, pool, kaps):
     # the ring's own dot, on sums whose first two terms cancel when kaps
     # starts with (k, -k)
     ops = ring.ops()
-    assert ops.dot is series.jet_dot
+    assert ops.dot is (series._tw_dot if type(ring) is TwRing else series.jet_dot)
     terms = [(k, *xy) for k, xy in zip(kaps, [(a, b), (a, b), (b, c), (c, a)])]
     assert dump(ops.sum_products(terms)) == dump(ops.replace(dot=None).sum_products(terms))
     for jring, on_coeffs, of_w, own in lifted(tower):
@@ -1116,7 +1132,9 @@ def test_series_hom_checks_only_when_a_derivation_is_present(monkeypatch):
     monkeypatch.setattr(RingOps, "eq", lambda self, x, y: eqs.append(x) or eq(self, x, y))
     src, dst = class3_tower(6), heisenberg_tower(6)
     lw = src.levels[0]
-    out = hom_phi_w(src, dst)(lw.make({-1: bipoly_const(2) + bipoly_n1(), 2: bipoly_n2()}, 4))
+    x = lw.make({-1: bipoly_const(2) + bipoly_n1(), 2: bipoly_n2()}, 4)
+    out = hom_phi_w(src, dst)(x)  # reads eps off the packed terms
+    assert dump(series_hom(x, bipoly_eps, dst.levels[0])) == dump(out)
     assert eqs == [] and dump(out) == (4, [(-1, F(2))])
 
     def at_one(f):  # n1 = n2 = 1, which does not kill delta(n1) = n2
@@ -1136,3 +1154,124 @@ def test_fraction_inverse_is_exact_on_ints():
     # 1/(2 + t) = sum (-1)^n t^n / 2^(n+1)
     assert inv.items() == [(n, F((-1) ** n, 2 ** (n + 1))) for n in range(6)]
     assert all(type(c) is F for c in inv.coeffs.values())
+
+
+# -- the packed t_w level against the generic level --------------------------------
+
+TW_FLOOR = -6  # products of two drawn orders reach below it
+PACKED_TW = TwRing("t_w", 4, TW_FLOOR)
+GENERIC_TW, GENERIC_DELTA_V, GENERIC_DELTA_U = generic_tw_level(4, TW_FLOOR)
+PACKED_DELTA_V = lift_derivation(PACKED_TW, None, bipoly_n2(), "delta_v")
+PACKED_DELTA_U = lift_derivation(PACKED_TW, None, bipoly_n1(), "delta_u|t_w")
+PHI_TOWERS = class3_tower(4), heisenberg_tower(4)
+
+
+@st.composite
+def tw_maps(draw):
+    """A plain {order: BiPoly} map at orders -4..4, with fractional and
+    multi-monomial coefficients, exact zeros among them, and a trunc."""
+    orders = draw(st.lists(st.integers(-4, 4), max_size=4, unique=True))
+    cs = {i: bipoly_from_terms(draw(st.dictionaries(
+        st.tuples(st.integers(0, 2), st.integers(0, 2)), rationals, max_size=3))) for i in orders}
+    return cs, draw(st.sampled_from([series.EXACT, 5, 3, 1, -2]))
+
+
+def both(plain):
+    """The packed and the generic jet of one plain map."""
+    cs, trunc = plain
+    return Jet(PACKED_TW, cs, trunc), Jet(GENERIC_TW, cs, trunc)
+
+
+def tw_outcome(f, *args):
+    """dump(f(*args)), with the packed form checked canonical and its view
+    checked equal to the dump; or the name of the precision error."""
+    try:
+        x = f(*args)
+    except PrecisionExhausted as ex:
+        return type(ex).__name__
+    if type(x) is TwJet:
+        assert_clean(x)
+        assert x.items() == sorted(x.coeffs.items())
+    return dump(x) if isinstance(x, Jet) else x
+
+
+def assert_same(packed, generic, *pairs):
+    """The packed and the generic f give the same outcome, each on its own
+    form of the operands."""
+    assert tw_outcome(packed, *(p for p, _ in pairs)) == tw_outcome(generic, *(g for _, g in pairs))
+
+
+@settings(max_examples=300)
+@given(tw_maps(), tw_maps(), tw_maps(), st.sampled_from([1, -1, 2, -3]),
+       st.sampled_from([0, 1, -1, 2, F(-3, 4)]))
+def test_packed_tw_level_matches_the_generic_level(pa, pb, pc, k, q):
+    """The packed t_w level and a generic JetRing over Q[n1, n2] agree as
+    values, as .coeffs views and in trunc on add, neg, smul, mul, the
+    kappa-weighted sums (first two terms cancelling), both lifted
+    derivations and Phi_w; a product below the floor raises on both."""
+    a, b, c = both(pa), both(pb), both(pc)
+    ops, gops = PACKED_TW.ops(), GENERIC_TW.ops()
+    for x in (a, b, both((pa[0], 3))):
+        assert dump(x[0]) == dump(x[1])
+        assert x[0].coeffs == x[1].coeffs and x[0].trunc == x[1].trunc
+        assert ops.is_zero(x[0]) == gops.is_zero(x[1])
+        assert ops.exact_zero(x[0]) == gops.exact_zero(x[1])
+    for name in ("add", "mul"):
+        assert_same(getattr(ops, name), getattr(gops, name), a, b)
+    assert_same(ops.add, gops.add, a, (jet_neg(a[0]), jet_neg(a[1])))  # cancels
+    assert_same(ops.neg, gops.neg, a)
+    assert_same(lambda x: ops.smul(q, x), lambda x: gops.smul(q, x), a)
+    for kaps in ([k, -k, 2, -1], [k], [k, 1, -1]):
+        pairs = list(zip(kaps, [(a, b), (a, b), (b, c), (c, a)]))
+        sums = [[(kk, x[side], y[side]) for kk, (x, y) in pairs] for side in (0, 1)]
+        assert tw_outcome(ops.dot, sums[0]) == tw_outcome(gops.dot, sums[1])
+    for packed, generic in ((PACKED_DELTA_V, GENERIC_DELTA_V), (PACKED_DELTA_U, GENERIC_DELTA_U)):
+        assert_same(packed, generic, a)
+        assert_same(lambda x, y: packed(ops.mul(x, y)), lambda x, y: generic(gops.mul(x, y)), a, b)
+    lw = PHI_TOWERS[0].levels[0]
+    phi_w = hom_phi_w(*PHI_TOWERS)
+    assert dump(phi_w(Jet(lw, pa[0], pa[1]))) == dump(
+        series_hom(a[1], bipoly_eps, PHI_TOWERS[1].levels[0]))
+
+
+def test_packed_tw_product_below_the_floor_raises_on_both_sides():
+    low = ({-4: bipoly_const(F(1, 2)) + bipoly_n1()}, series.EXACT)
+    for ring, x in zip((PACKED_TW, GENERIC_TW), both(low)):
+        with pytest.raises(PrecisionExhausted):
+            ring.ops().mul(x, x)
+    # a term known only below t_w^-8 leaves t_w^-8 unformed, on both sides
+    unknown, one = both(({}, -8)), both(({0: bipoly_const(1)}, series.EXACT))
+    sums = [ring.ops().dot([(1, x, x), (1, u, e)])
+            for ring, x, u, e in zip((PACKED_TW, GENERIC_TW), both(low), unknown, one)]
+    assert type(sums[0]) is TwJet and dump(sums[0]) == dump(sums[1]) == (-8, [])
+
+
+def test_plain_maps_read_into_the_packed_form():
+    lw = class3_tower(4).levels[0]
+    plain = {-1: bipoly_const(F(1, 2)) + bipoly_n1(), 2: bipoly_n2(), 3: bipoly_const(0)}
+    made = [lw.make(plain, 3), Jet(lw, plain, 3), jet_neg(lw.one_jet()), lw.one_jet(),
+            lw.monomial(-1), lw.zero_jet(2), lw.make({0: Poly((Poly((F(1), F(2))),))})]
+    assert all(type(x) is TwJet and type(x.den) is int for x in made)
+    assert made[0].coeffs == made[1].coeffs == {-1: plain[-1], 2: plain[2]}
+    assert (made[0].den, made[0].terms) == (2, ((-1 << 30, 1), ((-1 << 30) + 1, 2), ((2 << 30) + (1 << 15), 2)))
+    assert made[2].coeffs == {0: bipoly_const(-1)} and made[5].coeffs == {} and made[5].trunc == 2
+    assert made[6].coeffs == {0: bipoly_const(1) + bipoly_const(2) * bipoly_n1()}
+
+
+def test_degrees_past_their_packed_fields_raise_one_line():
+    lw = class3_tower(4).levels[0]
+    ops = lw.ops()
+    n1_half = lw.const(scalar._bipoly(1, ((1 << 13, 1),)))  # n1^(2^13)
+    n2_half = lw.const(scalar._bipoly(1, (((1 << 13) << 15, 1),)))  # n2^(2^13)
+    n2_top = scalar._bipoly(1, ((((1 << 14) - 1) << 15, 1),))  # n2^(2^14 - 1)
+    calls = [lambda: lw.const(scalar._bipoly(1, (((1 << 14) << 15, 1),))),  # n2^(2^14)
+             lambda: ops.mul(n1_half, n1_half), lambda: ops.mul(n2_half, n2_half),
+             lambda: ops.dot([(1, n2_half, n2_half)]),
+             lambda: lift_derivation(lw, None, bipoly_n2(), "delta_v")(lw.monomial(1, n2_top))]
+    for call in calls:
+        with pytest.raises(KernelError) as info:
+            call()
+        assert "\n" not in str(info.value) and "2**14" in str(info.value)
+    # one below each field's limit is held exactly
+    top = ops.mul(lw.const(n2_top), lw.const(scalar._bipoly(1, (((1 << 14) - 1, 1),))))
+    assert top.terms == ((((1 << 14) - 1) << 15 | (1 << 14) - 1, 1),)
